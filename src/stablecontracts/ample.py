@@ -20,12 +20,11 @@ from .contractsets import Mask, canonical_sorted, ids_of
 from .desirability import desirable_set
 from .errors import (
     CapExceededError,
-    DomainError,
     InternalInconsistencyError,
     PreconditionError,
 )
 from .instance import TwoAgentProblem
-from .stability import is_stable
+from .stability import check_subset, is_stable
 
 ENUMERATION_CAP = 20
 
@@ -47,10 +46,7 @@ class SolveResult:
 
 def is_ample(problem: TwoAgentProblem, b: Mask) -> bool:
     """D_F(W(B)) ⊆ B."""
-    if b & ~problem.ground:
-        raise DomainError(
-            f"contract set {ids_of(b)} is not a subset of the ground set"
-        )
+    check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
     return desirable_set(problem.firm, wb) & ~b == 0
 
@@ -61,10 +57,7 @@ def ag_step(problem: TwoAgentProblem, b: Mask) -> Mask:
     B' = (B \\ W(B)) ∪ F(W(B)).  Always a subset of B; maps ample sets to
     ample sets.
     """
-    if b & ~problem.ground:
-        raise DomainError(
-            f"contract set {ids_of(b)} is not a subset of the ground set"
-        )
+    check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
     return (b & ~wb) | problem.firm.evaluate(wb)
 

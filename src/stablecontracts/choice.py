@@ -24,7 +24,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .contractsets import Mask, canonical_key, ids_of, mask_of, submasks
+from .contractsets import (
+    Mask,
+    canonical_key,
+    expand,
+    ids_of,
+    local_table,
+    mask_of,
+    submasks,
+)
 from .errors import (
     CapExceededError,
     DomainError,
@@ -236,13 +244,13 @@ def validate_plott(cf: ChoiceFunction, cap: int = EXHAUSTIVE_CAP) -> ValidationR
         raise CapExceededError(
             f"ground has {k} contracts; exhaustive axiom check is capped at {cap}"
         )
-    tab = _local_table(cf, bits)
+    tab = local_table(cf.evaluate, bits)
     checks = []
     for axiom in (CONSISTENCY, SUBSTITUTABILITY, PATH_INDEPENDENCE):
-        passed, witness = _check_axiom(tab, k, axiom)
+        witness = _check_axiom(tab, axiom)
         if witness is not None:
-            witness = tuple(_expand_mask(w, bits) for w in witness)
-        checks.append(AxiomCheck(axiom, passed, witness))
+            witness = tuple(expand(w, bits) for w in witness)
+        checks.append(AxiomCheck(axiom, witness is None, witness))
     cons, subst, pathind = checks
     if cons.passed and subst.passed and not pathind.passed:
         raise InternalInconsistencyError(
@@ -252,77 +260,70 @@ def validate_plott(cf: ChoiceFunction, cap: int = EXHAUSTIVE_CAP) -> ValidationR
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
 
 
-def _local_table(cf: ChoiceFunction, bits: list[int]) -> list[Mask]:
-    """Tabulate cf over its ground, re-indexed to dense local bits."""
-    k = len(bits)
-    single = [1 << b for b in bits]
-    tab = []
-    for local in range(1 << k):
-        menu = 0
-        t = local
-        while t:
-            low = t & -t
-            menu |= single[low.bit_length() - 1]
-            t ^= low
-        chosen = cf.evaluate(menu)
-        loc = 0
-        for i, b in enumerate(bits):
-            if chosen >> b & 1:
-                loc |= 1 << i
-        tab.append(loc)
-    return tab
+def _any_pair(tab: list[Mask], bad) -> bool:
+    """Whether bad(A, T[A], B, T[B]) holds for some pair of local masks.
 
-
-def _expand_mask(local: Mask, bits: list[int]) -> Mask:
-    m = 0
-    t = local
-    while t:
-        low = t & -t
-        m |= 1 << bits[low.bit_length() - 1]
-        t ^= low
-    return m
-
-
-def _check_axiom(tab: list[Mask], k: int, axiom: str):
-    """Vectorized violation detection; on a hit, locate the canonical witness."""
-    n = 1 << k
+    ``bad`` is evaluated on numpy blocks, A down the rows and B across the
+    columns, so it must be written with elementwise operators only.
+    """
+    n = len(tab)
     arr = np.asarray(tab, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
     block = max(1, (1 << 22) // n)
-    hit = False
     for lo in range(0, n, block):
-        rows = cols[lo:lo + block, None]
-        crow = arr[lo:lo + block, None]
-        if axiom == CONSISTENCY:
-            # rows are menus A, cols candidate B with C(A) ⊆ B ⊆ A
-            bad = ((crow & ~cols) == 0) & ((cols & ~rows) == 0) & (arr != crow)
-        elif axiom == SUBSTITUTABILITY:
-            # rows are A, cols supersets B; offending when C(B) ∩ A ⊄ C(A)
-            bad = ((rows & ~cols) == 0) & ((arr & rows & ~crow) != 0)
-        else:
-            bad = arr[rows | cols] != arr[crow | cols]
-        if bad.any():
-            hit = True
-            break
-    if not hit:
-        return True, None
-    return False, _locate_witness(tab, k, axiom)
+        if bad(cols[lo:lo + block, None], arr[lo:lo + block, None], cols, arr).any():
+            return True
+    return False
 
 
-def _locate_witness(tab: list[Mask], k: int, axiom: str) -> tuple[Mask, Mask]:
-    full = (1 << k) - 1
-    order = sorted(range(1 << k), key=canonical_key)
+def superset_violation(tab: list[Mask], bad) -> tuple[Mask, Mask] | None:
+    """The canonical first A ⊆ B with bad(A, T[A], B, T[B]), or None.
+
+    Shared by the laws that compare a set with its supersets
+    (substitutability of C, antimonotonicity of D).  ``bad`` must work on
+    numpy blocks and on plain ints alike: the blocked scan decides whether a
+    violation exists, and only then is the witness searched for, menus in
+    canonical order and each menu's supersets likewise.
+    """
+    if not _any_pair(tab, lambda a, ta, b, tb: ((a & ~b) == 0) & bad(a, ta, b, tb)):
+        return None
+    full = len(tab) - 1
+    for a in sorted(range(len(tab)), key=canonical_key):
+        ta = tab[a]
+        for b in sorted((a | t for t in submasks(full & ~a)), key=canonical_key):
+            if bad(a, ta, b, tab[b]):
+                return a, b
+    raise InternalInconsistencyError(
+        "a superset-law violation was detected but the ordered scan found no witness"
+    )
+
+
+def _check_axiom(tab: list[Mask], axiom: str) -> tuple[Mask, Mask] | None:
+    """Vectorized violation detection; on a hit, the canonical witness."""
+    if axiom == SUBSTITUTABILITY:
+        # offending when C(B) ∩ A ⊄ C(A) for A ⊆ B
+        return superset_violation(tab, lambda a, ca, b, cb: (cb & a & ~ca) != 0)
+    if axiom == CONSISTENCY:
+        # offending when C(A) ⊆ B ⊆ A but C(B) ≠ C(A)
+        def bad(a, ca, b, cb):
+            return ((ca & ~b) == 0) & ((b & ~a) == 0) & (cb != ca)
+    else:
+        arr = np.asarray(tab, dtype=np.int64)
+
+        def bad(a, ca, b, cb):
+            return arr[a | b] != arr[ca | b]
+    if not _any_pair(tab, bad):
+        return None
+    return _locate_witness(tab, axiom)
+
+
+def _locate_witness(tab: list[Mask], axiom: str) -> tuple[Mask, Mask]:
+    order = sorted(range(len(tab)), key=canonical_key)
     if axiom == CONSISTENCY:
         for a in order:
             ca = tab[a]
             for b in sorted((ca | t for t in submasks(a & ~ca)), key=canonical_key):
                 if tab[b] != ca:
-                    return a, b
-    elif axiom == SUBSTITUTABILITY:
-        for a in order:
-            ca = tab[a]
-            for b in sorted((a | t for t in submasks(full & ~a)), key=canonical_key):
-                if tab[b] & a & ~ca:
                     return a, b
     else:
         for a in order:

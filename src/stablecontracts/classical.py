@@ -22,6 +22,7 @@ from .choice import LinearOrder
 from .contractsets import Mask, ids_of
 from .errors import DomainError, InternalInconsistencyError, PreconditionError
 from .instance import Instance, contracts_of
+from .stability import keeps_slices, multi_blocking
 
 
 def _linear_orders(inst: Instance) -> dict[str, tuple[int, ...]]:
@@ -170,23 +171,7 @@ def is_quasi_stable(inst: Instance, matching: Mask) -> bool:
     """
     if not is_matching(inst, matching):
         raise DomainError(f"{ids_of(matching)} is not a matching")
-    for agent in inst.agents:
-        slice_ = matching & contracts_of(inst, agent.id)
-        if inst.choices[agent.id].evaluate(slice_) != slice_:
-            return False
-    rest = inst.ground & ~matching
-    while rest:
-        low = rest & -rest
-        contract = inst.contracts[low.bit_length() - 1]
-        firm_cf = inst.choices[contract.firm]
-        worker_cf = inst.choices[contract.worker]
-        firm_slice = matching & contracts_of(inst, contract.firm)
-        worker_slice = matching & contracts_of(inst, contract.worker)
-        blocks = (
-            firm_cf.evaluate(firm_slice | low) & low
-            and worker_cf.evaluate(worker_slice | low) & low
-        )
-        if blocks and worker_slice:
-            return False
-        rest ^= low
-    return True
+    return keeps_slices(inst, matching) and not any(
+        matching & contracts_of(inst, contract.worker)
+        for contract in multi_blocking(inst, matching)
+    )

@@ -26,11 +26,13 @@ from .errors import (
 from .fileformat import (
     document_from_instance,
     format_set,
+    instance_from_document,
+    load_document,
     parse_components,
     parse_instance,
     parse_set,
 )
-from .instance import Instance, reduce_to_two_agents
+from .instance import reduce_to_two_agents
 from .lemmas import run_lemma_suite
 from .modest import yang_solve
 from .oracle import brute_force_stable, random_corpus, random_instance
@@ -192,15 +194,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        with open(args.instance, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ParseError("io", f"cannot read {args.instance}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            "malformed", f"{args.instance} is not valid JSON: {exc}"
-        ) from exc
+    doc = load_document(args.instance)
     agents, contracts, choices = parse_components(doc)
     labels = [c.label for c in contracts]
 
@@ -223,7 +217,7 @@ def _cmd_validate(args) -> int:
             "axiom-violation",
             f"agent {agent.id!r} violates {failing.axiom} at {where}",
         )
-    Instance(tuple(agents), tuple(contracts), choices)
+    instance_from_document(doc)
     print("valid")
     return 0
 

@@ -8,7 +8,7 @@ of a ground mask is enumerable without allocation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
 
@@ -54,6 +54,34 @@ def submasks(ground: Mask) -> Iterator[Mask]:
         if s == ground:
             return
         s = (s - ground) & ground
+
+
+def expand(local: Mask, bits: list[int]) -> Mask:
+    """Map a mask over local indices 0..k-1 to the contract ids ``bits``."""
+    m = 0
+    t = local
+    while t:
+        low = t & -t
+        m |= 1 << bits[low.bit_length() - 1]
+        t ^= low
+    return m
+
+
+def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> list[Mask]:
+    """fn(A) for every subset A of ``bits``, re-indexed to dense local bits.
+
+    Entry ``local`` holds fn of ``expand(local, bits)``, mapped back onto
+    local indices, so a sparse ground tabulates like a dense one.
+    """
+    tab = []
+    for local in range(1 << len(bits)):
+        value = fn(expand(local, bits))
+        loc = 0
+        for i, b in enumerate(bits):
+            if value >> b & 1:
+                loc |= 1 << i
+        tab.append(loc)
+    return tab
 
 
 def canonical_key(mask: Mask) -> tuple[int, tuple[int, ...]]:

@@ -12,13 +12,13 @@ function that passes the rationality axioms; ``choice_from_desirability``
 implements that reconstruction.
 
 ``desirable_set`` recomputes from the choice function on every call (one
-evaluation per ground element).  Callers that iterate over many states are
-expected to memoize per run; the fixed-point solvers do exactly that.
+evaluation per ground element); nothing memoizes it, so the fixed-point
+solvers pay that cost again at every step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -28,9 +28,17 @@ from .choice import (
     EXHAUSTIVE_CAP,
     Table,
     ValidationReport,
+    superset_violation,
 )
-from .contractsets import Mask, canonical_key, ids_of, submasks
-from .errors import CapExceededError, DomainError, InternalInconsistencyError
+from .contractsets import (
+    Mask,
+    canonical_key,
+    expand,
+    ids_of,
+    local_table,
+    submasks,
+)
+from .errors import CapExceededError, DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
 LOB_IDENTITY = "lob-identity"
@@ -91,12 +99,6 @@ class DesirabilityOperator:
             {state: desirable_set(cf, state) for state in submasks(cf.ground)},
         )
 
-    @classmethod
-    def from_callable(
-        cls, ground: Mask, fn: Callable[[Mask], Mask]
-    ) -> "DesirabilityOperator":
-        return cls(ground, {state: fn(state) for state in submasks(ground)})
-
     def map(self, state: Mask) -> Mask:
         if state & ~self.ground:
             raise DomainError(
@@ -127,34 +129,19 @@ def validate_desirability_operator(
     if op._report is not None:
         return op._report
 
-    tab = _local_operator_table(op, bits)
-    n = 1 << k
+    tab = local_table(op.map, bits)
+    # offending when D(B) ⊄ D(A) for A ⊆ B
+    witness = superset_violation(tab, lambda a, da, b, db: (db & ~da) != 0)
+    if witness is not None:
+        witness = tuple(expand(w, bits) for w in witness)
+    checks = [AxiomCheck(ANTIMONOTONICITY, witness is None, witness)]
+
     arr = np.asarray(tab, dtype=np.int64)
-    cols = np.arange(n, dtype=np.int64)
-
-    checks = []
-
-    anti_hit = False
-    block = max(1, (1 << 22) // n)
-    for lo in range(0, n, block):
-        rows = cols[lo:lo + block, None]
-        drow = arr[lo:lo + block, None]
-        # rows are A, cols supersets B; offending when D(B) ⊄ D(A)
-        bad = ((rows & ~cols) == 0) & ((arr & ~drow) != 0)
-        if bad.any():
-            anti_hit = True
-            break
-    witness = None
-    if anti_hit:
-        witness = _locate_antimonotonicity_witness(tab, k)
-        witness = tuple(_expand(w, bits) for w in witness)
-    checks.append(AxiomCheck(ANTIMONOTONICITY, not anti_hit, witness))
-
-    lob_bad = arr != arr[cols & arr]
+    lob_bad = arr != arr[np.arange(1 << k, dtype=np.int64) & arr]
     witness = None
     if lob_bad.any():
         state = min(np.nonzero(lob_bad)[0].tolist(), key=canonical_key)
-        witness = (_expand(int(state), bits),)
+        witness = (expand(int(state), bits),)
     checks.append(AxiomCheck(LOB_IDENTITY, not lob_bad.any(), witness))
 
     report = ValidationReport(all(c.passed for c in checks), tuple(checks))
@@ -185,46 +172,3 @@ def _require_valid(op: DesirabilityOperator) -> None:
             f"desirability operator violates {failing.axiom}; no choice "
             f"function can induce it"
         )
-
-
-def _local_operator_table(op: DesirabilityOperator, bits: list[int]) -> list[Mask]:
-    k = len(bits)
-    single = [1 << b for b in bits]
-    tab = []
-    for local in range(1 << k):
-        state = 0
-        t = local
-        while t:
-            low = t & -t
-            state |= single[low.bit_length() - 1]
-            t ^= low
-        mapped = op.map(state)
-        loc = 0
-        for i, b in enumerate(bits):
-            if mapped >> b & 1:
-                loc |= 1 << i
-        tab.append(loc)
-    return tab
-
-
-def _locate_antimonotonicity_witness(tab: list[Mask], k: int) -> tuple[Mask, Mask]:
-    full = (1 << k) - 1
-    order = sorted(range(1 << k), key=canonical_key)
-    for a in order:
-        da = tab[a]
-        for b in sorted((a | t for t in submasks(full & ~a)), key=canonical_key):
-            if tab[b] & ~da:
-                return a, b
-    raise InternalInconsistencyError(
-        "antimonotonicity violation was detected but no witness found"
-    )
-
-
-def _expand(local: Mask, bits: list[int]) -> Mask:
-    m = 0
-    t = local
-    while t:
-        low = t & -t
-        m |= 1 << bits[low.bit_length() - 1]
-        t ^= low
-    return m

@@ -38,16 +38,23 @@ _KNOWN_FAMILIES = ("linear", "quota", "table")
 
 def parse_instance(path: str) -> Instance:
     """Load and fully validate an instance document from a file."""
+    return instance_from_document(load_document(path))
+
+
+def load_document(path: str) -> Any:
+    """Read and decode a JSON document; failures raise ParseError coded
+    ``io`` (unreadable file) or ``malformed`` (not UTF-8 JSON)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ParseError("io", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("malformed", f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed", f"{path} is not valid JSON: {exc}") from exc
-    return instance_from_document(doc)
 
 
 def instance_from_document(doc: Any) -> Instance:
@@ -109,6 +116,11 @@ def parse_components(
         if label in index_by_label:
             raise ParseError("malformed", f"duplicate contract id {label!r}")
         firm, worker = raw["firm"], raw["worker"]
+        if not isinstance(firm, str) or not isinstance(worker, str):
+            raise ParseError(
+                "malformed",
+                f"contract {label!r} must name its firm and worker by agent id",
+            )
         if firm not in seen_agents or seen_agents[firm] is not Side.FIRM:
             raise ParseError(
                 "dangling-reference",
@@ -184,7 +196,7 @@ def _parse_choice(
                     f"agent {agent_id!r}: quota payload needs 'q' and 'priority'",
                 )
             q = payload["q"]
-            if not isinstance(q, int):
+            if not isinstance(q, int) or isinstance(q, bool):
                 raise ParseError(
                     "malformed", f"agent {agent_id!r}: quota 'q' must be an integer"
                 )

@@ -16,17 +16,14 @@ from __future__ import annotations
 from .ample import SolveResult, is_ample
 from .contractsets import Mask, ids_of
 from .desirability import desirable_set
-from .errors import DomainError, InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 from .instance import TwoAgentProblem
-from .stability import is_stable
+from .stability import check_subset, is_stable
 
 
 def is_modest(problem: TwoAgentProblem, q: Mask) -> bool:
     """Q ⊆ W(D_F(Q))."""
-    if q & ~problem.ground:
-        raise DomainError(
-            f"contract set {ids_of(q)} is not a subset of the ground set"
-        )
+    check_subset(q, problem.ground)
     return q & ~problem.worker.evaluate(desirable_set(problem.firm, q)) == 0
 
 
@@ -48,9 +45,10 @@ def yang_solve(problem: TwoAgentProblem, start: Mask = 0) -> SolveResult:
     of the output is re-verified defensively.
     """
     q = start
-    if not is_modest(problem, q):
-        raise PreconditionError(f"start set {ids_of(q)} is not modest")
+    check_subset(q, problem.ground)
     d = desirable_set(problem.firm, q)
+    if q & ~problem.worker.evaluate(d):
+        raise PreconditionError(f"start set {ids_of(q)} is not modest")
     trace = [q]
     for _ in range(problem.size + 2):
         nxt = problem.firm.evaluate(problem.worker.evaluate(d))

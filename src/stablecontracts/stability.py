@@ -9,13 +9,15 @@ All three are implemented independently so they can be cross-checked.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .contractsets import Mask, ids_of
 from .desirability import desirable_set
 from .errors import DomainError
-from .instance import Instance, TwoAgentProblem, contracts_of, restrict
+from .instance import Contract, Instance, TwoAgentProblem, contracts_of
 
 
-def _check_subset(s: Mask, ground: Mask) -> None:
+def check_subset(s: Mask, ground: Mask) -> None:
     if s & ~ground:
         raise DomainError(
             f"contract set {ids_of(s)} is not a subset of the ground set"
@@ -24,7 +26,7 @@ def _check_subset(s: Mask, ground: Mask) -> None:
 
 def is_acceptable(problem: TwoAgentProblem, s: Mask) -> bool:
     """Both sides keep S whole: F(S) = S and W(S) = S."""
-    _check_subset(s, problem.ground)
+    check_subset(s, problem.ground)
     return problem.firm.evaluate(s) == s and problem.worker.evaluate(s) == s
 
 
@@ -34,7 +36,7 @@ def blocking_contracts(problem: TwoAgentProblem, s: Mask) -> Mask:
     Returns the full blocking set (D_F(S) ∩ D_W(S)) \\ S rather than a bare
     flag, so callers can report which contracts break a candidate system.
     """
-    _check_subset(s, problem.ground)
+    check_subset(s, problem.ground)
     out = 0
     rest = problem.ground & ~s
     while rest:
@@ -50,36 +52,44 @@ def blocking_contracts(problem: TwoAgentProblem, s: Mask) -> Mask:
 
 def is_stable(problem: TwoAgentProblem, s: Mask) -> bool:
     """Fixed-point form: S = D_F(S) ∩ D_W(S)."""
-    _check_subset(s, problem.ground)
+    check_subset(s, problem.ground)
     return s == desirable_set(problem.firm, s) & desirable_set(problem.worker, s)
 
 
 def is_stable_prop1(problem: TwoAgentProblem, s: Mask) -> bool:
     """Asymmetric form: S = W(D_F(S))."""
-    _check_subset(s, problem.ground)
+    check_subset(s, problem.ground)
     return s == problem.worker.evaluate(desirable_set(problem.firm, s))
 
 
 def is_stable_multi(inst: Instance, s: Mask) -> bool:
     """Multi-agent definition: per-agent acceptability plus no blocking
     contract accepted by both of its endpoints."""
-    _check_subset(s, inst.ground)
+    check_subset(s, inst.ground)
+    return keeps_slices(inst, s) and next(multi_blocking(inst, s), None) is None
+
+
+def keeps_slices(inst: Instance, s: Mask) -> bool:
+    """Every agent keeps its own slice S ∩ E(v) whole."""
     for agent in inst.agents:
-        slice_ = restrict(s, agent.id, inst)
+        slice_ = s & contracts_of(inst, agent.id)
         if inst.choices[agent.id].evaluate(slice_) != slice_:
             return False
+    return True
+
+
+def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
+    """Outside contracts that both endpoints would accept on top of their
+    slices of S, lazily and by ascending id."""
     rest = inst.ground & ~s
     while rest:
         low = rest & -rest
         contract = inst.contracts[low.bit_length() - 1]
-        firm_cf = inst.choices[contract.firm]
-        worker_cf = inst.choices[contract.worker]
         firm_slice = s & contracts_of(inst, contract.firm)
         worker_slice = s & contracts_of(inst, contract.worker)
         if (
-            firm_cf.evaluate(firm_slice | low) & low
-            and worker_cf.evaluate(worker_slice | low) & low
+            inst.choices[contract.firm].evaluate(firm_slice | low) & low
+            and inst.choices[contract.worker].evaluate(worker_slice | low) & low
         ):
-            return False
+            yield contract
         rest ^= low
-    return True

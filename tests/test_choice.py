@@ -98,31 +98,34 @@ class TestValidatePlott:
         }
 
     def test_consistency_only_failure_with_minimal_witness(self):
-        cf = Table(
-            m(0, 1, 2),
-            {
-                0: 0,
-                m(0): m(0),
-                m(1): m(1),
-                m(2): m(2),
-                m(0, 1): m(0, 1),
-                m(0, 2): m(0),
-                m(1, 2): m(1),
-                m(0, 1, 2): m(0),
-            },
-        )
-        report = validate_plott(cf)
-        assert not report.passed
-        assert not report.check("consistency").passed
-        assert report.check("consistency").witness == (m(0, 1, 2), m(0, 1))
-        assert report.check("substitutability").passed
-        assert not report.check("path-independence").passed
-        assert report.check("path-independence").witness == (m(0, 2), m(1))
-        assert naive_axiom_verdicts(cf) == {
-            "consistency": False,
-            "substitutability": True,
-            "path-independence": False,
-        }
+        # the same table on the dense ground and relabelled onto the sparse
+        # ground {2, 5, 9}: witnesses come back in the table's own ids
+        for x, y, z in ((0, 1, 2), (2, 5, 9)):
+            cf = Table(
+                m(x, y, z),
+                {
+                    0: 0,
+                    m(x): m(x),
+                    m(y): m(y),
+                    m(z): m(z),
+                    m(x, y): m(x, y),
+                    m(x, z): m(x),
+                    m(y, z): m(y),
+                    m(x, y, z): m(x),
+                },
+            )
+            report = validate_plott(cf)
+            assert not report.passed
+            assert not report.check("consistency").passed
+            assert report.check("consistency").witness == (m(x, y, z), m(x, y))
+            assert report.check("substitutability").passed
+            assert not report.check("path-independence").passed
+            assert report.check("path-independence").witness == (m(x, z), m(y))
+            assert naive_axiom_verdicts(cf) == {
+                "consistency": False,
+                "substitutability": True,
+                "path-independence": False,
+            }
 
     def test_substitutability_only_failure_with_minimal_witness(self):
         # complements: nothing alone, everything together

@@ -155,6 +155,16 @@ class TestValidate:
         assert code == 1
         assert "[io]" in err
 
+    def test_ground_mismatch_is_coded(self, capsys, tmp_path):
+        doc = document_from_instance(marriage_2x2())
+        worker = next(a["id"] for a in doc["agents"] if a["side"] == "worker")
+        doc["choices"][worker] = {"family": "linear", "payload": []}
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "[malformed]" in err
+
 
 class TestGenerate:
     def test_round_trips_through_validate(self, capsys, tmp_path):

@@ -121,6 +121,16 @@ class TestOperatorValidation:
             "antimonotonicity"
         ).passed
 
+    def test_pure_lob_failure_on_sparse_ground(self):
+        # D(∅) = {4}, D({4}) = ∅ is antimonotone, but D({4}) differs from
+        # D({4} ∩ D({4})) = D(∅)
+        op = DesirabilityOperator(m(4), {0: m(4), m(4): 0})
+        report = validate_desirability_operator(op)
+        assert report.check("antimonotonicity").passed
+        check = report.check("lob-identity")
+        assert not check.passed
+        assert check.witness == (m(4),)
+
     def test_partial_operator_rejected(self):
         with pytest.raises(DomainError, match="not total"):
             DesirabilityOperator(m(0), {0: 0})

@@ -49,10 +49,11 @@ class TestParseErrors:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError) as err:
-            parse_instance(str(path))
-        assert err.value.code == "malformed"
+        for content in (b"{not json", b"\xff\xfe{}"):
+            path.write_bytes(content)
+            with pytest.raises(ParseError) as err:
+                parse_instance(str(path))
+            assert err.value.code == "malformed"
 
     def test_missing_section(self):
         with pytest.raises(ParseError) as err:
@@ -80,17 +81,23 @@ class TestParseErrors:
         assert err.value.code == "unknown-family"
 
     def test_contract_naming_undeclared_agent(self):
-        doc = {
-            "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
-            "contracts": [{"id": "e", "firm": "f", "worker": "ghost"}],
-            "choices": {
-                "f": {"family": "linear", "payload": ["e"]},
-                "w": {"family": "linear", "payload": []},
-            },
-        }
-        with pytest.raises(ParseError) as err:
-            instance_from_document(doc)
-        assert err.value.code == "dangling-reference"
+        cases = [
+            ("f", "ghost", "dangling-reference"),
+            (["f"], "w", "malformed"),
+            ("f", 7, "malformed"),
+        ]
+        for firm, worker, code in cases:
+            doc = {
+                "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
+                "contracts": [{"id": "e", "firm": firm, "worker": worker}],
+                "choices": {
+                    "f": {"family": "linear", "payload": ["e"]},
+                    "w": {"family": "linear", "payload": []},
+                },
+            }
+            with pytest.raises(ParseError) as err:
+                instance_from_document(doc)
+            assert err.value.code == code
 
     def test_payload_naming_unknown_contract(self):
         doc = {
@@ -119,17 +126,18 @@ class TestParseErrors:
         assert err.value.code == "malformed"
 
     def test_quota_payload_shape(self):
-        doc = {
-            "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
-            "contracts": [{"id": "e", "firm": "f", "worker": "w"}],
-            "choices": {
-                "f": {"family": "quota", "payload": {"q": "one", "priority": ["e"]}},
-                "w": {"family": "linear", "payload": ["e"]},
-            },
-        }
-        with pytest.raises(ParseError) as err:
-            instance_from_document(doc)
-        assert err.value.code == "malformed"
+        for q in ("one", True):
+            doc = {
+                "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
+                "contracts": [{"id": "e", "firm": "f", "worker": "w"}],
+                "choices": {
+                    "f": {"family": "quota", "payload": {"q": q, "priority": ["e"]}},
+                    "w": {"family": "linear", "payload": ["e"]},
+                },
+            }
+            with pytest.raises(ParseError) as err:
+                instance_from_document(doc)
+            assert err.value.code == "malformed"
 
     @pytest.mark.parametrize("name", ["consistency", "substitutability", "both"])
     def test_axiom_violations_reported_with_code(self, name):
