@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import dense_table
-from .contractsets import Mask, canonical_sorted, ids_of
+from .contractsets import Mask, canonical_sorted, check_subset, ids_of
 from .desirability import desirable_set
 from .errors import (
     CapExceededError,
@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .instance import TwoAgentProblem
-from .stability import check_subset, is_stable
+from .stability import is_stable
 
 ENUMERATION_CAP = 20
 

@@ -9,8 +9,12 @@ which together are equivalent to path independence:
   path independence   C(A ∪ B) = C(C(A) ∪ B)
 
 ``validate_plott`` checks all three exhaustively over the power set of the
-ground (never by sampling) and reports the first failing pair in a fixed
-scan order: menus by cardinality, then lexicographically by contract ids.
+ground (never by sampling).  The canonical order sorts menus by
+cardinality, then lexicographically by contract ids.  Each axiom is one
+blocked numpy scan (``first_pair``) over pairs (A, B): A runs in canonical
+order, and for each A, B does too.  The scan stops at the first offending
+pair, which is the reported witness, so detection and witness are one
+computation.  The desirability-operator laws run through the same scanner.
 The equivalence between the axioms doubles as a self-check: a report where
 the first two pass and path independence fails raises, because it can only
 mean the scanner itself is broken.
@@ -19,20 +23,13 @@ mean the scanner itself is broken.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .contractsets import (
-    Mask,
-    canonical_key,
-    expand,
-    ids_of,
-    local_table,
-    mask_of,
-    submasks,
-)
+from .contractsets import Mask, expand, ids_of, local_table, mask_of, submasks
 from .errors import (
     CapExceededError,
     DomainError,
@@ -238,99 +235,98 @@ def validate_plott(cf: ChoiceFunction, cap: int = EXHAUSTIVE_CAP) -> ValidationR
     Raises CapExceededError when the ground exceeds ``cap`` contracts
     (default 12); there is deliberately no sampling fallback.
     """
-    bits = ids_of(cf.ground)
-    k = len(bits)
-    if k > cap:
-        raise CapExceededError(
-            f"ground has {k} contracts; exhaustive axiom check is capped at {cap}"
-        )
-    tab = local_table(cf.evaluate, bits)
-    checks = []
-    for axiom in (CONSISTENCY, SUBSTITUTABILITY, PATH_INDEPENDENCE):
-        witness = _check_axiom(tab, axiom)
-        if witness is not None:
-            witness = tuple(expand(w, bits) for w in witness)
-        checks.append(AxiomCheck(axiom, witness is None, witness))
-    cons, subst, pathind = checks
+    report = check_laws(cf.evaluate, cf.ground, _PLOTT_LAWS, cap, "axiom")
+    cons, subst, pathind = report.checks
     if cons.passed and subst.passed and not pathind.passed:
         raise InternalInconsistencyError(
             "consistency and substitutability passed but path independence "
             "failed; the axiom scanner itself is inconsistent"
         )
+    return report
+
+
+def check_laws(fn, ground: Mask, laws, cap: int, what: str) -> ValidationReport:
+    """Tabulate ``fn`` over the power set of ``ground`` and run every law.
+
+    Each law is a ``(name, finder)`` row; ``finder(arr, order)`` gets the
+    table as an array over local masks plus the canonical order of those
+    masks, and returns the first offending local masks or None.  Witnesses
+    are reported in the ground's own contract ids.  Raises
+    CapExceededError when the ground exceeds ``cap`` contracts.
+    """
+    bits = ids_of(ground)
+    if len(bits) > cap:
+        raise CapExceededError(
+            f"ground has {len(bits)} contracts; exhaustive {what} check is "
+            f"capped at {cap}"
+        )
+    arr = np.asarray(local_table(fn, bits), dtype=np.int64)
+    order = _canonical_order(len(bits))
+    checks = []
+    for name, finder in laws:
+        witness = finder(arr, order)
+        if witness is not None:
+            witness = tuple(expand(w, bits) for w in witness)
+        checks.append(AxiomCheck(name, witness is None, witness))
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
 
 
-def _any_pair(tab: list[Mask], bad) -> bool:
-    """Whether bad(A, T[A], B, T[B]) holds for some pair of local masks.
+@functools.lru_cache(maxsize=None)
+def _canonical_order(k: int) -> np.ndarray:
+    """Every mask over k local bits, sorted as ``canonical_key`` sorts them
+    (ties in cardinality by the bit-reversed mask, descending); cached per k
+    and therefore read-only."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    rev = np.zeros_like(masks)
+    for i in range(k):
+        rev |= (masks >> i & 1) << (k - 1 - i)
+    order = np.lexsort((-rev, np.bitwise_count(masks)))
+    order.flags.writeable = False
+    return order
 
-    ``bad`` is evaluated on numpy blocks, A down the rows and B across the
-    columns, so it must be written with elementwise operators only.
+
+def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | None:
+    """The first (A, B) with bad(A, T[A], B, T[B]), or None.
+
+    Rows A and columns B both run in ``order``: the first row holding a hit
+    wins, and within it the first hit.  ``bad`` is evaluated on numpy
+    blocks of about 4M pairs, A down the rows and B across the columns, so
+    it must be written with elementwise operators only.
     """
-    n = len(tab)
-    arr = np.asarray(tab, dtype=np.int64)
-    cols = np.arange(n, dtype=np.int64)
+    n = len(arr)
+    ordered = arr[order]
     block = max(1, (1 << 22) // n)
     for lo in range(0, n, block):
-        if bad(cols[lo:lo + block, None], arr[lo:lo + block, None], cols, arr).any():
-            return True
-    return False
+        rows = order[lo:lo + block]
+        hits = bad(rows[:, None], ordered[lo:lo + block, None], order, ordered)
+        if hits.any():
+            r = int(hits.any(axis=1).argmax())
+            return int(rows[r]), int(order[hits[r].argmax()])
+    return None
 
 
-def superset_violation(tab: list[Mask], bad) -> tuple[Mask, Mask] | None:
-    """The canonical first A ⊆ B with bad(A, T[A], B, T[B]), or None.
-
-    Shared by the laws that compare a set with its supersets
-    (substitutability of C, antimonotonicity of D).  ``bad`` must work on
-    numpy blocks and on plain ints alike: the blocked scan decides whether a
-    violation exists, and only then is the witness searched for, menus in
-    canonical order and each menu's supersets likewise.
-    """
-    if not _any_pair(tab, lambda a, ta, b, tb: ((a & ~b) == 0) & bad(a, ta, b, tb)):
-        return None
-    full = len(tab) - 1
-    for a in sorted(range(len(tab)), key=canonical_key):
-        ta = tab[a]
-        for b in sorted((a | t for t in submasks(full & ~a)), key=canonical_key):
-            if bad(a, ta, b, tab[b]):
-                return a, b
-    raise InternalInconsistencyError(
-        "a superset-law violation was detected but the ordered scan found no witness"
+def _consistency(arr, order):
+    # offending when C(A) ⊆ B ⊆ A but C(B) ≠ C(A)
+    return first_pair(
+        arr, order,
+        lambda a, ca, b, cb: ((ca & ~b) == 0) & ((b & ~a) == 0) & (cb != ca),
     )
 
 
-def _check_axiom(tab: list[Mask], axiom: str) -> tuple[Mask, Mask] | None:
-    """Vectorized violation detection; on a hit, the canonical witness."""
-    if axiom == SUBSTITUTABILITY:
-        # offending when C(B) ∩ A ⊄ C(A) for A ⊆ B
-        return superset_violation(tab, lambda a, ca, b, cb: (cb & a & ~ca) != 0)
-    if axiom == CONSISTENCY:
-        # offending when C(A) ⊆ B ⊆ A but C(B) ≠ C(A)
-        def bad(a, ca, b, cb):
-            return ((ca & ~b) == 0) & ((b & ~a) == 0) & (cb != ca)
-    else:
-        arr = np.asarray(tab, dtype=np.int64)
-
-        def bad(a, ca, b, cb):
-            return arr[a | b] != arr[ca | b]
-    if not _any_pair(tab, bad):
-        return None
-    return _locate_witness(tab, axiom)
-
-
-def _locate_witness(tab: list[Mask], axiom: str) -> tuple[Mask, Mask]:
-    order = sorted(range(len(tab)), key=canonical_key)
-    if axiom == CONSISTENCY:
-        for a in order:
-            ca = tab[a]
-            for b in sorted((ca | t for t in submasks(a & ~ca)), key=canonical_key):
-                if tab[b] != ca:
-                    return a, b
-    else:
-        for a in order:
-            ca = tab[a]
-            for b in order:
-                if tab[a | b] != tab[ca | b]:
-                    return a, b
-    raise InternalInconsistencyError(
-        f"{axiom} violation was detected but the ordered scan found no witness"
+def _substitutability(arr, order):
+    # offending when C(B) ∩ A ⊄ C(A) for A ⊆ B
+    return first_pair(
+        arr, order, lambda a, ca, b, cb: ((a & ~b) == 0) & ((cb & a & ~ca) != 0)
     )
+
+
+def _path_independence(arr, order):
+    # offending when C(A ∪ B) ≠ C(C(A) ∪ B)
+    return first_pair(arr, order, lambda a, ca, b, cb: arr[a | b] != arr[ca | b])
+
+
+_PLOTT_LAWS = (
+    (CONSISTENCY, _consistency),
+    (SUBSTITUTABILITY, _substitutability),
+    (PATH_INDEPENDENCE, _path_independence),
+)

@@ -19,7 +19,7 @@ Both require every agent's choice function to be a strict linear order
 from __future__ import annotations
 
 from .choice import LinearOrder
-from .contractsets import Mask, ids_of
+from .contractsets import Mask, check_subset, ids_of
 from .errors import DomainError, InternalInconsistencyError, PreconditionError
 from .instance import Instance, contracts_of
 from .stability import keeps_slices, multi_blocking
@@ -38,10 +38,36 @@ def _linear_orders(inst: Instance) -> dict[str, tuple[int, ...]]:
     return orders
 
 
+def _setup(inst: Instance, sequence: tuple[str, ...] | None, name: str):
+    """What both solvers start from: each agent's linear order, the workers
+    in ``sequence`` (declaration order when None), each firm's rank of its
+    contracts, and each contract's firm and worker."""
+    orders = _linear_orders(inst)
+    workers = inst.workers()
+    if sequence is None:
+        sequence = workers
+    elif sorted(sequence) != sorted(workers):
+        raise DomainError(f"{name} must be a permutation of the workers")
+    firm_rank = {
+        f: {e: r for r, e in enumerate(orders[f])} for f in inst.firms()
+    }
+    firm_of = {c.id: c.firm for c in inst.contracts}
+    worker_of = {c.id: c.worker for c in inst.contracts}
+    return orders, list(sequence), firm_rank, firm_of, worker_of
+
+
+def _held(holding: dict[str, int | None]) -> Mask:
+    """The contracts the firms hold, as a mask."""
+    out = 0
+    for e in holding.values():
+        if e is not None:
+            out |= 1 << e
+    return out
+
+
 def is_matching(inst: Instance, s: Mask) -> bool:
     """At most one contract per agent."""
-    if s & ~inst.ground:
-        raise DomainError("contract set is not a subset of the ground set")
+    check_subset(s, inst.ground)
     for agent in inst.agents:
         if (s & contracts_of(inst, agent.id)).bit_count() > 1:
             return False
@@ -55,19 +81,9 @@ def gale_shapley(inst: Instance, worker_order: tuple[str, ...] | None = None) ->
     ``worker_order`` only permutes the bookkeeping sequence within rounds;
     it exists so order-independence can be tested directly.
     """
-    orders = _linear_orders(inst)
-    workers = list(inst.workers())
-    if worker_order is not None:
-        if sorted(worker_order) != sorted(workers):
-            raise DomainError("worker_order must be a permutation of the workers")
-        workers = list(worker_order)
-
-    firm_rank = {
-        f: {e: r for r, e in enumerate(orders[f])} for f in inst.firms()
-    }
-    firm_of = {c.id: c.firm for c in inst.contracts}
-    worker_of = {c.id: c.worker for c in inst.contracts}
-
+    orders, workers, firm_rank, firm_of, worker_of = _setup(
+        inst, worker_order, "worker_order"
+    )
     pointer = {w: 0 for w in workers}
     matched: dict[str, int | None] = {w: None for w in workers}
     holding: dict[str, int | None] = {f: None for f in inst.firms()}
@@ -102,11 +118,7 @@ def gale_shapley(inst: Instance, worker_order: tuple[str, ...] | None = None) ->
             "deferred acceptance did not terminate within the proposal bound"
         )
 
-    out = 0
-    for e in holding.values():
-        if e is not None:
-            out |= 1 << e
-    return out
+    return _held(holding)
 
 
 def sotomayor_insert_solve(
@@ -119,18 +131,9 @@ def sotomayor_insert_solve(
     contract).  A displaced worker re-enters immediately, depth-first; the
     repair chain is asserted to stop within |E| links.
     """
-    orders = _linear_orders(inst)
-    workers = list(inst.workers())
-    if insertion_order is None:
-        insertion_order = tuple(workers)
-    elif sorted(insertion_order) != sorted(workers):
-        raise DomainError("insertion_order must be a permutation of the workers")
-
-    firm_rank = {
-        f: {e: r for r, e in enumerate(orders[f])} for f in inst.firms()
-    }
-    firm_of = {c.id: c.firm for c in inst.contracts}
-    worker_of = {c.id: c.worker for c in inst.contracts}
+    orders, insertion_order, firm_rank, firm_of, worker_of = _setup(
+        inst, insertion_order, "insertion_order"
+    )
     holding: dict[str, int | None] = {f: None for f in inst.firms()}
 
     for entering in insertion_order:
@@ -156,11 +159,7 @@ def sotomayor_insert_solve(
                 "repair chain exceeded the ground-set bound"
             )
 
-    out = 0
-    for e in holding.values():
-        if e is not None:
-            out |= 1 << e
-    return out
+    return _held(holding)
 
 
 def is_quasi_stable(inst: Instance, matching: Mask) -> bool:

@@ -17,8 +17,9 @@ from typing import Sequence
 from . import fixtures
 from .ample import ag_solve, enumerate_stable_via_ample
 from .classical import gale_shapley, sotomayor_insert_solve
+from .contractsets import ids_of
 from .errors import (
-    DomainError,
+    ChoiceValidationError,
     InternalInconsistencyError,
     ParseError,
     StableContractsError,
@@ -28,7 +29,6 @@ from .fileformat import (
     format_set,
     instance_from_document,
     load_document,
-    parse_components,
     parse_instance,
     parse_set,
 )
@@ -37,7 +37,6 @@ from .lemmas import run_lemma_suite
 from .modest import yang_solve
 from .oracle import brute_force_stable, random_corpus, random_instance
 from .stability import blocking_contracts, is_acceptable, is_stable, is_stable_multi
-from .choice import validate_plott
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,29 +194,33 @@ def _cmd_check(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc = load_document(args.instance)
-    agents, contracts, choices = parse_components(doc)
-    labels = [c.label for c in contracts]
+    try:
+        inst = instance_from_document(doc)
+    except ParseError as exc:
+        failure = exc.__cause__
+        if not isinstance(failure, ChoiceValidationError):
+            raise
+        # the agents before the failing one passed their scans
+        for agent in doc["agents"]:
+            if agent["id"] == failure.agent_id:
+                break
+            print(f"agent {agent['id']}: ok")
+        labels = [str(c["id"]) for c in doc["contracts"]]
 
-    def fmt(mask: int) -> str:
-        from .contractsets import ids_of
+        def fmt(mask: int) -> str:
+            return "{" + ", ".join(labels[i] for i in ids_of(mask)) + "}"
 
-        return "{" + ", ".join(labels[i] for i in ids_of(mask)) + "}"
-
-    for agent in agents:
-        report = validate_plott(choices[agent.id])
-        if report.passed:
-            print(f"agent {agent.id}: ok")
-            continue
-        failing = report.first_failure()
+        failing = failure.report.first_failure()
         where = ", ".join(
             f"{name}={fmt(w)}" for name, w in zip(("A", "B"), failing.witness)
         )
-        print(f"agent {agent.id}: {failing.axiom} failed at {where}")
+        print(f"agent {failure.agent_id}: {failing.axiom} failed at {where}")
         raise ParseError(
             "axiom-violation",
-            f"agent {agent.id!r} violates {failing.axiom} at {where}",
-        )
-    instance_from_document(doc)
+            f"agent {failure.agent_id!r} violates {failing.axiom} at {where}",
+        ) from failure
+    for agent in inst.agents:
+        print(f"agent {agent.id}: ok")
     print("valid")
     return 0
 

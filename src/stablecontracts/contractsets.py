@@ -46,6 +46,14 @@ def is_subset(a: Mask, b: Mask) -> bool:
     return a & ~b == 0
 
 
+def check_subset(s: Mask, ground: Mask) -> None:
+    """Raise DomainError unless s ⊆ ground."""
+    if s & ~ground:
+        raise DomainError(
+            f"contract set {ids_of(s)} is not a subset of the ground set"
+        )
+
+
 def submasks(ground: Mask) -> Iterator[Mask]:
     """All subsets of ``ground``, in ascending integer order."""
     s = 0

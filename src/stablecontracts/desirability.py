@@ -2,10 +2,15 @@
 
 For a choice function C, contract x is desirable in state A when
 x ∈ C(A ∪ {x}).  The resulting operator D(A) determines C through
-C(A) = A ∩ D(A) and obeys two laws that are checked exhaustively here:
+C(A) = A ∩ D(A) and obeys two laws:
 
   antimonotonicity    A ⊆ B implies D(B) ⊆ D(A)
   Löb identity        D(A) = D(A ∩ D(A))
+
+``validate_desirability_operator`` checks both exhaustively with the law
+scanner of ``choice``: antimonotonicity is a pair scan like
+substitutability, the Löb identity a scan over single states, and both
+report the first offending sets in the canonical order.
 
 Conversely, any total map with these two properties induces a choice
 function that passes the rationality axioms; ``choice_from_desirability``
@@ -23,22 +28,15 @@ from typing import Mapping
 import numpy as np
 
 from .choice import (
-    AxiomCheck,
     ChoiceFunction,
     EXHAUSTIVE_CAP,
     Table,
     ValidationReport,
-    superset_violation,
+    check_laws,
+    first_pair,
 )
-from .contractsets import (
-    Mask,
-    canonical_key,
-    expand,
-    ids_of,
-    local_table,
-    submasks,
-)
-from .errors import CapExceededError, DomainError
+from .contractsets import Mask, check_subset, ids_of, submasks
+from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
 LOB_IDENTITY = "lob-identity"
@@ -50,10 +48,7 @@ def desirable_set(cf: ChoiceFunction, state: Mask) -> Mask:
     Always a superset of C(state); membership of x in the state itself is
     handled uniformly since state ∪ {x} = state then.
     """
-    if state & ~cf.ground:
-        raise DomainError(
-            f"state {ids_of(state)} is not a subset of the ground set"
-        )
+    check_subset(state, cf.ground)
     out = 0
     g = cf.ground
     while g:
@@ -100,10 +95,7 @@ class DesirabilityOperator:
         )
 
     def map(self, state: Mask) -> Mask:
-        if state & ~self.ground:
-            raise DomainError(
-                f"state {ids_of(state)} is not a subset of the ground set"
-            )
+        check_subset(state, self.ground)
         return self._table[state]
 
     def __eq__(self, other):
@@ -118,35 +110,31 @@ def validate_desirability_operator(
     """Exhaustively check antimonotonicity and the Löb identity.
 
     Witnesses follow the same canonical scan order as the choice-function
-    validator.  The report is cached on the operator.
+    validator.  The report is cached on the operator; the cap is enforced
+    on every call, cached or not.
     """
-    bits = ids_of(op.ground)
-    k = len(bits)
-    if k > cap:
-        raise CapExceededError(
-            f"ground has {k} contracts; exhaustive operator check is capped at {cap}"
-        )
-    if op._report is not None:
-        return op._report
+    if op._report is None or op.ground.bit_count() > cap:
+        op._report = check_laws(op.map, op.ground, _OPERATOR_LAWS, cap, "operator")
+    return op._report
 
-    tab = local_table(op.map, bits)
+
+def _antimonotonicity(arr, order):
     # offending when D(B) ⊄ D(A) for A ⊆ B
-    witness = superset_violation(tab, lambda a, da, b, db: (db & ~da) != 0)
-    if witness is not None:
-        witness = tuple(expand(w, bits) for w in witness)
-    checks = [AxiomCheck(ANTIMONOTONICITY, witness is None, witness)]
+    return first_pair(
+        arr, order, lambda a, da, b, db: ((a & ~b) == 0) & ((db & ~da) != 0)
+    )
 
-    arr = np.asarray(tab, dtype=np.int64)
-    lob_bad = arr != arr[np.arange(1 << k, dtype=np.int64) & arr]
-    witness = None
-    if lob_bad.any():
-        state = min(np.nonzero(lob_bad)[0].tolist(), key=canonical_key)
-        witness = (expand(int(state), bits),)
-    checks.append(AxiomCheck(LOB_IDENTITY, not lob_bad.any(), witness))
 
-    report = ValidationReport(all(c.passed for c in checks), tuple(checks))
-    op._report = report
-    return report
+def _lob_identity(arr, order):
+    # offending when D(A) ≠ D(A ∩ D(A)); the first such state in order
+    bad = (arr != arr[np.arange(len(arr)) & arr])[order]
+    return (int(order[bad.argmax()]),) if bad.any() else None
+
+
+_OPERATOR_LAWS = (
+    (ANTIMONOTONICITY, _antimonotonicity),
+    (LOB_IDENTITY, _lob_identity),
+)
 
 
 def choice_from_desirability(op: DesirabilityOperator, menu: Mask) -> Mask:

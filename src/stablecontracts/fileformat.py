@@ -55,6 +55,8 @@ def load_document(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed", f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed", f"{path} nests too deeply to decode") from exc
 
 
 def instance_from_document(doc: Any) -> Instance:
@@ -73,9 +75,8 @@ def parse_components(
 ) -> tuple[list[Agent], list[Contract], dict[str, ChoiceFunction]]:
     """Structural parse only: shapes, references and payload wellformedness.
 
-    Returns the pieces an Instance is built from without running the axiom
-    validation, so callers (the ``validate`` subcommand) can report
-    per-agent results themselves.
+    Returns the pieces an Instance is built from, without running the
+    axiom validation.
     """
     if not isinstance(doc, dict):
         raise ParseError("malformed", "document root must be an object")

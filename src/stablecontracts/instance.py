@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .choice import Aggregate, ChoiceFunction, validate_plott
-from .contractsets import Mask, full_mask, ids_of
+from .contractsets import Mask, check_subset, full_mask, ids_of
 from .errors import ChoiceValidationError, DomainError
 
 
@@ -188,8 +188,7 @@ def contracts_of(inst: Instance, agent_id: str) -> Mask:
 
 def restrict(s: Mask, agent_id: str, inst: Instance) -> Mask:
     """S(v) = S ∩ E(v)."""
-    if s & ~inst.ground:
-        raise DomainError("contract set is not a subset of the ground set")
+    check_subset(s, inst.ground)
     return s & contracts_of(inst, agent_id)
 
 

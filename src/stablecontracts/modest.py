@@ -14,11 +14,11 @@ and D_F(Q) of a modest Q is ample.
 from __future__ import annotations
 
 from .ample import SolveResult, is_ample
-from .contractsets import Mask, ids_of
+from .contractsets import Mask, check_subset, ids_of
 from .desirability import desirable_set
 from .errors import InternalInconsistencyError, PreconditionError
 from .instance import TwoAgentProblem
-from .stability import check_subset, is_stable
+from .stability import is_stable
 
 
 def is_modest(problem: TwoAgentProblem, q: Mask) -> bool:

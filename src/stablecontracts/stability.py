@@ -11,17 +11,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .contractsets import Mask, ids_of
+from .contractsets import Mask, check_subset
 from .desirability import desirable_set
-from .errors import DomainError
 from .instance import Contract, Instance, TwoAgentProblem, contracts_of
-
-
-def check_subset(s: Mask, ground: Mask) -> None:
-    if s & ~ground:
-        raise DomainError(
-            f"contract set {ids_of(s)} is not a subset of the ground set"
-        )
 
 
 def is_acceptable(problem: TwoAgentProblem, s: Mask) -> bool:

@@ -1,7 +1,7 @@
 import pytest
 
 from stablecontracts import reduce_to_two_agents
-from stablecontracts.contractsets import mask_of, submasks
+from stablecontracts.contractsets import canonical_sorted, mask_of, submasks
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -39,24 +39,46 @@ def p3(i3):
     return reduce_to_two_agents(i3)
 
 
-def naive_axiom_verdicts(cf) -> dict[str, bool]:
+def _first_pair(ground, bad):
+    """The first (A, B) with bad(A, B), A outer and both in canonical order."""
+    order = canonical_sorted(submasks(ground))
+    return next(((a, b) for a in order for b in order if bad(a, b)), None)
+
+
+def naive_axiom_witnesses(cf) -> dict[str, tuple[int, int] | None]:
     """Straight-from-the-definition axiom check, independent of the
-    vectorized validator.  Slow and only for small grounds."""
-    ground = cf.ground
-    consistency = True
-    substitutability = True
-    path_independence = True
-    for a in submasks(ground):
-        ca = cf.evaluate(a)
-        for b in submasks(ground):
-            if ca & ~b == 0 and b & ~a == 0 and cf.evaluate(b) != ca:
-                consistency = False
-            if a & ~b == 0 and cf.evaluate(b) & a & ~ca:
-                substitutability = False
-            if cf.evaluate(a | b) != cf.evaluate(ca | b):
-                path_independence = False
+    vectorized validator: each axiom's first offending pair in canonical
+    order, or None.  Slow and only for small grounds."""
+    c = cf.evaluate
     return {
-        "consistency": consistency,
-        "substitutability": substitutability,
-        "path-independence": path_independence,
+        "consistency": _first_pair(
+            cf.ground,
+            lambda a, b: c(a) & ~b == 0 and b & ~a == 0 and c(b) != c(a),
+        ),
+        "substitutability": _first_pair(
+            cf.ground, lambda a, b: a & ~b == 0 and c(b) & a & ~c(a) != 0
+        ),
+        "path-independence": _first_pair(
+            cf.ground, lambda a, b: c(a | b) != c(c(a) | b)
+        ),
+    }
+
+
+def naive_axiom_verdicts(cf) -> dict[str, bool]:
+    """Whether each axiom holds, by ``naive_axiom_witnesses``."""
+    return {axiom: w is None for axiom, w in naive_axiom_witnesses(cf).items()}
+
+
+def naive_operator_witnesses(op) -> dict[str, tuple[int, ...] | None]:
+    """Antimonotonicity and the Löb identity straight from their
+    definitions: the first offending pair or state in canonical order."""
+    d = op.map
+    order = canonical_sorted(submasks(op.ground))
+    return {
+        "antimonotonicity": _first_pair(
+            op.ground, lambda a, b: a & ~b == 0 and d(b) & ~d(a) != 0
+        ),
+        "lob-identity": next(
+            ((a,) for a in order if d(a) != d(a & d(a))), None
+        ),
     }

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_axiom_verdicts
+from conftest import m, naive_axiom_verdicts, naive_axiom_witnesses
 from stablecontracts.choice import (
     Aggregate,
     LinearOrder,
@@ -10,7 +10,7 @@ from stablecontracts.choice import (
     Table,
     validate_plott,
 )
-from stablecontracts.contractsets import submasks
+from stablecontracts.contractsets import mask_of, submasks
 from stablecontracts.errors import CapExceededError, DomainError
 
 
@@ -196,10 +196,12 @@ def test_empty_menu_chooses_nothing(cf):
 
 @st.composite
 def random_table(draw):
-    size = draw(st.integers(min_value=1, max_value=4))
-    ground = (1 << size) - 1
+    # dense or sparse grounds, so witnesses are also checked after expansion
+    ids = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                        max_size=4, unique=True))
+    ground = mask_of(ids)
     entries = {}
-    for menu in range(1 << size):
+    for menu in submasks(ground):
         # pick an arbitrary subset of the menu
         entries[menu] = menu & draw(st.integers(min_value=0, max_value=ground))
     return Table(ground, entries)
@@ -211,6 +213,7 @@ def test_validator_agrees_with_naive_oracle(cf):
     report = validate_plott(cf)
     verdicts = naive_axiom_verdicts(cf)
     assert {c.axiom: c.passed for c in report.checks} == verdicts
+    assert {c.axiom: c.witness for c in report.checks} == naive_axiom_witnesses(cf)
     # the equivalence both ways: PI holds exactly when the two axioms do
     assert verdicts["path-independence"] == (
         verdicts["consistency"] and verdicts["substitutability"]

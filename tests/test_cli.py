@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from stablecontracts import cli
+from stablecontracts import choice, cli
 from stablecontracts.fileformat import document_from_instance
 from stablecontracts.fixtures import (
     bad_table_documents,
@@ -164,6 +165,35 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "[malformed]" in err
+
+    def test_scans_each_agent_once(self, capsys, i3_file, monkeypatch):
+        calls = []
+        original = choice.validate_plott
+
+        def counting(cf, *args):
+            calls.append(cf)
+            return original(cf, *args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "validate_plott", None) is original:
+                monkeypatch.setattr(module, "validate_plott", counting)
+        code, _, _ = run(capsys, "validate", i3_file)
+        assert code == 0
+        assert len(calls) == 4
+
+    def test_reports_the_same_first_fault_as_solve(self, capsys, tmp_path):
+        # a ground mismatch on the first-listed agent, then a table agent
+        # that breaks consistency: both commands stop at the mismatch
+        doc = bad_table_documents()["consistency"]
+        doc["agents"].reverse()
+        doc["choices"][doc["agents"][0]["id"]]["payload"] = []
+        path = tmp_path / "two_faults.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "[malformed]" in err
+        assert run(capsys, "solve", str(path)) == (code, "", err)
 
 
 class TestGenerate:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m
+from conftest import m, naive_operator_witnesses
 from stablecontracts.choice import LinearOrder, Quota, Table, validate_plott
-from stablecontracts.contractsets import submasks
+from stablecontracts.contractsets import mask_of, submasks
 from stablecontracts.desirability import (
     DesirabilityOperator,
     choice_from_desirability,
@@ -180,3 +180,38 @@ def test_from_choice_always_valid_small_grounds(size, data):
     )
     op = DesirabilityOperator.from_choice(cf)
     assert validate_desirability_operator(op).passed
+
+
+@st.composite
+def random_operator(draw):
+    """An arbitrary map, or a choice function's operator with at most one
+    state remapped, over a dense or sparse ground of at most 4 contracts."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=4,
+                        unique=True))
+    ground = mask_of(ids)
+    if draw(st.booleans()):
+        table = {
+            a: draw(st.integers(min_value=0, max_value=ground)) & ground
+            for a in submasks(ground)
+        }
+        return DesirabilityOperator(ground, table)
+    order = tuple(draw(st.permutations(ids)))
+    cf = LinearOrder(order) if not ids or draw(st.booleans()) else Quota(
+        draw(st.integers(min_value=1, max_value=len(ids))), order
+    )
+    table = {a: desirable_set(cf, a) for a in submasks(ground)}
+    if draw(st.booleans()):
+        state = draw(st.sampled_from(sorted(table)))
+        table[state] = draw(st.integers(min_value=0, max_value=ground)) & ground
+    return DesirabilityOperator(ground, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_operator())
+def test_operator_validator_agrees_with_naive_oracle(op):
+    report = validate_desirability_operator(op)
+    witnesses = naive_operator_witnesses(op)
+    assert {c.axiom: c.witness for c in report.checks} == witnesses
+    assert {c.axiom: c.passed for c in report.checks} == {
+        axiom: w is None for axiom, w in witnesses.items()
+    }

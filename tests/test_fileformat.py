@@ -49,7 +49,7 @@ class TestParseErrors:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        for content in (b"{not json", b"\xff\xfe{}"):
+        for content in (b"{not json", b"\xff\xfe{}", b"[" * 200000):
             path.write_bytes(content)
             with pytest.raises(ParseError) as err:
                 parse_instance(str(path))
