@@ -278,9 +278,12 @@ def _canonical_order(k: int) -> np.ndarray:
     and therefore read-only."""
     masks = np.arange(1 << k, dtype=np.int64)
     rev = np.zeros_like(masks)
+    pop = np.zeros_like(masks)
     for i in range(k):
-        rev |= (masks >> i & 1) << (k - 1 - i)
-    order = np.lexsort((-rev, np.bitwise_count(masks)))
+        bit = masks >> i & 1
+        rev |= bit << (k - 1 - i)
+        pop += bit
+    order = np.lexsort((-rev, pop))
     order.flags.writeable = False
     return order
 

@@ -25,10 +25,11 @@ from .errors import (
     StableContractsError,
 )
 from .fileformat import (
+    build_instance,
     document_from_instance,
     format_set,
-    instance_from_document,
     load_document,
+    parse_components,
     parse_instance,
     parse_set,
 )
@@ -193,22 +194,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc = load_document(args.instance)
+    agents, contracts, choices = parse_components(load_document(args.instance))
     try:
-        inst = instance_from_document(doc)
+        inst = build_instance(agents, contracts, choices)
     except ParseError as exc:
         failure = exc.__cause__
         if not isinstance(failure, ChoiceValidationError):
             raise
         # the agents before the failing one passed their scans
-        for agent in doc["agents"]:
-            if agent["id"] == failure.agent_id:
+        for agent in agents:
+            if agent.id == failure.agent_id:
                 break
-            print(f"agent {agent['id']}: ok")
-        labels = [str(c["id"]) for c in doc["contracts"]]
+            print(f"agent {agent.id}: ok")
 
         def fmt(mask: int) -> str:
-            return "{" + ", ".join(labels[i] for i in ids_of(mask)) + "}"
+            return "{" + ", ".join(contracts[i].label for i in ids_of(mask)) + "}"
 
         failing = failure.report.first_failure()
         where = ", ".join(

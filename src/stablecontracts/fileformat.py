@@ -61,7 +61,14 @@ def load_document(path: str) -> Any:
 
 def instance_from_document(doc: Any) -> Instance:
     """Build a validated Instance from a parsed document."""
-    agents, contracts, choices = parse_components(doc)
+    return build_instance(*parse_components(doc))
+
+
+def build_instance(
+    agents: list[Agent], contracts: list[Contract], choices: dict[str, ChoiceFunction]
+) -> Instance:
+    """Build a validated Instance from ``parse_components``' pieces; its
+    failures raise ParseError like any other fault of the document."""
     try:
         return Instance(tuple(agents), tuple(contracts), choices)
     except ChoiceValidationError as exc:

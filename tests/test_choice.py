@@ -8,9 +8,10 @@ from stablecontracts.choice import (
     LinearOrder,
     Quota,
     Table,
+    _canonical_order,
     validate_plott,
 )
-from stablecontracts.contractsets import mask_of, submasks
+from stablecontracts.contractsets import canonical_sorted, mask_of, submasks
 from stablecontracts.errors import CapExceededError, DomainError
 
 
@@ -160,6 +161,11 @@ class TestValidatePlott:
     def test_non_dense_ground_is_supported(self):
         report = validate_plott(LinearOrder((5, 2)))
         assert report.passed
+
+    def test_scan_order_is_canonical(self):
+        # witnesses are canonical only if the scan walks this order
+        for k in range(11):
+            assert list(_canonical_order(k)) == canonical_sorted(range(1 << k))
 
 
 @st.composite

@@ -1,9 +1,8 @@
 import json
-import sys
 
 import pytest
 
-from stablecontracts import choice, cli
+from stablecontracts import cli, instance
 from stablecontracts.fileformat import document_from_instance
 from stablecontracts.fixtures import (
     bad_table_documents,
@@ -162,21 +161,42 @@ class TestValidate:
         doc["choices"][worker] = {"family": "linear", "payload": []}
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "validate", str(path))
+        code, out, err = run(capsys, "validate", str(path))
         assert code == 1
+        # the Instance check fails before every agent is scanned, so no
+        # agent is reported ok
+        assert out == ""
         assert "[malformed]" in err
+
+    def test_agent_over_the_cap_is_coded(self, capsys, tmp_path):
+        # thirteen single-contract workers, then one firm holding all of them
+        workers = [f"w{i}" for i in range(13)]
+        doc = {
+            "agents": [{"id": w, "side": "worker"} for w in workers]
+            + [{"id": "f", "side": "firm"}],
+            "contracts": [{"id": w, "firm": "f", "worker": w} for w in workers],
+            "choices": {
+                **{w: {"family": "linear", "payload": [w]} for w in workers},
+                "f": {"family": "linear", "payload": workers},
+            },
+        }
+        path = tmp_path / "over_cap.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        # only an axiom violation is rendered agent by agent
+        assert out == ""
+        assert "[malformed]" in err and "capped at 12" in err
 
     def test_scans_each_agent_once(self, capsys, i3_file, monkeypatch):
         calls = []
-        original = choice.validate_plott
+        original = instance.validate_plott
 
         def counting(cf, *args):
             calls.append(cf)
             return original(cf, *args)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "validate_plott", None) is original:
-                monkeypatch.setattr(module, "validate_plott", counting)
+        monkeypatch.setattr(instance, "validate_plott", counting)
         code, _, _ = run(capsys, "validate", i3_file)
         assert code == 0
         assert len(calls) == 4
