@@ -44,7 +44,8 @@ PATH_INDEPENDENCE = "path-independence"
 
 
 class ChoiceFunction(abc.ABC):
-    """Base class for all families.  Subclasses set ``ground`` and choose."""
+    """Base class for all families.  Subclasses set ``ground`` and choose;
+    families with a closed form for desirability override ``desirable``."""
 
     ground: Mask
 
@@ -57,6 +58,22 @@ class ChoiceFunction(abc.ABC):
             )
         return self._choose(menu)
 
+    def desirable(self, state: Mask) -> Mask:
+        """D(state): every ground contract x with x ∈ C(state ∪ {x}).
+
+        This body is the definition, one evaluation per ground contract.
+        The state must lie inside the ground set; ``desirable_set`` checks
+        that before calling here.
+        """
+        out = 0
+        g = self.ground
+        while g:
+            low = g & -g
+            if self.evaluate(state | low) & low:
+                out |= low
+            g ^= low
+        return out
+
     @abc.abstractmethod
     def _choose(self, menu: Mask) -> Mask:
         raise NotImplementedError
@@ -67,7 +84,9 @@ class LinearOrder(ChoiceFunction):
     """Pick the single best element of the menu under a strict total order.
 
     ``order`` lists contract ids best-first and must cover the ground set
-    exactly.  The empty menu chooses nothing.
+    exactly.  The empty menu chooses nothing.  ``desirable(state)`` is the
+    prefix of the order up to and including the first contract held, or
+    the whole ground when none is held.
     """
 
     order: tuple[int, ...]
@@ -86,13 +105,19 @@ class LinearOrder(ChoiceFunction):
                 return 1 << e
         return 0
 
+    def desirable(self, state: Mask) -> Mask:
+        return _held_prefix(self.order, state, 1)
+
 
 @dataclass(frozen=True)
 class Quota(ChoiceFunction):
     """Keep the top ``quota`` elements of the menu by a strict priority.
 
     ``priority`` lists contract ids best-first over the whole ground set;
-    menus smaller than the quota are kept whole.
+    menus smaller than the quota are kept whole.  ``desirable(state)`` is
+    the prefix of the priority up to and including the ``quota``-th
+    contract held, or the whole ground when fewer are held: x is desirable
+    exactly when fewer than ``quota`` held contracts rank above it.
     """
 
     quota: int
@@ -119,6 +144,22 @@ class Quota(ChoiceFunction):
                 left -= 1
         return out
 
+    def desirable(self, state: Mask) -> Mask:
+        return _held_prefix(self.priority, state, self.quota)
+
+
+def _held_prefix(order: tuple[int, ...], state: Mask, held: int) -> Mask:
+    """The contracts of ``order`` up to and including the ``held``-th one
+    in ``state``, or all of them when the state holds fewer."""
+    out = 0
+    for e in order:
+        out |= 1 << e
+        if state >> e & 1:
+            held -= 1
+            if held == 0:
+                break
+    return out
+
 
 @dataclass(frozen=True)
 class Table(ChoiceFunction):
@@ -128,7 +169,8 @@ class Table(ChoiceFunction):
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
     question answered by ``validate_plott``; instances reject non-Plott
     tables at load time, but free-standing tables may be built invalid on
-    purpose to exercise the validator.
+    purpose to exercise the validator.  ``desirable`` is the base-class
+    definition, one table lookup per ground contract.
     """
 
     ground: Mask
@@ -164,6 +206,9 @@ class Aggregate(ChoiceFunction):
 
     Realizes one market side as a single choice function: parts are the
     per-agent functions, their grounds partition the aggregate ground.
+    Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
+    chosen by its own part from that part's slice of S plus x, so
+    ``desirable`` joins each part's ``desirable`` of its slice.
     """
 
     parts: tuple[ChoiceFunction, ...]
@@ -182,6 +227,12 @@ class Aggregate(ChoiceFunction):
         out = 0
         for part in self.parts:
             out |= part.evaluate(menu & part.ground)
+        return out
+
+    def desirable(self, state: Mask) -> Mask:
+        out = 0
+        for part in self.parts:
+            out |= part.desirable(state & part.ground)
         return out
 
 

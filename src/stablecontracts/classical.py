@@ -7,7 +7,7 @@ holding and the round's offers, rejecting the rest.  The rounds are batch
 operations, so the outcome cannot depend on the order workers are visited.
 
 ``sotomayor_insert_solve`` builds a stable matching one worker at a time.
-The entering worker takes his best contract among those the counterpart
+The entering worker takes its best contract among those the counterpart
 firm would accept; if that displaces another worker, the displaced worker
 re-enters the same way, and the chain stops because the dismissing firm's
 position strictly improves at every link.
@@ -126,7 +126,7 @@ def sotomayor_insert_solve(
 ) -> Mask:
     """Build a stable matching by inserting workers one at a time.
 
-    Each entering worker picks his best contract among those desirable to
+    Each entering worker picks its best contract among those desirable to
     the counterpart firm (the firm is free, or prefers it to its current
     contract).  A displaced worker re-enters immediately, depth-first; the
     repair chain is asserted to stop within |E| links.

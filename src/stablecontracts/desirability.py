@@ -16,9 +16,17 @@ Conversely, any total map with these two properties induces a choice
 function that passes the rationality axioms; ``choice_from_desirability``
 implements that reconstruction.
 
-``desirable_set`` recomputes from the choice function on every call (one
-evaluation per ground element); nothing memoizes it, so the fixed-point
-solvers pay that cost again at every step.
+``desirable_set`` checks the state and hands it to the family's
+``ChoiceFunction.desirable``.  Ordered families answer in closed form, one
+pass over their preference list: a linear order desires the prefix of its
+order up to and including the first contract held, a quota the prefix up
+to and including the q-th contract held, and a market side (an
+``Aggregate``) joins what each agent desires of its own slice of the
+state.  Tables fall back to the definition, one evaluation per ground
+contract.  The definition stays the oracle: the tests compare every
+closed form with it, computed through ``evaluate`` alone, and the lemma
+suite checks the laws above for whichever form runs.  The brute-force
+oracle and the blocking-contract scans never use desirability.
 """
 
 from __future__ import annotations
@@ -49,14 +57,7 @@ def desirable_set(cf: ChoiceFunction, state: Mask) -> Mask:
     handled uniformly since state ∪ {x} = state then.
     """
     check_subset(state, cf.ground)
-    out = 0
-    g = cf.ground
-    while g:
-        low = g & -g
-        if cf.evaluate(state | low) & low:
-            out |= low
-        g ^= low
-    return out
+    return cf.desirable(state)
 
 
 class DesirabilityOperator:

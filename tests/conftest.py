@@ -1,7 +1,7 @@
 import pytest
 
 from stablecontracts import reduce_to_two_agents
-from stablecontracts.contractsets import canonical_sorted, mask_of, submasks
+from stablecontracts.contractsets import canonical_sorted, ids_of, mask_of, submasks
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -62,6 +62,15 @@ def naive_axiom_witnesses(cf) -> dict[str, tuple[int, int] | None]:
             cf.ground, lambda a, b: c(a | b) != c(c(a) | b)
         ),
     }
+
+
+def naive_desirable(cf, state: int) -> int:
+    """D(state) straight from the definition, independent of the families'
+    closed forms: every ground contract x with x ∈ C(state ∪ {x}), found
+    through ``cf.evaluate`` alone."""
+    return mask_of(
+        x for x in ids_of(cf.ground) if cf.evaluate(state | 1 << x) >> x & 1
+    )
 
 
 def naive_axiom_verdicts(cf) -> dict[str, bool]:

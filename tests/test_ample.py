@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import m
@@ -8,12 +10,22 @@ from stablecontracts.ample import (
     enumerate_stable_via_ample,
     is_ample,
 )
-from stablecontracts.choice import LinearOrder
+from stablecontracts.choice import LinearOrder, Quota
+from stablecontracts.classical import gale_shapley
 from stablecontracts.contractsets import submasks
 from stablecontracts.errors import CapExceededError, PreconditionError
-from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
+from stablecontracts.fixtures import marriage_2x2
+from stablecontracts.instance import (
+    Agent,
+    Contract,
+    Instance,
+    Side,
+    TwoAgentProblem,
+    reduce_to_two_agents,
+)
+from stablecontracts.modest import yang_solve
 from stablecontracts.oracle import brute_force_stable, random_corpus
-from stablecontracts.stability import is_stable
+from stablecontracts.stability import is_stable, is_stable_multi
 
 
 class TestIsAmple:
@@ -135,3 +147,104 @@ class TestAmpleFromStable:
                 b = ample_from_stable(problem, s)
                 assert is_ample(problem, b)
                 assert ag_solve(problem, b).system == s
+
+
+def _multi_stable_markets():
+    """Markets with two or more stable systems, with their oracle lists:
+    the 2x2 marriage market plus every such market in two corpora."""
+    corpus = random_corpus(1000, master_seed=0, max_contracts=8) + random_corpus(
+        300, master_seed=0, max_contracts=10, families=("linear",)
+    )
+    out = []
+    for inst in [marriage_2x2(), *corpus]:
+        problem = reduce_to_two_agents(inst)
+        stable = brute_force_stable(problem)
+        if len(stable) >= 2:
+            out.append((problem, stable))
+    return out
+
+
+class TestLatticeExtremes:
+    """ag_solve from the ground reaches the worker-optimal stable system;
+    run on the problem with the sides swapped it reaches the firm-optimal
+    one.  Optimality is in Blair's order: S_F is firm-optimal when
+    F(S_F ∪ S) = S_F for every stable S, and likewise for workers."""
+
+    @pytest.fixture(scope="class")
+    def markets(self):
+        markets = _multi_stable_markets()
+        assert len(markets) >= 10
+        return markets
+
+    def test_swapped_sides_reach_the_firm_optimal_system(self, markets):
+        for problem, stable in markets:
+            firm_optimal = ag_solve(TwoAgentProblem(problem.worker, problem.firm)).system
+            assert is_stable(problem, firm_optimal)
+            for s in stable:
+                assert problem.firm.evaluate(firm_optimal | s) == firm_optimal
+
+    def test_default_start_reaches_the_worker_optimal_system(self, markets):
+        for problem, stable in markets:
+            worker_optimal = ag_solve(problem).system
+            for s in stable:
+                assert problem.worker.evaluate(worker_optimal | s) == worker_optimal
+            swapped = TwoAgentProblem(problem.worker, problem.firm)
+            assert ag_solve(swapped).system != worker_optimal
+
+    def test_marriage_2x2_extremes(self, p3):
+        assert ag_solve(TwoAgentProblem(p3.worker, p3.firm)).system == m(0, 3)
+        assert ag_solve(p3).system == m(1, 2)
+
+
+def _circulant_market(seed: int, families: tuple[str, ...], size: int = 100,
+                      degree: int = 6) -> Instance:
+    """size firms and size workers, every agent of degree ``degree``: firm i
+    contracts with worker (i + d) mod size for ``degree`` distinct offsets
+    d.  Each agent draws a shuffled order and a family from ``families``,
+    and a quota between 1 and its degree."""
+    rng = random.Random(seed)
+    agents = tuple(
+        [Agent(f"f{i}", Side.FIRM) for i in range(size)]
+        + [Agent(f"w{j}", Side.WORKER) for j in range(size)]
+    )
+    contracts = []
+    for d in rng.sample(range(size), degree):
+        for i in range(size):
+            j = (i + d) % size
+            contracts.append(Contract(len(contracts), f"f{i}-w{j}", f"f{i}", f"w{j}"))
+    held = {a.id: [] for a in agents}
+    for c in contracts:
+        held[c.firm].append(c.id)
+        held[c.worker].append(c.id)
+    choices = {}
+    for agent in agents:
+        order = held[agent.id]
+        rng.shuffle(order)
+        if rng.choice(families) == "linear":
+            choices[agent.id] = LinearOrder(tuple(order))
+        else:
+            choices[agent.id] = Quota(rng.randint(1, degree), tuple(order))
+    return Instance(agents, tuple(contracts), choices)
+
+
+class TestLargeMarket:
+    """600 contracts, far past the brute-force oracle's cap: the two
+    fixed-point routes must agree, and the multi-agent definition, which
+    never uses desirability, must confirm the result."""
+
+    def test_routes_agree_and_result_is_stable(self):
+        inst = _circulant_market(7, ("linear", "quota"))
+        assert inst.size == 600
+        assert any(isinstance(cf, Quota) for cf in inst.choices.values())
+        problem = reduce_to_two_agents(inst)
+        system = ag_solve(problem).system
+        assert yang_solve(problem).system == system
+        assert is_stable_multi(inst, system)
+
+    def test_linear_variant_matches_gale_shapley(self):
+        inst = _circulant_market(7, ("linear",))
+        problem = reduce_to_two_agents(inst)
+        system = ag_solve(problem).system
+        assert yang_solve(problem).system == system
+        assert is_stable_multi(inst, system)
+        assert gale_shapley(inst) == system

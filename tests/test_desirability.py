@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_operator_witnesses
-from stablecontracts.choice import LinearOrder, Quota, Table, validate_plott
+from conftest import m, naive_desirable, naive_operator_witnesses
+from stablecontracts import fixtures
+from stablecontracts.choice import (
+    Aggregate,
+    LinearOrder,
+    Quota,
+    Table,
+    validate_plott,
+)
 from stablecontracts.contractsets import mask_of, submasks
 from stablecontracts.desirability import (
     DesirabilityOperator,
@@ -13,6 +20,8 @@ from stablecontracts.desirability import (
     validate_desirability_operator,
 )
 from stablecontracts.errors import CapExceededError, DomainError
+from stablecontracts.instance import reduce_to_two_agents
+from stablecontracts.oracle import random_corpus
 
 
 class TestDesirableSet:
@@ -215,3 +224,82 @@ def test_operator_validator_agrees_with_naive_oracle(op):
     assert {c.axiom: c.passed for c in report.checks} == {
         axiom: w is None for axiom, w in witnesses.items()
     }
+
+
+@st.composite
+def agent_choice(draw, ids):
+    """A linear order, a quota (possibly at or above the ground's size) or a
+    table tabulating a drawn quota, over exactly the contracts ``ids``."""
+    order = tuple(draw(st.permutations(ids)))
+    family = draw(st.sampled_from(("linear", "quota", "table")))
+    if family == "linear":
+        return LinearOrder(order)
+    quota = Quota(draw(st.integers(min_value=1, max_value=len(ids) + 2)), order)
+    if family == "quota":
+        return quota
+    return Table(quota.ground, {a: quota.evaluate(a) for a in submasks(quota.ground)})
+
+
+@st.composite
+def any_choice(draw):
+    """One agent's choice, or an aggregate of up to three agents whose
+    grounds interleave; contract ids are sparse and the ground may be
+    empty."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=15), max_size=8,
+                        unique=True))
+    if draw(st.booleans()):
+        return draw(agent_choice(ids))
+    parts = draw(st.integers(min_value=1, max_value=3))
+    owner = [draw(st.integers(min_value=0, max_value=parts - 1)) for _ in ids]
+    return Aggregate(tuple(
+        draw(agent_choice([x for x, o in zip(ids, owner) if o == p]))
+        for p in range(parts)
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_choice())
+@example(LinearOrder(()))
+@example(Quota(1, ()))
+@example(Quota(3, (5, 1)))
+@example(fixtures.poset_table_instance().choices["f1"])
+@example(Aggregate((
+    LinearOrder((9, 2)),
+    Quota(2, (4, 0, 7)),
+    Table(m(1, 3), {0: 0, m(1): m(1), m(3): m(3), m(1, 3): m(3)}),
+)))
+def test_closed_forms_match_the_definition(cf):
+    for state in submasks(cf.ground):
+        assert desirable_set(cf, state) == naive_desirable(cf, state)
+
+
+def _quota_market():
+    """The first quota-only corpus market of six or more contracts in which
+    some agent keeps more than one."""
+    return next(
+        inst for inst in random_corpus(50, master_seed=0, families=("quota",))
+        if inst.size >= 6 and any(cf.quota > 1 for cf in inst.choices.values())
+    )
+
+
+@pytest.mark.parametrize("make", [fixtures.marriage_2x2, _quota_market],
+                         ids=["marriage_2x2", "quota-corpus"])
+def test_closed_forms_make_no_choice_evaluation(make, monkeypatch):
+    problem = reduce_to_two_agents(make())
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(Aggregate, "evaluate", counting("aggregate", Aggregate.evaluate))
+    monkeypatch.setattr(LinearOrder, "_choose", counting("linear", LinearOrder._choose))
+    monkeypatch.setattr(Quota, "_choose", counting("quota", Quota._choose))
+    for side in (problem.firm, problem.worker):
+        for state in submasks(side.ground):
+            desirable_set(side, state)
+    assert calls == []
+    problem.firm.evaluate(problem.firm.ground)
+    assert calls[0] == "aggregate" and len(calls) > 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -105,4 +104,3 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.out").write_bytes(_stdout(argv).encode("utf-8"))
-    sys.exit(0)

@@ -5,14 +5,15 @@ from stablecontracts.classical import is_matching
 from stablecontracts.contractsets import submasks
 from stablecontracts.errors import DomainError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
-from stablecontracts.choice import LinearOrder
-from stablecontracts.oracle import random_corpus
+from stablecontracts.choice import Aggregate, ChoiceFunction, LinearOrder, Quota
+from stablecontracts.oracle import brute_force_stable, random_corpus
 from stablecontracts.stability import (
     blocking_contracts,
     is_acceptable,
     is_stable,
     is_stable_multi,
     is_stable_prop1,
+    multi_blocking,
 )
 
 
@@ -103,3 +104,20 @@ class TestEquivalences:
             for s in submasks(inst.ground):
                 if is_stable(problem, s):
                     assert is_matching(inst, s)
+
+
+def test_independent_checks_never_use_desirability(monkeypatch, i3, poset):
+    # the brute-force oracle and both blocking scans arbitrate between the
+    # desirability-based forms, so they must not rest on desirability
+    def refuse(self, state):
+        raise AssertionError("desirability was used")
+
+    for family in (ChoiceFunction, LinearOrder, Quota, Aggregate):
+        monkeypatch.setattr(family, "desirable", refuse)
+    quota_markets = random_corpus(5, master_seed=0, families=("quota",))
+    for inst in (i3, poset, *quota_markets):
+        problem = reduce_to_two_agents(inst)
+        brute_force_stable(problem)
+        for s in submasks(problem.ground):
+            blocking_contracts(problem, s)
+            list(multi_blocking(inst, s))
