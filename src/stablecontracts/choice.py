@@ -8,8 +8,12 @@ which together are equivalent to path independence:
   substitutability    if A ⊆ B then C(B) ∩ A ⊆ C(A)
   path independence   C(A ∪ B) = C(C(A) ∪ B)
 
-``validate_plott`` checks all three exhaustively over the power set of the
-ground (never by sampling).  The canonical order sorts menus by
+``LinearOrder`` and ``Quota`` satisfy them by theorem, and an ``Aggregate``
+of such parts inherits them; ``plott_by_construction`` records that
+certificate per family.  For every other family (``Table``) the axioms are
+an empirical property: ``validate_plott`` checks all three exhaustively
+over the power set of the ground (never by sampling), and it can check
+certified families too.  The canonical order sorts menus by
 cardinality, then lexicographically by contract ids.  Each axiom is one
 blocked numpy scan (``first_pair``) over pairs (A, B): A runs in canonical
 order, and for each A, B does too.  The scan stops at the first offending
@@ -25,7 +29,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -45,9 +49,22 @@ PATH_INDEPENDENCE = "path-independence"
 
 class ChoiceFunction(abc.ABC):
     """Base class for all families.  Subclasses set ``ground`` and choose;
-    families with a closed form for desirability override ``desirable``."""
+    families with a closed form for desirability override ``desirable``.
+
+    ``plott_by_construction`` is True for a family whose choices satisfy
+    the Plott axioms by theorem, so instances skip the exhaustive scan for
+    it.  The certificate covers one ``_choose``, so a subclass does not
+    inherit it: a subclass is uncertified unless it sets the attribute in
+    its own body.
+    """
 
     ground: Mask
+    plott_by_construction: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "plott_by_construction" not in cls.__dict__:
+            cls.plott_by_construction = False
 
     def evaluate(self, menu: Mask) -> Mask:
         """C(menu).  The menu must lie inside the ground set."""
@@ -87,10 +104,14 @@ class LinearOrder(ChoiceFunction):
     exactly.  The empty menu chooses nothing.  ``desirable(state)`` is the
     prefix of the order up to and including the first contract held, or
     the whole ground when none is held.
+
+    Plott by construction: the best element of A ∪ B is the best of
+    max(A) ∪ B, which is path independence (Plott 1973).
     """
 
     order: tuple[int, ...]
     ground: Mask = field(init=False)
+    plott_by_construction: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
@@ -118,11 +139,18 @@ class Quota(ChoiceFunction):
     the prefix of the priority up to and including the ``quota``-th
     contract held, or the whole ground when fewer are held: x is desirable
     exactly when fewer than ``quota`` held contracts rank above it.
+
+    Plott by construction: x ∈ C(A) exactly when fewer than ``quota``
+    members of A rank above x.  Shrinking a menu that contains x only
+    removes rivals, so the rule is substitutable; and when C(A) ⊆ B ⊆ A
+    the top ``quota`` of B are those of A, so it is consistent
+    (Aizerman & Malishevski 1981).
     """
 
     quota: int
     priority: tuple[int, ...]
     ground: Mask = field(init=False)
+    plott_by_construction: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "priority", tuple(self.priority))
@@ -167,7 +195,8 @@ class Table(ChoiceFunction):
 
     The table must be total over the power set and each entry must satisfy
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
-    question answered by ``validate_plott``; instances reject non-Plott
+    question answered by ``validate_plott``, so a table is never Plott by
+    construction: instances scan every table agent and reject non-Plott
     tables at load time, but free-standing tables may be built invalid on
     purpose to exercise the validator.  ``desirable`` is the base-class
     definition, one table lookup per ground contract.
@@ -209,6 +238,10 @@ class Aggregate(ChoiceFunction):
     Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
     chosen by its own part from that part's slice of S plus x, so
     ``desirable`` joins each part's ``desirable`` of its slice.
+
+    Plott by construction exactly when every part is: each axiom compares
+    C on menus slice by slice, so it holds for the join when it holds for
+    every part.
     """
 
     parts: tuple[ChoiceFunction, ...]
@@ -222,6 +255,10 @@ class Aggregate(ChoiceFunction):
                 raise DomainError("aggregate parts must have disjoint grounds")
             g |= part.ground
         object.__setattr__(self, "ground", g)
+
+    @property
+    def plott_by_construction(self) -> bool:
+        return all(part.plott_by_construction for part in self.parts)
 
     def _choose(self, menu: Mask) -> Mask:
         out = 0

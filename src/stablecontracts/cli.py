@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -106,15 +107,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except StableContractsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except InternalInconsistencyError as exc:
+            print(f"internal inconsistency: {exc}", file=sys.stderr)
+            return 3
+        except ParseError as exc:
+            print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+            return 1
+        except StableContractsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            # a buffered report reaches a closed pipe only when flushed;
+            # stdout is None when the process started with it closed
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error [io]: standard output was closed", file=sys.stderr)
         return 1
 
 

@@ -18,9 +18,11 @@ exact round trip.  Linear payloads list contracts best-first, quota
 priorities likewise, and table payloads must cover every subset of the
 agent's contracts.
 
-Loading validates everything, including the exhaustive axiom check on each
-agent's choice function; failures raise ParseError with a distinct code
-(io, malformed, unknown-family, dangling-reference, axiom-violation).
+Loading validates everything, including the axioms on each agent's choice
+function: linear and quota agents are path independent by construction,
+and each table agent gets the exhaustive axiom check (capped at 12
+contracts).  Failures raise ParseError with a distinct code (io,
+malformed, unknown-family, dangling-reference, axiom-violation).
 """
 
 from __future__ import annotations

@@ -21,10 +21,11 @@ from stablecontracts.instance import (
     Instance,
     Side,
     TwoAgentProblem,
+    contracts_of,
     reduce_to_two_agents,
 )
 from stablecontracts.modest import yang_solve
-from stablecontracts.oracle import brute_force_stable, random_corpus
+from stablecontracts.oracle import brute_force_stable, random_corpus, random_instance
 from stablecontracts.stability import is_stable, is_stable_multi
 
 
@@ -228,9 +229,9 @@ def _circulant_market(seed: int, families: tuple[str, ...], size: int = 100,
 
 
 class TestLargeMarket:
-    """600 contracts, far past the brute-force oracle's cap: the two
-    fixed-point routes must agree, and the multi-agent definition, which
-    never uses desirability, must confirm the result."""
+    """600 to about 4000 contracts, far past the brute-force oracle's cap:
+    the two fixed-point routes must agree, and the multi-agent definition,
+    which never uses desirability, must confirm the result."""
 
     def test_routes_agree_and_result_is_stable(self):
         inst = _circulant_market(7, ("linear", "quota"))
@@ -248,3 +249,17 @@ class TestLargeMarket:
         assert yang_solve(problem).system == system
         assert is_stable_multi(inst, system)
         assert gale_shapley(inst) == system
+
+    @pytest.mark.parametrize("mix", [{"linear": 1, "quota": 1}, {"linear": 1}])
+    def test_random_200x200_past_the_table_cap(self, mix):
+        # agents of degree well above 12 build because linear and quota
+        # agents are certified, not scanned
+        inst = random_instance(11, 200, 200, density=0.1, family_mix=mix)
+        assert inst.size > 3500
+        assert max(contracts_of(inst, a.id).bit_count() for a in inst.agents) > 12
+        problem = reduce_to_two_agents(inst)
+        system = ag_solve(problem).system
+        assert yang_solve(problem).system == system
+        assert is_stable_multi(inst, system)
+        if "quota" not in mix:
+            assert gale_shapley(inst) == system

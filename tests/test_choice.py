@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,55 @@ def ordered_family(draw):
 @given(ordered_family())
 def test_ordered_families_always_pass(cf):
     assert validate_plott(cf).passed
+
+
+# Relabelling contracts changes no verdict, so the identity order covers
+# every linear and quota shape of its size.  At k = 12 the quotas are
+# trimmed to three: all twelve would double the run time.
+_CERTIFIED_SHAPES = (
+    [(k, None) for k in range(12)]
+    + [(k, q) for k in range(1, 12) for q in range(1, k + 1)]
+    + [(12, None), (12, 2), (12, 6), (12, 11)]
+)
+
+
+@pytest.mark.parametrize("k, quota", _CERTIFIED_SHAPES)
+def test_certified_shapes_pass_the_exhaustive_scan(k, quota):
+    # the proof behind ``plott_by_construction``, up to the scan's cap
+    order = tuple(range(k))
+    cf = LinearOrder(order) if quota is None else Quota(quota, order)
+    assert cf.plott_by_construction
+    assert validate_plott(cf).passed
+
+
+class TestPlottByConstruction:
+    def test_ordered_families_and_their_aggregates_are_certified(self):
+        linear, quota = LinearOrder((0, 1)), Quota(1, (3, 2))
+        assert linear.plott_by_construction
+        assert quota.plott_by_construction
+        assert Aggregate((linear, quota)).plott_by_construction
+
+    def test_tables_are_not_certified(self):
+        table = Table(m(4), {0: 0, m(4): m(4)})
+        assert not table.plott_by_construction
+        assert not Aggregate((LinearOrder((0, 1)), table)).plott_by_construction
+
+    def test_is_a_class_fact_not_a_field(self):
+        assert LinearOrder.plott_by_construction and Quota.plott_by_construction
+        assert not Table.plott_by_construction
+        for family in (LinearOrder, Quota, Table, Aggregate):
+            names = {f.name for f in dataclasses.fields(family)}
+            assert "plott_by_construction" not in names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LinearOrder((0,)).plott_by_construction = False
+
+    def test_subclasses_do_not_inherit_the_certificate(self):
+        class Complements(Quota):
+            def _choose(self, menu):
+                return menu if menu == self.ground else 0
+
+        assert not Complements(1, (0, 1)).plott_by_construction
+        assert not validate_plott(Complements(1, (0, 1))).passed
 
 
 @settings(max_examples=100, deadline=None)

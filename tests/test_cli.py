@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from stablecontracts import cli, instance
+from stablecontracts.choice import Table
+from stablecontracts.contractsets import ids_of
 from stablecontracts.fileformat import document_from_instance
 from stablecontracts.fixtures import (
     bad_table_documents,
     marriage_2x2,
+    poset_table_instance,
     two_parallel_contracts,
 )
 
@@ -134,6 +141,22 @@ class TestCheck:
         assert "unknown contract label" in err
 
 
+WORKERS_13 = [f"w{i}" for i in range(13)]
+
+
+def _star_document(firm_choice: dict) -> dict:
+    """Thirteen single-contract workers, then one firm holding all of them."""
+    return {
+        "agents": [{"id": w, "side": "worker"} for w in WORKERS_13]
+        + [{"id": "f", "side": "firm"}],
+        "contracts": [{"id": w, "firm": "f", "worker": w} for w in WORKERS_13],
+        "choices": {
+            **{w: {"family": "linear", "payload": [w]} for w in WORKERS_13},
+            "f": firm_choice,
+        },
+    }
+
+
 class TestValidate:
     def test_valid_instance(self, capsys, i3_file):
         code, out, _ = run(capsys, "validate", i3_file)
@@ -169,26 +192,34 @@ class TestValidate:
         assert "[malformed]" in err
 
     def test_agent_over_the_cap_is_coded(self, capsys, tmp_path):
-        # thirteen single-contract workers, then one firm holding all of them
-        workers = [f"w{i}" for i in range(13)]
-        doc = {
-            "agents": [{"id": w, "side": "worker"} for w in workers]
-            + [{"id": "f", "side": "firm"}],
-            "contracts": [{"id": w, "firm": "f", "worker": w} for w in workers],
-            "choices": {
-                **{w: {"family": "linear", "payload": [w]} for w in workers},
-                "f": {"family": "linear", "payload": workers},
-            },
-        }
+        # the firm's best-first choice written out as a 13-contract table
+        table = [
+            {
+                "menu": [WORKERS_13[i] for i in ids_of(menu)],
+                "choice": [WORKERS_13[ids_of(menu)[0]]] if menu else [],
+            }
+            for menu in range(1 << 13)
+        ]
         path = tmp_path / "over_cap.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_star_document({"family": "table", "payload": table})))
         code, out, err = run(capsys, "validate", str(path))
         assert code == 1
         # only an axiom violation is rendered agent by agent
         assert out == ""
         assert "[malformed]" in err and "capped at 12" in err
 
-    def test_scans_each_agent_once(self, capsys, i3_file, monkeypatch):
+    def test_linear_agent_over_the_old_cap_validates(self, capsys, tmp_path):
+        path = tmp_path / "linear_13.json"
+        path.write_text(
+            json.dumps(_star_document({"family": "linear", "payload": WORKERS_13}))
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0
+        assert out == "".join(f"agent {a}: ok\n" for a in WORKERS_13 + ["f"]) + "valid\n"
+        assert err == ""
+
+    def test_scans_each_agent_once(self, capsys, tmp_path, monkeypatch):
+        # each table agent, that is: linear and quota agents are certified
         calls = []
         original = instance.validate_plott
 
@@ -197,9 +228,17 @@ class TestValidate:
             return original(cf, *args)
 
         monkeypatch.setattr(instance, "validate_plott", counting)
-        code, _, _ = run(capsys, "validate", i3_file)
-        assert code == 0
-        assert len(calls) == 4
+        for name, doc, code, tables in (
+            ("i3", document_from_instance(marriage_2x2()), 0, 0),
+            ("poset", document_from_instance(poset_table_instance()), 0, 1),
+            ("consistency", bad_table_documents()["consistency"], 1, 1),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            assert run(capsys, "validate", str(path))[0] == code
+            assert len(calls) == tables
+            assert all(isinstance(cf, Table) for cf in calls)
 
     def test_reports_the_same_first_fault_as_solve(self, capsys, tmp_path):
         # a ground mismatch on the first-listed agent, then a table agent
@@ -227,6 +266,19 @@ class TestGenerate:
         path.write_text(out)
         code, out2, _ = run(capsys, "validate", str(path))
         assert code == 0
+
+    def test_complete_market_past_the_old_cap(self, capsys, tmp_path):
+        # every agent has 13 contracts, one more than a table may have
+        code, out, err = run(capsys, "generate", "--firms", "13", "--workers", "13")
+        assert (code, err) == (0, "")
+        path = tmp_path / "complete_13.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert out.count(": ok") == 26 and out.endswith("valid\n")
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert out.startswith("S = {")
 
     def test_deterministic(self, capsys):
         a = run(capsys, "generate", "--seed", "5", "--firms", "2", "--workers", "2")
@@ -259,3 +311,52 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+
+def _cli_subprocess(argv, stdout, unbuffered=True, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "stablecontracts", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60, **kwargs,
+    )
+
+
+def _closed_pipe_run(argv, unbuffered):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return _cli_subprocess(argv, w, unbuffered)
+    finally:
+        os.close(w)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_is_a_coded_error(i3_file, unbuffered):
+    # unbuffered, the first print meets the closed pipe; buffered, the
+    # report reaches it only when stdout is flushed
+    proc = _closed_pipe_run(["enumerate", i3_file], unbuffered)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error [io]: standard output was closed\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_after_a_failure_report(tmp_path, unbuffered):
+    # validate prints the failing agent, then exits with the coded error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad_table_documents()["consistency"]))
+    proc = _closed_pipe_run(["validate", str(path)], unbuffered)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert lines[-1] == "error [io]: standard output was closed"
+    assert all(line.startswith("error [") for line in lines)
+
+
+def test_stdout_closed_at_start_is_no_traceback(i3_file):
+    # Python sets sys.stdout to None and drops prints; nothing is flushed
+    proc = _cli_subprocess(
+        ["enumerate", i3_file], subprocess.DEVNULL, preexec_fn=lambda: os.close(1)
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")

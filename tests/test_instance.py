@@ -153,6 +153,35 @@ class TestInstanceValidation:
         assert err.value.agent_id == "f1"
         assert not err.value.report.check("substitutability").passed
 
+    def test_uncertified_subclass_is_scanned_at_load(self):
+        # a quota subclass choosing complements is no quota: it gets the
+        # exhaustive scan, which rejects it
+        class Complements(Quota):
+            def _choose(self, menu):
+                return menu if menu == self.ground else 0
+
+        agents = (
+            Agent("f1", Side.FIRM),
+            Agent("w1", Side.WORKER),
+            Agent("w2", Side.WORKER),
+        )
+        contracts = (
+            Contract(0, "e1", "f1", "w1"),
+            Contract(1, "e2", "f1", "w2"),
+        )
+        with pytest.raises(ChoiceValidationError) as err:
+            Instance(
+                agents,
+                contracts,
+                {
+                    "f1": Complements(2, (0, 1)),
+                    "w1": LinearOrder((0,)),
+                    "w2": LinearOrder((1,)),
+                },
+            )
+        assert err.value.agent_id == "f1"
+        assert not err.value.report.check("substitutability").passed
+
     def test_duplicate_labels(self):
         agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
         contracts = (
