@@ -52,6 +52,7 @@ from .desirability import (
 from .errors import (
     CapExceededError,
     ChoiceValidationError,
+    DanglingReferenceError,
     DomainError,
     InternalInconsistencyError,
     ParseError,

@@ -106,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:
+        # the process started with stdout closed: a report would vanish
+        print("error [io]: standard output was closed", file=sys.stderr)
+        return 1
     try:
         try:
             return args.func(args)
@@ -119,10 +123,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         finally:
-            # a buffered report reaches a closed pipe only when flushed;
-            # stdout is None when the process started with it closed
-            if sys.stdout is not None:
-                sys.stdout.flush()
+            # a buffered report reaches a closed pipe only when flushed
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; send what is still buffered to devnull
         # so that the interpreter's final flush cannot raise again

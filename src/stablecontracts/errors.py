@@ -9,7 +9,21 @@ class StableContractsError(Exception):
 
 class DomainError(StableContractsError):
     """An argument is outside an operation's domain (unknown agent, menu
-    outside the ground set, malformed payload, ...)."""
+    outside the ground set, malformed payload, ...).
+
+    ``code`` is the ParseError code the error is reported under when it
+    stops a document from loading.
+    """
+
+    code = "malformed"
+
+
+class DanglingReferenceError(DomainError):
+    """A name points at nothing it may point at: a contract endpoint that
+    is not a declared agent of that side, or a choice function keyed to an
+    unknown agent."""
+
+    code = "dangling-reference"
 
 
 class PreconditionError(DomainError):
@@ -27,7 +41,10 @@ class ParseError(DomainError):
     """An instance document could not be loaded.
 
     ``code`` identifies the failure class: ``io``, ``malformed``,
-    ``unknown-family``, ``dangling-reference`` or ``axiom-violation``.
+    ``unknown-family``, ``dangling-reference`` or ``axiom-violation``.  The
+    parser raises the first three, and ``dangling-reference`` for a payload
+    naming an unknown contract; a fault Instance rejects keeps the ``code``
+    of its DomainError.
     """
 
     def __init__(self, code: str, message: str):
@@ -41,6 +58,8 @@ class ChoiceValidationError(DomainError):
     Carries the offending agent id (when known) and the full
     ValidationReport so callers can render the witness.
     """
+
+    code = "axiom-violation"
 
     def __init__(self, message: str, report, agent_id: str | None = None):
         super().__init__(message)

@@ -18,11 +18,11 @@ exact round trip.  Linear payloads list contracts best-first, quota
 priorities likewise, and table payloads must cover every subset of the
 agent's contracts.
 
-Loading validates everything, including the axioms on each agent's choice
-function: linear and quota agents are path independent by construction,
-and each table agent gets the exhaustive axiom check (capped at 12
-contracts).  Failures raise ParseError with a distinct code (io,
-malformed, unknown-family, dangling-reference, axiom-violation).
+This module only decodes: JSON shapes and types, family payloads, and
+contract labels resolved to dense ids.  The market's structural rules and
+the axioms are checked by Instance.  Failures raise ParseError with a
+distinct code (io, malformed, unknown-family, dangling-reference,
+axiom-violation).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any
 
 from .choice import ChoiceFunction, LinearOrder, Quota, Table
 from .contractsets import Mask, canonical_key, ids_of, mask_of
-from .errors import ChoiceValidationError, DomainError, ParseError
+from .errors import DomainError, ParseError
 from .instance import Agent, Contract, Instance, Side
 
 _KNOWN_FAMILIES = ("linear", "quota", "table")
@@ -69,23 +69,23 @@ def instance_from_document(doc: Any) -> Instance:
 def build_instance(
     agents: list[Agent], contracts: list[Contract], choices: dict[str, ChoiceFunction]
 ) -> Instance:
-    """Build a validated Instance from ``parse_components``' pieces; its
-    failures raise ParseError like any other fault of the document."""
+    """Build a validated Instance from ``parse_components``' pieces; each
+    structural or axiom fault it rejects raises ParseError under the code
+    its DomainError carries."""
     try:
         return Instance(tuple(agents), tuple(contracts), choices)
-    except ChoiceValidationError as exc:
-        raise ParseError("axiom-violation", str(exc)) from exc
     except DomainError as exc:
-        raise ParseError("malformed", str(exc)) from exc
+        raise ParseError(exc.code, str(exc)) from exc
 
 
 def parse_components(
     doc: Any,
 ) -> tuple[list[Agent], list[Contract], dict[str, ChoiceFunction]]:
-    """Structural parse only: shapes, references and payload wellformedness.
+    """Decode a document into the pieces an Instance is built from.
 
-    Returns the pieces an Instance is built from, without running the
-    axiom validation.
+    Decoding only, with labels resolved to dense ids (an unknown label is a
+    ``dangling-reference``): duplicate ids, endpoint sides and which agents
+    have choice functions are left to Instance, as are the axioms.
     """
     if not isinstance(doc, dict):
         raise ParseError("malformed", "document root must be an object")
@@ -94,7 +94,6 @@ def parse_components(
             raise ParseError("malformed", f"document lacks the {key!r} section")
 
     agents = []
-    seen_agents: dict[str, Side] = {}
     if not isinstance(doc["agents"], list):
         raise ParseError("malformed", "'agents' must be a list")
     for raw in doc["agents"]:
@@ -103,8 +102,6 @@ def parse_components(
         agent_id = raw["id"]
         if not isinstance(agent_id, str) or not agent_id:
             raise ParseError("malformed", f"agent id must be a non-empty string: {raw!r}")
-        if agent_id in seen_agents:
-            raise ParseError("malformed", f"duplicate agent id {agent_id!r}")
         try:
             side = Side(raw["side"])
         except ValueError:
@@ -112,53 +109,30 @@ def parse_components(
                 "malformed",
                 f"agent {agent_id!r} has side {raw['side']!r}, expected 'firm' or 'worker'",
             ) from None
-        seen_agents[agent_id] = side
         agents.append(Agent(agent_id, side))
 
     contracts = []
-    index_by_label: dict[str, int] = {}
     if not isinstance(doc["contracts"], list):
         raise ParseError("malformed", "'contracts' must be a list")
     for raw in doc["contracts"]:
         if not isinstance(raw, dict) or not {"id", "firm", "worker"} <= set(raw):
             raise ParseError("malformed", f"bad contract entry: {raw!r}")
         label = str(raw["id"])
-        if label in index_by_label:
-            raise ParseError("malformed", f"duplicate contract id {label!r}")
         firm, worker = raw["firm"], raw["worker"]
         if not isinstance(firm, str) or not isinstance(worker, str):
             raise ParseError(
                 "malformed",
                 f"contract {label!r} must name its firm and worker by agent id",
             )
-        if firm not in seen_agents or seen_agents[firm] is not Side.FIRM:
-            raise ParseError(
-                "dangling-reference",
-                f"contract {label!r} names {firm!r}, which is not a declared firm",
-            )
-        if worker not in seen_agents or seen_agents[worker] is not Side.WORKER:
-            raise ParseError(
-                "dangling-reference",
-                f"contract {label!r} names {worker!r}, which is not a declared worker",
-            )
-        index_by_label[label] = len(contracts)
         contracts.append(Contract(len(contracts), label, firm, worker))
 
     if not isinstance(doc["choices"], dict):
         raise ParseError("malformed", "'choices' must be an object keyed by agent id")
-    choices: dict[str, ChoiceFunction] = {}
-    for agent_id, raw in doc["choices"].items():
-        if agent_id not in seen_agents:
-            raise ParseError(
-                "dangling-reference",
-                f"choice function declared for unknown agent {agent_id!r}",
-            )
-        choices[agent_id] = _parse_choice(agent_id, raw, index_by_label)
-    missing = [a.id for a in agents if a.id not in choices]
-    if missing:
-        raise ParseError(
-            "malformed", f"no choice function for agent(s) {missing}"
-        )
+    index_by_label = {c.label: c.id for c in contracts}
+    choices = {
+        agent_id: _parse_choice(agent_id, raw, index_by_label)
+        for agent_id, raw in doc["choices"].items()
+    }
     return agents, contracts, choices
 
 
@@ -234,10 +208,10 @@ def _parse_choice(
             entries[menu] = chosen
             ground |= menu
         return Table(ground, entries)
+    except ParseError:
+        raise
     except DomainError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError("malformed", f"agent {agent_id!r}: {exc}") from exc
+        raise ParseError(exc.code, f"agent {agent_id!r}: {exc}") from exc
 
 
 def document_from_instance(inst: Instance) -> dict:

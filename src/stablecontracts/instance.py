@@ -6,11 +6,14 @@ per agent over exactly its adjacent contracts E(v).  Contract ids are dense
 indices 0..|E|-1 assigned in declaration order; a human-readable label rides
 along for file round trips and display.
 
-Validation is mandatory and happens at construction: algorithms downstream
-assume every per-agent choice function is path independent.  Families that
-are Plott by construction (linear orders, quotas) carry that as a theorem;
-every other agent, such as a table, must pass the exhaustive axiom check,
-which is capped at 12 contracts.
+Validation is mandatory and happens at construction; Instance is the only
+place that checks this structure, unique ids and labels included (a name
+pointing at nothing raises DanglingReferenceError, any other fault
+DomainError).  Algorithms
+downstream assume every per-agent choice function is path independent.
+Families that are Plott by construction (linear orders, quotas) carry that
+as a theorem; every other agent, such as a table, must pass the exhaustive
+axiom check, which is capped at 12 contracts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping
 
 from .choice import Aggregate, ChoiceFunction, validate_plott
 from .contractsets import Mask, check_subset, full_mask, ids_of
-from .errors import ChoiceValidationError, DomainError
+from .errors import ChoiceValidationError, DanglingReferenceError, DomainError
 
 
 class Side(str, enum.Enum):
@@ -59,16 +62,34 @@ class Instance:
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "contracts", tuple(self.contracts))
         object.__setattr__(self, "choices", dict(self.choices))
-        _validate(self)
-        adjacency: dict[str, Mask] = {a.id: 0 for a in self.agents}
+        by_id: dict[str, Agent] = {}
+        for a in self.agents:
+            if a.id in by_id:
+                raise DomainError(f"duplicate agent id {a.id!r}")
+            if not isinstance(a.side, Side):
+                raise DomainError(f"agent {a.id!r} has no declared side")
+            by_id[a.id] = a
+        adjacency: dict[str, Mask] = dict.fromkeys(by_id, 0)
         by_label: dict[str, Contract] = {}
-        for c in self.contracts:
-            adjacency[c.firm] |= 1 << c.id
-            adjacency[c.worker] |= 1 << c.id
+        for pos, c in enumerate(self.contracts):
+            if c.id != pos:
+                raise DomainError(
+                    f"contract ids must be dense declaration indices; "
+                    f"contract at position {pos} has id {c.id}"
+                )
+            if c.label in by_label:
+                raise DomainError(f"duplicate contract label {c.label!r}")
+            for end, side in ((c.firm, Side.FIRM), (c.worker, Side.WORKER)):
+                if end not in by_id or by_id[end].side is not side:
+                    raise DanglingReferenceError(
+                        f"contract {c.label!r} names {end!r}, "
+                        f"which is not a declared {side.value}"
+                    )
+                adjacency[end] |= 1 << c.id
             by_label[c.label] = c
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_label", by_label)
-        object.__setattr__(self, "_by_id", {a.id: a for a in self.agents})
+        object.__setattr__(self, "_by_id", by_id)
         _validate_choices(self)
 
     @property
@@ -101,47 +122,18 @@ class Instance:
         return [self.contracts[i].label for i in ids_of(mask)]
 
 
-def _validate(inst: Instance) -> None:
-    seen_agents = set()
-    for a in inst.agents:
-        if a.id in seen_agents:
-            raise DomainError(f"duplicate agent id {a.id!r}")
-        seen_agents.add(a.id)
-        if not isinstance(a.side, Side):
-            raise DomainError(f"agent {a.id!r} has no declared side")
-    sides = {a.id: a.side for a in inst.agents}
-    seen_labels = set()
-    for pos, c in enumerate(inst.contracts):
-        if c.id != pos:
-            raise DomainError(
-                f"contract ids must be dense declaration indices; "
-                f"contract at position {pos} has id {c.id}"
-            )
-        if c.label in seen_labels:
-            raise DomainError(f"duplicate contract label {c.label!r}")
-        seen_labels.add(c.label)
-        if c.firm not in sides or sides[c.firm] is not Side.FIRM:
-            raise DomainError(
-                f"contract {c.label!r} names {c.firm!r} which is not a declared firm"
-            )
-        if c.worker not in sides or sides[c.worker] is not Side.WORKER:
-            raise DomainError(
-                f"contract {c.label!r} names {c.worker!r} which is not a declared worker"
-            )
-
-
 def _validate_choices(inst: Instance) -> None:
     """Check that each agent has one choice function over exactly its
     adjacent contracts, and that it is path independent: certified by its
     family, or else proven by the exhaustive ``validate_plott`` scan."""
-    declared = set(inst.choices)
-    expected = {a.id for a in inst.agents}
-    if declared != expected:
-        missing = expected - declared
-        extra = declared - expected
-        if missing:
-            raise DomainError(f"no choice function for agent(s) {sorted(missing)}")
-        raise DomainError(f"choice function for undeclared agent(s) {sorted(extra)}")
+    for agent_id in inst.choices:
+        if agent_id not in inst._by_id:
+            raise DanglingReferenceError(
+                f"choice function declared for unknown agent {agent_id!r}"
+            )
+    missing = [a.id for a in inst.agents if a.id not in inst.choices]
+    if missing:
+        raise DomainError(f"no choice function for agent(s) {missing}")
     for a in inst.agents:
         cf = inst.choices[a.id]
         adjacent = inst._adjacency[a.id]

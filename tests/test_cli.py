@@ -355,8 +355,9 @@ def test_closed_stdout_after_a_failure_report(tmp_path, unbuffered):
 
 
 def test_stdout_closed_at_start_is_no_traceback(i3_file):
-    # Python sets sys.stdout to None and drops prints; nothing is flushed
+    # Python sets sys.stdout to None, where every print would vanish
     proc = _cli_subprocess(
         ["enumerate", i3_file], subprocess.DEVNULL, preexec_fn=lambda: os.close(1)
     )
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.returncode == 1
+    assert proc.stderr == b"error [io]: standard output was closed\n"

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import m
-from stablecontracts.errors import ParseError
+from stablecontracts import cli
+from stablecontracts.choice import LinearOrder
+from stablecontracts.errors import DomainError, ParseError
 from stablecontracts.fileformat import (
     document_from_instance,
     format_set,
@@ -12,6 +20,7 @@ from stablecontracts.fileformat import (
     parse_set,
 )
 from stablecontracts.fixtures import bad_table_documents
+from stablecontracts.instance import Agent, Contract, Instance, Side
 from stablecontracts.oracle import random_corpus
 
 
@@ -19,6 +28,64 @@ def _write(tmp_path, doc, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _fault(agents=(("f", "firm"), ("w", "worker")), contracts=(("e", "f", "w"),), **choices):
+    """A one-contract market document with linear agents; a ``choices``
+    entry overrides an agent's payload, and None leaves its choice out."""
+    choices = {"f": ["e"], "w": ["e"], **choices}
+    return {
+        "agents": [{"id": a, "side": side} for a, side in agents],
+        "contracts": [{"id": e, "firm": f, "worker": w} for e, f, w in contracts],
+        "choices": {
+            a: {"family": "linear", "payload": payload}
+            for a, payload in choices.items()
+            if payload is not None
+        },
+    }
+
+
+# one fault each, with the code it is reported under
+STRUCTURAL_FAULTS = {
+    "duplicate-agent-same-side": (
+        _fault(agents=(("f", "firm"), ("f", "firm"), ("w", "worker"))), "malformed"
+    ),
+    "duplicate-agent-other-side": (
+        _fault(agents=(("f", "firm"), ("w", "worker"), ("f", "worker"))), "malformed"
+    ),
+    "duplicate-contract": (
+        _fault(contracts=(("e", "f", "w"), ("e", "f", "w"))), "malformed"
+    ),
+    "undeclared-firm": (_fault(contracts=(("e", "ghost", "w"),)), "dangling-reference"),
+    "undeclared-worker": (_fault(contracts=(("e", "f", "ghost"),)), "dangling-reference"),
+    "wrong-side-endpoint": (_fault(contracts=(("e", "w", "w"),)), "dangling-reference"),
+    "choice-for-unknown-agent": (_fault(ghost=[]), "dangling-reference"),
+    "one-missing-choice": (_fault(w=None), "malformed"),
+    "two-missing-choices": (
+        _fault(agents=(("f", "firm"), ("w", "worker"), ("v", "worker")), w=None),
+        "malformed",
+    ),
+    "missing-plus-extra": (_fault(w=None, ghost=[]), "dangling-reference"),
+    "ground-mismatch": (_fault(f=[]), "malformed"),
+    "unknown-payload-label": (_fault(f=["e", "ghost"]), "dangling-reference"),
+}
+
+
+def _components(doc):
+    """Instance pieces built straight from a document, without the parser;
+    a payload label names the first contract carrying it."""
+    contracts = tuple(
+        Contract(i, c["id"], c["firm"], c["worker"]) for i, c in enumerate(doc["contracts"])
+    )
+    ids = {}
+    for c in contracts:
+        ids.setdefault(c.label, c.id)
+    choices = {
+        a: LinearOrder(tuple(ids[label] for label in raw["payload"]))
+        for a, raw in doc["choices"].items()
+    }
+    agents = tuple(Agent(a["id"], Side(a["side"])) for a in doc["agents"])
+    return agents, contracts, choices
 
 
 class TestRoundTrip:
@@ -86,18 +153,32 @@ class TestParseErrors:
             (["f"], "w", "malformed"),
             ("f", 7, "malformed"),
         ]
-        for firm, worker, code in cases:
-            doc = {
-                "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
-                "contracts": [{"id": "e", "firm": firm, "worker": worker}],
-                "choices": {
-                    "f": {"family": "linear", "payload": ["e"]},
-                    "w": {"family": "linear", "payload": []},
-                },
-            }
+        docs = [
+            (_fault(contracts=(("e", firm, worker),), w=[]), code)
+            for firm, worker, code in cases
+        ]
+        for doc, code in docs + list(STRUCTURAL_FAULTS.values()):
             with pytest.raises(ParseError) as err:
                 instance_from_document(doc)
             assert err.value.code == code
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURAL_FAULTS))
+    def test_structural_fault_exits_1_from_the_cli(self, capsys, tmp_path, name):
+        doc, code = STRUCTURAL_FAULTS[name]
+        path = _write(tmp_path, doc)
+        for command in ("solve", "validate"):
+            assert cli.main([command, path]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error [{code}]: ")
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(STRUCTURAL_FAULTS) - {"unknown-payload-label"})
+    )
+    def test_structural_fault_is_a_domain_error_of_instance(self, name):
+        # payload labels exist only in documents; Instance takes dense ids
+        with pytest.raises(DomainError):
+            Instance(*_components(STRUCTURAL_FAULTS[name][0]))
 
     def test_payload_naming_unknown_contract(self):
         doc = {
@@ -159,3 +240,86 @@ class TestSetText:
     def test_unknown_label(self, i3):
         with pytest.raises(Exception, match="unknown contract label"):
             parse_set(i3, ["e99"])
+
+
+PARSE_CODES = {"io", "malformed", "unknown-family", "dangling-reference", "axiom-violation"}
+
+# the fixture documents (the golden copies of i1, i3 and poset, and the bad
+# tables) and the two golden ``generate`` documents
+FUZZ_SEEDS = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
+] + list(bad_table_documents().values())
+
+# values of the wrong type or out of range, put in place of any entry
+JUNK = [None, True, -1, 0, 2**70, 1.5, "", "ghost", [], {}, [None], {"id": None}]
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) of a JSON tree, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _strings(key)
+            yield from _strings(value)
+
+
+def _mutate(doc, data):
+    """One to three mutations: drop or retype an entry, duplicate an entry,
+    rename a reference or a key, or swap an agent's side."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            return
+        head, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        names = st.sampled_from(sorted(set(_strings(doc)) | {"ghost"}))
+        op = data.draw(st.sampled_from(["drop", "retype", "duplicate", "rename", "swap"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(JUNK)))
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "duplicate":
+            parent[data.draw(names)] = copy.deepcopy(parent[key])
+        elif op == "rename" and isinstance(parent, dict) and data.draw(st.booleans()):
+            parent[data.draw(names)] = parent.pop(key)
+        elif op == "rename":
+            parent[key] = data.draw(names)
+        elif parent[key] in ("firm", "worker"):
+            parent[key] = "worker" if parent[key] == "firm" else "firm"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS), st.data())
+def test_mutated_documents_load_or_fail_with_a_code(tmp_path_factory, seed, data):
+    doc = copy.deepcopy(seed)
+    _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    try:
+        parse_instance(str(path))
+        code = None
+    except ParseError as exc:
+        assert exc.code in PARSE_CODES
+        code = exc.code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(["validate", str(path)])
+    if code is None:
+        assert (status, err.getvalue()) == (0, "")
+    else:
+        assert status == 1
+        assert err.getvalue().startswith(f"error [{code}]: ")

@@ -3,7 +3,12 @@ import pytest
 from conftest import m
 from stablecontracts.choice import LinearOrder, Quota, Table, validate_plott
 from stablecontracts.contractsets import submasks
-from stablecontracts.errors import ChoiceValidationError, DomainError
+from stablecontracts.errors import (
+    ChoiceValidationError,
+    DanglingReferenceError,
+    DomainError,
+    ParseError,
+)
 from stablecontracts.instance import (
     Agent,
     Contract,
@@ -181,6 +186,25 @@ class TestInstanceValidation:
             )
         assert err.value.agent_id == "f1"
         assert not err.value.report.check("substitutability").passed
+
+    @pytest.mark.parametrize(
+        "firm, worker, extra",
+        [("ghost", "w1", None), ("f1", "f1", None), ("f1", "w1", "ghost")],
+        ids=["undeclared-endpoint", "wrong-side-endpoint", "choice-for-unknown-agent"],
+    )
+    def test_dangling_references(self, firm, worker, extra):
+        agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
+        choices = {"f1": LinearOrder((0,)), "w1": LinearOrder((0,))}
+        if extra is not None:
+            choices[extra] = LinearOrder(())
+        with pytest.raises(DanglingReferenceError) as err:
+            Instance(agents, (Contract(0, "e1", firm, worker),), choices)
+        assert err.value.code == "dangling-reference"
+
+    def test_error_codes(self):
+        assert DomainError("x").code == "malformed"
+        assert ChoiceValidationError("x", None).code == "axiom-violation"
+        assert ParseError("io", "x").code == "io"
 
     def test_duplicate_labels(self):
         agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
