@@ -105,9 +105,7 @@ def ample_from_stable(problem: TwoAgentProblem, s: Mask) -> Mask:
     return desirable_set(problem.firm, s)
 
 
-def enumerate_stable_via_ample(
-    problem: TwoAgentProblem, cap: int = ENUMERATION_CAP
-) -> list[Mask]:
+def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
     """All stable systems, found as worker choices of ample fixpoint sets.
 
     Scans the full power set: S is collected whenever some B is ample with
@@ -115,9 +113,10 @@ def enumerate_stable_via_ample(
     canonically sorted (cardinality, then ids).
     """
     n = problem.size
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise CapExceededError(
-            f"ground has {n} contracts; power-set enumeration is capped at {cap}"
+            f"ground has {n} contracts; power-set enumeration is capped at "
+            f"{ENUMERATION_CAP}"
         )
     tf = np.asarray(dense_table(problem.firm), dtype=np.int64)
     tw = np.asarray(dense_table(problem.worker), dtype=np.int64)

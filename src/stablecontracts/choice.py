@@ -317,13 +317,13 @@ def dense_table(cf: ChoiceFunction) -> list[Mask]:
     return [cf.evaluate(menu) for menu in range(1 << n)]
 
 
-def validate_plott(cf: ChoiceFunction, cap: int = EXHAUSTIVE_CAP) -> ValidationReport:
+def validate_plott(cf: ChoiceFunction) -> ValidationReport:
     """Exhaustively check consistency, substitutability and path independence.
 
-    Raises CapExceededError when the ground exceeds ``cap`` contracts
-    (default 12); there is deliberately no sampling fallback.
+    Raises CapExceededError when the ground exceeds ``EXHAUSTIVE_CAP`` (12)
+    contracts; there is deliberately no sampling fallback.
     """
-    report = check_laws(cf.evaluate, cf.ground, _PLOTT_LAWS, cap, "axiom")
+    report = check_laws(cf.evaluate, cf.ground, _PLOTT_LAWS, "axiom")
     cons, subst, pathind = report.checks
     if cons.passed and subst.passed and not pathind.passed:
         raise InternalInconsistencyError(
@@ -333,20 +333,20 @@ def validate_plott(cf: ChoiceFunction, cap: int = EXHAUSTIVE_CAP) -> ValidationR
     return report
 
 
-def check_laws(fn, ground: Mask, laws, cap: int, what: str) -> ValidationReport:
+def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
     """Tabulate ``fn`` over the power set of ``ground`` and run every law.
 
     Each law is a ``(name, finder)`` row; ``finder(arr, order)`` gets the
     table as an array over local masks plus the canonical order of those
     masks, and returns the first offending local masks or None.  Witnesses
     are reported in the ground's own contract ids.  Raises
-    CapExceededError when the ground exceeds ``cap`` contracts.
+    CapExceededError when the ground exceeds ``EXHAUSTIVE_CAP`` contracts.
     """
     bits = ids_of(ground)
-    if len(bits) > cap:
+    if len(bits) > EXHAUSTIVE_CAP:
         raise CapExceededError(
             f"ground has {len(bits)} contracts; exhaustive {what} check is "
-            f"capped at {cap}"
+            f"capped at {EXHAUSTIVE_CAP}"
         )
     arr = np.asarray(local_table(fn, bits), dtype=np.int64)
     order = _canonical_order(len(bits))
@@ -394,6 +394,13 @@ def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | N
             r = int(hits.any(axis=1).argmax())
             return int(rows[r]), int(order[hits[r].argmax()])
     return None
+
+
+def first_state(bad: np.ndarray, order: np.ndarray) -> tuple[Mask] | None:
+    """The first A in ``order`` with bad[A], or None; ``bad`` is a boolean
+    array indexed by mask."""
+    hits = bad[order]
+    return (int(order[hits.argmax()]),) if hits.any() else None
 
 
 def _consistency(arr, order):

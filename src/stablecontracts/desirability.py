@@ -37,11 +37,11 @@ import numpy as np
 
 from .choice import (
     ChoiceFunction,
-    EXHAUSTIVE_CAP,
     Table,
     ValidationReport,
     check_laws,
     first_pair,
+    first_state,
 )
 from .contractsets import Mask, check_subset, ids_of, submasks
 from .errors import DomainError
@@ -105,17 +105,15 @@ class DesirabilityOperator:
         return self.ground == other.ground and self._table == other._table
 
 
-def validate_desirability_operator(
-    op: DesirabilityOperator, cap: int = EXHAUSTIVE_CAP
-) -> ValidationReport:
+def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport:
     """Exhaustively check antimonotonicity and the Löb identity.
 
     Witnesses follow the same canonical scan order as the choice-function
-    validator.  The report is cached on the operator; the cap is enforced
-    on every call, cached or not.
+    validator.  An operator over ``EXHAUSTIVE_CAP`` (12) contracts raises
+    CapExceededError; any other report is cached on the operator.
     """
-    if op._report is None or op.ground.bit_count() > cap:
-        op._report = check_laws(op.map, op.ground, _OPERATOR_LAWS, cap, "operator")
+    if op._report is None:
+        op._report = check_laws(op.map, op.ground, _OPERATOR_LAWS, "operator")
     return op._report
 
 
@@ -127,9 +125,8 @@ def _antimonotonicity(arr, order):
 
 
 def _lob_identity(arr, order):
-    # offending when D(A) ≠ D(A ∩ D(A)); the first such state in order
-    bad = (arr != arr[np.arange(len(arr)) & arr])[order]
-    return (int(order[bad.argmax()]),) if bad.any() else None
+    # offending when D(A) ≠ D(A ∩ D(A))
+    return first_state(arr != arr[np.arange(len(arr)) & arr], order)
 
 
 _OPERATOR_LAWS = (

@@ -12,11 +12,11 @@ Schema::
       }
     }
 
-Contract ids in the file are arbitrary unique labels; internally they map
-to dense indices in declaration order, so parse → serialize → parse is an
-exact round trip.  Linear payloads list contracts best-first, quota
-priorities likewise, and table payloads must cover every subset of the
-agent's contracts.
+Contract ids in the file are arbitrary unique non-empty strings; internally
+they map to dense indices in declaration order, so parse → serialize →
+parse is an exact round trip.  Linear payloads list contracts best-first,
+quota priorities likewise, and table payloads must cover every subset of
+the agent's contracts.
 
 This module only decodes: JSON shapes and types, family payloads, and
 contract labels resolved to dense ids.  The market's structural rules and
@@ -117,7 +117,9 @@ def parse_components(
     for raw in doc["contracts"]:
         if not isinstance(raw, dict) or not {"id", "firm", "worker"} <= set(raw):
             raise ParseError("malformed", f"bad contract entry: {raw!r}")
-        label = str(raw["id"])
+        label = raw["id"]
+        if not isinstance(label, str) or not label:
+            raise ParseError("malformed", f"contract id must be a non-empty string: {raw!r}")
         firm, worker = raw["firm"], raw["worker"]
         if not isinstance(firm, str) or not isinstance(worker, str):
             raise ParseError(
@@ -145,13 +147,16 @@ def _resolve_labels(
         )
     out = []
     for label in labels:
-        key = str(label)
-        if key not in index_by_label:
+        if not isinstance(label, str):
+            raise ParseError(
+                "malformed", f"agent {agent_id!r}: contract id {label!r} is not a string"
+            )
+        if label not in index_by_label:
             raise ParseError(
                 "dangling-reference",
-                f"agent {agent_id!r} references unknown contract {key!r}",
+                f"agent {agent_id!r} references unknown contract {label!r}",
             )
-        out.append(index_by_label[key])
+        out.append(index_by_label[label])
     return out
 
 

@@ -5,16 +5,27 @@ Each law has a short key (L1, L2A, ..., DMA) used by the CLI table and the
 acceptance tests.  A law fails only with a concrete witness, which is
 reported; on valid input every law is a theorem, so failures indicate a
 bug in the library (or a deliberately invalid problem fed to the suite).
+
+Each problem is tabulated once: both sides' C and D (D from
+``desirable_set``, the form that runs) and its ample and modest sets.  The
+per-side laws scan those arrays, L2A and LOB with the rows of
+``validate_desirability_operator``; the route laws walk the ample or modest
+sets through the library's own steps.  Witnesses are canonical-first.
+Problems over ``LEMMA_SUITE_CAP`` (12) contracts are refused before any law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .ample import ag_step, is_ample
-from .contractsets import Mask, ids_of, submasks
-from .desirability import desirable_set
+from .choice import _canonical_order, first_state
+from .contractsets import Mask, ids_of, local_table
+from .desirability import _antimonotonicity, _lob_identity, desirable_set
 from .errors import CapExceededError
 from .instance import TwoAgentProblem
 from .modest import ample_to_modest, is_modest, modest_to_ample, yang_step
@@ -31,167 +42,134 @@ class LawResult:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """One problem tabulated once: each side's (name, C, D) over the power
+    set, and its ample and modest sets.  The ground is dense, so local masks
+    are the problem's own; ``order`` and both lists are canonical."""
+
+    problem: TwoAgentProblem
+    order: np.ndarray
+    sides: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    ample: list[Mask]
+    modest: list[Mask]
+
+
+def _tabulate(problem: TwoAgentProblem) -> _Tables:
+    bits = ids_of(problem.ground)
+    order = _canonical_order(len(bits))
+
+    def table(fn) -> np.ndarray:
+        return np.asarray(local_table(fn, bits), dtype=np.int64)
+
+    sides = tuple(
+        (name, table(cf.evaluate), table(partial(desirable_set, cf)))
+        for name, cf in (("firm", problem.firm), ("worker", problem.worker))
+    )
+    canonical = [int(s) for s in order]
+    ample = [b for b in canonical if is_ample(problem, b)]
+    modest = [q for q in canonical if is_modest(problem, q)]
+    return _Tables(problem, order, sides, ample, modest)
+
+
 def _fmt(mask: Mask) -> str:
     return "{" + ", ".join(str(i) for i in ids_of(mask)) + "}"
 
 
-def _for_both_sides(check) -> Callable[[TwoAgentProblem], str | None]:
-    def run(problem: TwoAgentProblem) -> str | None:
-        for name, cf in (("firm", problem.firm), ("worker", problem.worker)):
-            result = check(cf, problem)
-            if result is not None:
-                return f"{name} side: {result}"
+def _per_side(finder) -> Callable[[_Tables], str | None]:
+    """A law on each side's tables: ``finder(c, d, order)`` returns the first
+    offending A (or pair A, B) in ``order``, or None."""
+
+    def check(t: _Tables) -> str | None:
+        for name, c, d in t.sides:
+            witness = finder(c, d, t.order)
+            if witness is not None:
+                sets = ", ".join(f"{n}={_fmt(w)}" for n, w in zip("AB", witness))
+                return f"{name} side: {sets}"
         return None
 
-    return run
+    return check
 
 
-def _law_choice_vs_desirability(cf, problem) -> str | None:
-    # D(A) ∩ A = C(A) for every menu A
-    for a in submasks(cf.ground):
-        if desirable_set(cf, a) & a != cf.evaluate(a):
-            return f"A={_fmt(a)}"
-    return None
+def _states(bad):
+    """A finder for a law on single states: ``bad(a, c, d)`` flags each
+    state A from its row (A, C(A), D(A)), over whole arrays."""
+    return lambda c, d, order: first_state(bad(np.arange(len(c)), c, d), order)
 
 
-def _law_self_chosen_iff_desired(cf, problem) -> str | None:
+def _walk(kind: str, flaw) -> Callable[[_Tables], str | None]:
+    """A law on each of the problem's ``kind`` ("ample" or "modest") sets:
+    ``flaw(problem, s)`` is falsy where it holds, else True or a detail to
+    append to the witness."""
+    name = {"ample": "B", "modest": "Q"}[kind]
+
+    def check(t: _Tables) -> str | None:
+        for s in getattr(t, kind):
+            found = flaw(t.problem, s)
+            if found:
+                return f"{name}={_fmt(s)}" + ("" if found is True else f" {found}")
+        return None
+
+    return check
+
+
+def _unstable_fixpoint(p: TwoAgentProblem, b: Mask) -> bool:
+    wb = p.worker.evaluate(b)
+    return p.firm.evaluate(wb) == wb and not is_stable(p, wb)
+
+
+def _descent_flaw(p: TwoAgentProblem, b: Mask) -> bool | str:
+    nxt = ag_step(p, b)
+    return f"grew to {_fmt(nxt)}" if nxt & ~b else not is_ample(p, nxt)
+
+
+def _widens_firm_d(p: TwoAgentProblem, q: Mask) -> bool:
+    return desirable_set(p.firm, yang_step(p, q)) & ~desirable_set(p.firm, q) != 0
+
+
+LAWS: tuple[tuple[str, str, Callable[[_Tables], str | None]], ...] = (
+    # D(A) ∩ A = C(A)
+    ("L1", "choice equals desirables within the menu",
+     _per_side(_states(lambda a, c, d: (d & a) != c))),
     # A = C(A)  ⟺  A ⊆ D(A)
-    for a in submasks(cf.ground):
-        left = cf.evaluate(a) == a
-        right = a & ~desirable_set(cf, a) == 0
-        if left != right:
-            return f"A={_fmt(a)}"
-    return None
-
-
-def _law_antimonotone(cf, problem) -> str | None:
-    # A ⊆ B implies D(B) ⊆ D(A)
-    d = {a: desirable_set(cf, a) for a in submasks(cf.ground)}
-    for b in submasks(cf.ground):
-        for a in submasks(b):
-            if d[b] & ~d[a]:
-                return f"A={_fmt(a)}, B={_fmt(b)}"
-    return None
-
-
-def _law_desirability_of_choice(cf, problem) -> str | None:
+    ("L1C", "menu self-chosen iff menu within desirables",
+     _per_side(_states(lambda a, c, d: (c == a) != ((a & ~d) == 0)))),
+    ("L2A", "desirability antimonotone in the menu",
+     _per_side(lambda c, d, order: _antimonotonicity(d, order))),
     # D(A) = D(C(A))
-    for a in submasks(cf.ground):
-        if desirable_set(cf, a) != desirable_set(cf, cf.evaluate(a)):
-            return f"A={_fmt(a)}"
-    return None
-
-
-def _law_lob(cf, problem) -> str | None:
-    # D(A) = D(A ∩ D(A))
-    for a in submasks(cf.ground):
-        d = desirable_set(cf, a)
-        if d != desirable_set(cf, a & d):
-            return f"A={_fmt(a)}"
-    return None
-
-
-def _law_ample_fixpoint_stable(problem: TwoAgentProblem) -> str | None:
-    for b in submasks(problem.ground):
-        if not is_ample(problem, b):
-            continue
-        wb = problem.worker.evaluate(b)
-        if problem.firm.evaluate(wb) == wb and not is_stable(problem, wb):
-            return f"B={_fmt(b)}"
-    return None
-
-
-def _law_descent_preserves_ample(problem: TwoAgentProblem) -> str | None:
-    for b in submasks(problem.ground):
-        if not is_ample(problem, b):
-            continue
-        nxt = ag_step(problem, b)
-        if nxt & ~b:
-            return f"B={_fmt(b)} grew to {_fmt(nxt)}"
-        if not is_ample(problem, nxt):
-            return f"B={_fmt(b)}"
-    return None
-
-
-def _law_modest_acceptable(problem: TwoAgentProblem) -> str | None:
-    for q in submasks(problem.ground):
-        if not is_modest(problem, q):
-            continue
-        if problem.firm.evaluate(q) != q or problem.worker.evaluate(q) != q:
-            return f"Q={_fmt(q)}"
-    return None
-
-
-def _law_ascent_preserves_modest(problem: TwoAgentProblem) -> str | None:
-    for q in submasks(problem.ground):
-        if not is_modest(problem, q):
-            continue
-        if not is_modest(problem, yang_step(problem, q)):
-            return f"Q={_fmt(q)}"
-    return None
-
-
-def _law_ascent_shrinks_desirability(problem: TwoAgentProblem) -> str | None:
-    for q in submasks(problem.ground):
-        if not is_modest(problem, q):
-            continue
-        nxt = yang_step(problem, q)
-        if desirable_set(problem.firm, nxt) & ~desirable_set(problem.firm, q):
-            return f"Q={_fmt(q)}"
-    return None
-
-
-def _law_ample_to_modest(problem: TwoAgentProblem) -> str | None:
-    for b in submasks(problem.ground):
-        if not is_ample(problem, b):
-            continue
-        if not is_modest(problem, ample_to_modest(problem, b)):
-            return f"B={_fmt(b)}"
-    return None
-
-
-def _law_modest_to_ample(problem: TwoAgentProblem) -> str | None:
-    for q in submasks(problem.ground):
-        if not is_modest(problem, q):
-            continue
-        if not is_ample(problem, modest_to_ample(problem, q)):
-            return f"Q={_fmt(q)}"
-    return None
-
-
-LAWS: tuple[tuple[str, str, Callable[[TwoAgentProblem], str | None]], ...] = (
-    ("L1", "choice equals desirables within the menu", _for_both_sides(_law_choice_vs_desirability)),
-    ("L1C", "menu self-chosen iff menu within desirables", _for_both_sides(_law_self_chosen_iff_desired)),
-    ("L2A", "desirability antimonotone in the menu", _for_both_sides(_law_antimonotone)),
-    ("L2B", "desirability unchanged after choosing", _for_both_sides(_law_desirability_of_choice)),
-    ("LOB", "desirability fixed on its desirable core", _for_both_sides(_law_lob)),
-    ("L3", "ample fixpoints yield stable systems", _law_ample_fixpoint_stable),
-    ("L4", "descent step preserves ampleness", _law_descent_preserves_ample),
-    ("L5", "modest systems are self-chosen on both sides", _law_modest_acceptable),
-    ("L6", "ascent step preserves modesty", _law_ascent_preserves_modest),
-    ("L6D", "ascent step never widens firm desirability", _law_ascent_shrinks_desirability),
-    ("DAM", "ample systems map to modest systems", _law_ample_to_modest),
-    ("DMA", "modest systems map to ample systems", _law_modest_to_ample),
+    ("L2B", "desirability unchanged after choosing",
+     _per_side(_states(lambda a, c, d: d != d[c]))),
+    ("LOB", "desirability fixed on its desirable core",
+     _per_side(lambda c, d, order: _lob_identity(d, order))),
+    ("L3", "ample fixpoints yield stable systems", _walk("ample", _unstable_fixpoint)),
+    ("L4", "descent step preserves ampleness", _walk("ample", _descent_flaw)),
+    ("L5", "modest systems are self-chosen on both sides",
+     _walk("modest", lambda p, q: p.firm.evaluate(q) != q or p.worker.evaluate(q) != q)),
+    ("L6", "ascent step preserves modesty",
+     _walk("modest", lambda p, q: not is_modest(p, yang_step(p, q)))),
+    ("L6D", "ascent step never widens firm desirability", _walk("modest", _widens_firm_d)),
+    ("DAM", "ample systems map to modest systems",
+     _walk("ample", lambda p, b: not is_modest(p, ample_to_modest(p, b)))),
+    ("DMA", "modest systems map to ample systems",
+     _walk("modest", lambda p, q: not is_ample(p, modest_to_ample(p, q)))),
 )
 
 
-def run_lemma_suite(
-    problems: Sequence[tuple[str, TwoAgentProblem]],
-    cap: int = LEMMA_SUITE_CAP,
-) -> list[LawResult]:
+def run_lemma_suite(problems: Sequence[tuple[str, TwoAgentProblem]]) -> list[LawResult]:
     """Check every law on every problem; first witness wins per law."""
     for label, problem in problems:
-        if problem.size > cap:
+        if problem.size > LEMMA_SUITE_CAP:
             raise CapExceededError(
                 f"problem {label!r} has {problem.size} contracts; the lemma "
-                f"suite is capped at {cap}"
+                f"suite is capped at {LEMMA_SUITE_CAP}"
             )
+    tabulated = [(label, _tabulate(problem)) for label, problem in problems]
     results = []
     for key, description, law in LAWS:
         passed = True
         detail = ""
-        for label, problem in problems:
-            witness = law(problem)
+        for label, tables in tabulated:
+            witness = law(tables)
             if witness is not None:
                 passed = False
                 detail = f"{label}: {witness}"

@@ -24,18 +24,17 @@ BRUTE_FORCE_CAP = 20
 _FAMILIES = ("linear", "quota")
 
 
-def brute_force_stable(
-    problem: TwoAgentProblem, cap: int = BRUTE_FORCE_CAP
-) -> list[Mask]:
+def brute_force_stable(problem: TwoAgentProblem) -> list[Mask]:
     """Every stable system, by scanning the full power set.
 
     Output order is canonical (cardinality, then lexicographic ids) and is
     part of the interface.
     """
     n = problem.size
-    if n > cap:
+    if n > BRUTE_FORCE_CAP:
         raise CapExceededError(
-            f"ground has {n} contracts; the brute-force scan is capped at {cap}"
+            f"ground has {n} contracts; the brute-force scan is capped at "
+            f"{BRUTE_FORCE_CAP}"
         )
     tf = np.asarray(dense_table(problem.firm), dtype=np.int64)
     tw = np.asarray(dense_table(problem.worker), dtype=np.int64)

@@ -300,6 +300,16 @@ class TestLemmas:
         assert code == 0
         assert "problems = 4" in out
 
+    def test_refuses_a_problem_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "linear_13.json"
+        path.write_text(
+            json.dumps(_star_document({"family": "linear", "payload": WORKERS_13}))
+        )
+        code, out, err = run(capsys, "lemmas", "--problems", "0", str(path))
+        assert code == 1
+        assert out == ""
+        assert "capped at 12" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

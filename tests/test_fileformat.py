@@ -67,8 +67,21 @@ STRUCTURAL_FAULTS = {
     ),
     "missing-plus-extra": (_fault(w=None, ghost=[]), "dangling-reference"),
     "ground-mismatch": (_fault(f=[]), "malformed"),
-    "unknown-payload-label": (_fault(f=["e", "ghost"]), "dangling-reference"),
 }
+# faults in the contract labels, which only documents carry (Instance takes
+# dense ids); a label must be a non-empty string
+LABEL_FAULTS = {
+    "unknown-payload-label": (_fault(f=["e", "ghost"]), "dangling-reference"),
+    **{
+        f"contract-id-{name}": (_fault(contracts=((label, "f", "w"),)), "malformed")
+        for name, label in (("null", None), ("number", 7), ("empty", ""), ("list", ["e"]))
+    },
+    **{
+        f"payload-entry-{name}": (_fault(f=[label]), "malformed")
+        for name, label in (("null", None), ("number", 7))
+    },
+}
+STRUCTURAL_FAULTS.update(LABEL_FAULTS)
 
 
 def _components(doc):
@@ -172,11 +185,8 @@ class TestParseErrors:
             assert out == ""
             assert err.startswith(f"error [{code}]: ")
 
-    @pytest.mark.parametrize(
-        "name", sorted(set(STRUCTURAL_FAULTS) - {"unknown-payload-label"})
-    )
+    @pytest.mark.parametrize("name", sorted(set(STRUCTURAL_FAULTS) - set(LABEL_FAULTS)))
     def test_structural_fault_is_a_domain_error_of_instance(self, name):
-        # payload labels exist only in documents; Instance takes dense ids
         with pytest.raises(DomainError):
             Instance(*_components(STRUCTURAL_FAULTS[name][0]))
 

@@ -1,5 +1,10 @@
-from conftest import m
-from stablecontracts.choice import Table
+import pytest
+
+from conftest import m, naive_desirable
+from stablecontracts import lemmas
+from stablecontracts.choice import LinearOrder, Table
+from stablecontracts.contractsets import canonical_sorted, ids_of, submasks
+from stablecontracts.errors import CapExceededError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.lemmas import LAWS, run_lemma_suite
 from stablecontracts.oracle import random_corpus
@@ -15,6 +20,31 @@ def test_all_laws_pass_on_fixture_and_random_problems(p1, p3, poset):
     assert not failures, failures
 
 
+def _naive_detail(problem, key):
+    """The L2A, L2B or LOB detail straight from the definitions: the first
+    side with a witness, and its first offending A (or A, B) in canonical
+    order; None when the law holds."""
+    for name, cf in (("firm", problem.firm), ("worker", problem.worker)):
+        order = canonical_sorted(submasks(cf.ground))
+        d = {a: naive_desirable(cf, a) for a in order}
+        if key == "L2A":
+            bad = (
+                (a, b) for a in order for b in order if a & ~b == 0 and d[b] & ~d[a]
+            )
+        elif key == "L2B":
+            bad = ((a,) for a in order if d[a] != d[cf.evaluate(a)])
+        else:
+            bad = ((a,) for a in order if d[a] != d[a & d[a]])
+        witness = next(bad, None)
+        if witness is not None:
+            sets = ", ".join(
+                f"{n}={{{', '.join(map(str, ids_of(w)))}}}"
+                for n, w in zip("AB", witness)
+            )
+            return f"bad: {name} side: {sets}"
+    return None
+
+
 def test_suite_detects_laws_broken_by_invalid_input():
     """Feeding a non-substitutable table produces concrete witnesses.
 
@@ -22,10 +52,31 @@ def test_suite_detects_laws_broken_by_invalid_input():
     can be pointed at an invalid problem to prove it actually checks things.
     """
     complements = Table(m(0, 1), {0: 0, m(0): 0, m(1): 0, m(0, 1): m(0, 1)})
-    problem = TwoAgentProblem(complements, complements)
-    results = {r.key: r for r in run_lemma_suite([("bad", problem)])}
-    assert not results["L2A"].passed
-    assert "bad" in results["L2A"].detail
+    # C({1, 2}) = {1}, C({0, 1, 2}) = {2}, every other menu chooses nothing:
+    # each law's canonical-first witness differs from its integer-first one
+    sparse = Table(
+        m(0, 1, 2),
+        {a: 0 for a in submasks(m(0, 1, 2))} | {m(1, 2): m(1), m(0, 1, 2): m(2)},
+    )
+    for problem in (
+        TwoAgentProblem(complements, complements),
+        TwoAgentProblem(sparse, LinearOrder((2, 0, 1))),
+    ):
+        results = {r.key: r for r in run_lemma_suite([("bad", problem)])}
+        assert not results["L2A"].passed
+        for key in ("L2A", "L2B", "LOB"):
+            expected = _naive_detail(problem, key)
+            assert results[key].passed == (expected is None)
+            assert results[key].detail == (expected or "")
+
+
+def test_suite_refuses_an_oversized_problem_before_any_law(monkeypatch, p1):
+    ran = []
+    monkeypatch.setattr(lemmas, "LAWS", (("X", "records", ran.append),))
+    big = LinearOrder(tuple(range(13)))
+    with pytest.raises(CapExceededError, match="capped at 12"):
+        run_lemma_suite([("i1", p1), ("big", TwoAgentProblem(big, big))])
+    assert ran == []
 
 
 def test_law_keys_are_stable():
