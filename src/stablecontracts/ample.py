@@ -6,7 +6,7 @@ set is trivially ample, the descent step B ↦ (B \\ W(B)) ∪ F(W(B)) keeps
 ampleness and shrinks B, and at the fixpoint W(B) = F(W(B)) the system
 W(B) is stable.  Scanning every ample B whose worker choice is such a
 fixpoint recovers every stable system, which is what the power-set
-enumerator does.
+enumerator does, on the problem's cached choice tables.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import dense_table
 from .contractsets import Mask, canonical_sorted, check_subset, ids_of
 from .desirability import desirable_set
 from .errors import (
@@ -108,9 +107,11 @@ def ample_from_stable(problem: TwoAgentProblem, s: Mask) -> Mask:
 def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
     """All stable systems, found as worker choices of ample fixpoint sets.
 
-    Scans the full power set: S is collected whenever some B is ample with
-    W(B) = F(W(B)) = S.  Matches the brute-force oracle exactly; output is
-    canonically sorted (cardinality, then ids).
+    Scans the full power set through ``problem.tables``: S is collected
+    whenever some B is ample with W(B) = F(W(B)) = S, where ampleness reads
+    the firm side's desirability off its choice table.  Matches the
+    brute-force oracle exactly; output is canonically sorted (cardinality,
+    then ids).
     """
     n = problem.size
     if n > ENUMERATION_CAP:
@@ -118,15 +119,15 @@ def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
             f"ground has {n} contracts; power-set enumeration is capped at "
             f"{ENUMERATION_CAP}"
         )
-    tf = np.asarray(dense_table(problem.firm), dtype=np.int64)
-    tw = np.asarray(dense_table(problem.worker), dtype=np.int64)
+    tf, wb = problem.tables  # wb[b] is W(B)
     masks = np.arange(1 << n, dtype=np.int64)
-    # desirability table of the firm side: bit x of df[s] says x ∈ F(s ∪ x)
+    # desirability table of the firm side: bit x of df[s] says x ∈ F(s ∪ x).
+    # Viewed as (-1, 2, 2^x), index [:, 1] holds the menus s ∪ x, and it
+    # broadcasts onto both halves, s without x and s with it.
     df = np.zeros_like(masks)
     for x in range(n):
-        bx = np.int64(1 << x)
-        df |= ((tf[masks | bx] >> x) & 1) << x
-    wb = tw[masks]
+        shape = (-1, 2, 1 << x)
+        df.reshape(shape)[...] |= (tf.reshape(shape)[:, 1:] >> x & 1) << x
     ample = (df[wb] & ~masks) == 0
     fixed = wb == tf[wb]
     found = np.unique(wb[ample & fixed])

@@ -305,16 +305,32 @@ class ValidationReport:
         return None
 
 
-def dense_table(cf: ChoiceFunction) -> list[Mask]:
+def dense_table(cf: ChoiceFunction) -> np.ndarray:
     """C(A) for every subset A of a dense ground, indexed by the mask A.
 
-    Used by the power-set oracles to turn repeated evaluation into array
-    lookups; requires the ground to be {0, ..., n-1}.
+    Returns a read-only int64 array of 2^n entries; requires the ground to
+    be {0, ..., n-1}.  Each part of an ``Aggregate`` (any other function is
+    one part) is evaluated once per subset of its own ground, 2^deg calls.
+    Then, for all 2^n masks at once, each mask's slice of that ground is
+    gathered bit by bit into a local index, the part's choice is looked up,
+    and its bits are scattered back into the mask's row.
     """
     n = cf.ground.bit_count()
     if cf.ground != (1 << n) - 1:
         raise DomainError("dense_table requires a dense ground set")
-    return [cf.evaluate(menu) for menu in range(1 << n)]
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros_like(masks)
+    for part in cf.parts if isinstance(cf, Aggregate) else (cf,):
+        bits = ids_of(part.ground)
+        local = np.asarray(local_table(part.evaluate, bits), dtype=np.int64)
+        index = np.zeros_like(masks)
+        for i, b in enumerate(bits):
+            index |= (masks >> b & 1) << i
+        chosen = local[index]
+        for i, b in enumerate(bits):
+            table |= (chosen >> i & 1) << b
+    table.flags.writeable = False
+    return table
 
 
 def validate_plott(cf: ChoiceFunction) -> ValidationReport:

@@ -19,10 +19,13 @@ axiom check, which is capped at 12 contracts.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .choice import Aggregate, ChoiceFunction, validate_plott
+import numpy as np
+
+from .choice import Aggregate, ChoiceFunction, dense_table, validate_plott
 from .contractsets import Mask, check_subset, full_mask, ids_of
 from .errors import ChoiceValidationError, DanglingReferenceError, DomainError
 
@@ -178,6 +181,13 @@ class TwoAgentProblem:
     @property
     def size(self) -> int:
         return self.firm.ground.bit_count()
+
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, W): each side's ``dense_table``, read-only arrays indexed by
+        the menu mask.  Built on first use and kept, so every power-set scan
+        of this problem reads one copy."""
+        return dense_table(self.firm), dense_table(self.worker)
 
 
 def contracts_of(inst: Instance, agent_id: str) -> Mask:

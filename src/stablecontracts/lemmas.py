@@ -6,12 +6,13 @@ acceptance tests.  A law fails only with a concrete witness, which is
 reported; on valid input every law is a theorem, so failures indicate a
 bug in the library (or a deliberately invalid problem fed to the suite).
 
-Each problem is tabulated once: both sides' C and D (D from
-``desirable_set``, the form that runs) and its ample and modest sets.  The
-per-side laws scan those arrays, L2A and LOB with the rows of
-``validate_desirability_operator``; the route laws walk the ample or modest
-sets through the library's own steps.  Witnesses are canonical-first.
-Problems over ``LEMMA_SUITE_CAP`` (12) contracts are refused before any law.
+Each problem is tabulated once: both sides' C (the problem's cached
+``tables``) and D (from ``desirable_set``, the form that runs) and its
+ample and modest sets.  The per-side laws scan those arrays, L2A and LOB
+with the rows of ``validate_desirability_operator``; the route laws walk
+the ample or modest sets through the library's own steps.  Witnesses are
+canonical-first.  Problems over ``LEMMA_SUITE_CAP`` (12) contracts are
+refused before any law.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ def _tabulate(problem: TwoAgentProblem) -> _Tables:
     bits = ids_of(problem.ground)
     order = _canonical_order(len(bits))
 
-    def table(fn) -> np.ndarray:
-        return np.asarray(local_table(fn, bits), dtype=np.int64)
+    def desirability(cf) -> np.ndarray:
+        return np.asarray(local_table(partial(desirable_set, cf), bits), dtype=np.int64)
 
     sides = tuple(
-        (name, table(cf.evaluate), table(partial(desirable_set, cf)))
-        for name, cf in (("firm", problem.firm), ("worker", problem.worker))
+        (name, c, desirability(cf))
+        for name, cf, c in zip(("firm", "worker"), (problem.firm, problem.worker),
+                               problem.tables)
     )
     canonical = [int(s) for s in order]
     ample = [b for b in canonical if is_ample(problem, b)]

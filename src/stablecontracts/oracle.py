@@ -3,8 +3,10 @@ instance generator.
 
 ``brute_force_stable`` applies the two-part stability definition (both
 sides keep the system, no outside contract wanted by both) to every subset
-of the ground set.  It deliberately avoids the desirability machinery and
-the fixed-point routes so it can arbitrate between them.
+of the ground set, reading each side's choices from the problem's cached
+tables, which the enumerator shares.  It deliberately avoids the
+desirability machinery and the fixed-point routes so it can arbitrate
+between them; the tables are plain choices, C(A) for every menu A.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choice import ChoiceFunction, LinearOrder, Quota, dense_table
+from .choice import ChoiceFunction, LinearOrder, Quota
 from .contractsets import Mask, canonical_sorted
 from .errors import CapExceededError, DomainError
 from .instance import Agent, Contract, Instance, Side, TwoAgentProblem
@@ -36,17 +38,17 @@ def brute_force_stable(problem: TwoAgentProblem) -> list[Mask]:
             f"ground has {n} contracts; the brute-force scan is capped at "
             f"{BRUTE_FORCE_CAP}"
         )
-    tf = np.asarray(dense_table(problem.firm), dtype=np.int64)
-    tw = np.asarray(dense_table(problem.worker), dtype=np.int64)
+    tf, tw = problem.tables
     masks = np.arange(1 << n, dtype=np.int64)
     acceptable = (tf == masks) & (tw == masks)
     blocked = np.zeros(len(masks), dtype=bool)
     for e in range(n):
-        be = np.int64(1 << e)
-        outside = (masks & be) == 0
-        firm_wants = (tf[masks | be] >> e) & 1
-        worker_wants = (tw[masks | be] >> e) & 1
-        blocked |= outside & ((firm_wants & worker_wants) == 1)
+        # viewed as (-1, 2, 2^e), index [:, 0] holds the sets S without e
+        # and [:, 1] the matching S ∪ {e}
+        shape = (-1, 2, 1 << e)
+        firm_wants = tf.reshape(shape)[:, 1] >> e & 1
+        worker_wants = tw.reshape(shape)[:, 1] >> e & 1
+        blocked.reshape(shape)[:, 0] |= (firm_wants & worker_wants) == 1
     stable = np.nonzero(acceptable & ~blocked)[0]
     return canonical_sorted(int(s) for s in stable)
 

@@ -73,6 +73,13 @@ def naive_desirable(cf, state: int) -> int:
     )
 
 
+def naive_dense_table(cf) -> list[int]:
+    """C(A) for every menu A of a dense ground, indexed by the mask A: one
+    ``cf.evaluate`` per menu, independent of ``dense_table``'s per-part
+    gather and scatter."""
+    return [cf.evaluate(menu) for menu in range(1 << cf.ground.bit_count())]
+
+
 def naive_axiom_verdicts(cf) -> dict[str, bool]:
     """Whether each axiom holds, by ``naive_axiom_witnesses``."""
     return {axiom: w is None for axiom, w in naive_axiom_witnesses(cf).items()}

@@ -1,16 +1,19 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_axiom_verdicts, naive_axiom_witnesses
+from conftest import m, naive_axiom_verdicts, naive_axiom_witnesses, naive_dense_table
 from stablecontracts.choice import (
     Aggregate,
+    ChoiceFunction,
     LinearOrder,
     Quota,
     Table,
     _canonical_order,
+    dense_table,
     validate_plott,
 )
 from stablecontracts.contractsets import canonical_sorted, mask_of, submasks
@@ -275,3 +278,72 @@ def test_validator_agrees_with_naive_oracle(cf):
     assert verdicts["path-independence"] == (
         verdicts["consistency"] and verdicts["substitutability"]
     )
+
+
+@st.composite
+def dense_part(draw, ids):
+    """A linear, quota or arbitrary (not necessarily Plott) table agent over
+    exactly the contracts ``ids``; tables only up to five contracts."""
+    order = tuple(draw(st.permutations(ids)))
+    family = draw(st.sampled_from(("linear", "quota", "table")))
+    if family == "linear" or not ids:
+        return LinearOrder(order)
+    if family == "quota" or len(ids) > 5:
+        return Quota(draw(st.integers(min_value=1, max_value=len(ids))), order)
+    ground = mask_of(ids)
+    return Table(ground, {
+        a: a & draw(st.integers(min_value=0, max_value=ground))
+        for a in submasks(ground)
+    })
+
+
+@st.composite
+def dense_choice(draw):
+    """One agent, or an aggregate of up to four whose grounds interleave,
+    over the dense ground {0, ..., n-1}; n may be 0."""
+    ids = list(range(draw(st.integers(min_value=0, max_value=9))))
+    if draw(st.booleans()):
+        return draw(dense_part(ids))
+    parts = draw(st.integers(min_value=1, max_value=4))
+    owner = [draw(st.integers(min_value=0, max_value=parts - 1)) for _ in ids]
+    return Aggregate(tuple(
+        draw(dense_part([x for x, o in zip(ids, owner) if o == p]))
+        for p in range(parts)
+    ))
+
+
+class _Parity(ChoiceFunction):
+    """A bare function outside every family: keeps a menu of even size
+    whole, and of an odd size only its highest contract."""
+
+    def __init__(self, n):
+        self.ground = (1 << n) - 1
+
+    def _choose(self, menu):
+        return menu if menu.bit_count() % 2 == 0 else 1 << (menu.bit_length() - 1)
+
+
+class TestDenseTable:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_choice())
+    def test_agrees_with_evaluating_every_menu(self, cf):
+        table = dense_table(cf)
+        assert table.dtype == np.int64
+        assert table.tolist() == naive_dense_table(cf)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_bare_function_is_one_part(self, n):
+        assert dense_table(_Parity(n)).tolist() == naive_dense_table(_Parity(n))
+
+    def test_empty_ground(self):
+        assert dense_table(Aggregate(())).tolist() == [0]
+        assert dense_table(LinearOrder(())).tolist() == [0]
+
+    def test_read_only(self):
+        table = dense_table(Aggregate((LinearOrder((1, 0)), Quota(1, (2,)))))
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+    def test_sparse_ground_rejected(self):
+        with pytest.raises(DomainError, match="dense"):
+            dense_table(Aggregate((LinearOrder((0,)), LinearOrder((2,)))))

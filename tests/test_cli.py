@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stablecontracts import cli, instance
+from stablecontracts import choice, cli, instance
 from stablecontracts.choice import Table
 from stablecontracts.contractsets import ids_of
 from stablecontracts.fileformat import document_from_instance
@@ -113,6 +113,25 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", i1_file)
         assert code == 0
         assert out == "count = 2\n{e1}\n{e2}\n"
+
+    def test_tabulates_each_side_once(self, capsys, monkeypatch):
+        # the enumerator and the oracle share one table per side
+        original = choice.dense_table
+        calls = []
+
+        def counted(cf):
+            calls.append(cf)
+            return original(cf)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stablecontracts"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        doc = str(Path(__file__).parent / "golden" / "gen-linear.json")
+        code, out, _ = run(capsys, "enumerate", doc)
+        assert code == 0 and out.startswith("count = 2\n")
+        assert len(calls) == 2
 
     def test_cross_check_mismatch_exits_3(self, capsys, i1_file, monkeypatch):
         monkeypatch.setattr(cli, "brute_force_stable", lambda problem: [])

@@ -1,13 +1,18 @@
 import pytest
 
 from conftest import m
-from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
+from stablecontracts.ample import ENUMERATION_CAP, ag_solve, enumerate_stable_via_ample
 from stablecontracts.choice import LinearOrder, Quota
 from stablecontracts.contractsets import canonical_key
 from stablecontracts.errors import CapExceededError, DomainError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.modest import yang_solve
-from stablecontracts.oracle import brute_force_stable, random_corpus, random_instance
+from stablecontracts.oracle import (
+    BRUTE_FORCE_CAP,
+    brute_force_stable,
+    random_corpus,
+    random_instance,
+)
 
 
 class TestBruteForce:
@@ -31,6 +36,25 @@ class TestBruteForce:
         order = tuple(range(21))
         with pytest.raises(CapExceededError):
             brute_force_stable(TwoAgentProblem(LinearOrder(order), LinearOrder(order)))
+
+
+class TestEnumerationCap:
+    """Both power-set scans at 20 contracts, the cap they share.  Seed 0
+    gives each shape two stable systems, so the extremes differ."""
+
+    @pytest.mark.parametrize("firms, workers, mix", [
+        (5, 4, None),
+        (4, 5, {"linear": 1.0, "quota": 1.0}),
+    ])
+    def test_scans_agree_and_hold_both_extremes(self, firms, workers, mix):
+        problem = reduce_to_two_agents(random_instance(0, firms, workers, family_mix=mix))
+        assert problem.size == ENUMERATION_CAP == BRUTE_FORCE_CAP == 20
+        stable = enumerate_stable_via_ample(problem)
+        assert stable == brute_force_stable(problem)
+        worker_optimal = ag_solve(problem).system
+        firm_optimal = ag_solve(TwoAgentProblem(problem.worker, problem.firm)).system
+        assert worker_optimal != firm_optimal
+        assert {worker_optimal, firm_optimal} <= set(stable)
 
 
 class TestRandomInstance:
