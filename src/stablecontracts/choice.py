@@ -13,27 +13,36 @@ of such parts inherits them; ``plott_by_construction`` records that
 certificate per family.  For every other family (``Table``) the axioms are
 an empirical property: ``validate_plott`` checks all three exhaustively
 over the power set of the ground (never by sampling), and it can check
-certified families too.  The canonical order sorts menus by
-cardinality, then lexicographically by contract ids.  Each axiom is one
-blocked numpy scan (``first_pair``) over pairs (A, B): A runs in canonical
-order, and for each A, B does too.  The scan stops at the first offending
-pair, which is the reported witness, so detection and witness are one
-computation.  The desirability-operator laws run through the same scanner.
-The equivalence between the axioms doubles as a self-check: a report where
-the first two pass and path independence fails raises, because it can only
-mean the scanner itself is broken.
+certified families too.  The power-set layout comes from ``contractsets``:
+``local_table`` tabulates a function over a ground's local masks, and
+``canonical_order`` sorts menus by cardinality, then lexicographically by
+contract ids.  Each axiom is one blocked numpy scan (``first_pair``) over
+pairs (A, B): A runs in canonical order, and for each A, B does too.  The
+scan stops at the first offending pair, which is the reported witness, so
+detection and witness are one computation.  The desirability-operator laws
+run through the same scanner.  The equivalence between the axioms doubles
+as a self-check: a report where the first two pass and path independence
+fails raises, because it can only mean the scanner itself is broken.
 """
 
 from __future__ import annotations
 
 import abc
-import functools
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .contractsets import Mask, expand, ids_of, local_table, mask_of, submasks
+from .contractsets import (
+    Mask,
+    canonical_order,
+    compress,
+    expand,
+    ids_of,
+    local_table,
+    mask_of,
+    submasks,
+)
 from .errors import (
     CapExceededError,
     DomainError,
@@ -310,10 +319,10 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
 
     Returns a read-only int64 array of 2^n entries; requires the ground to
     be {0, ..., n-1}.  Each part of an ``Aggregate`` (any other function is
-    one part) is evaluated once per subset of its own ground, 2^deg calls.
-    Then, for all 2^n masks at once, each mask's slice of that ground is
-    gathered bit by bit into a local index, the part's choice is looked up,
-    and its bits are scattered back into the mask's row.
+    one part) is evaluated once per subset of its own ground, 2^deg calls,
+    through ``local_table``.  That table is re-indexed to contract ids, and
+    every mask's row reads its entry at the mask's slice of the part's
+    ground, compressed to a local index: one 2^n gather per part.
     """
     n = cf.ground.bit_count()
     if cf.ground != (1 << n) - 1:
@@ -322,13 +331,7 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
     table = np.zeros_like(masks)
     for part in cf.parts if isinstance(cf, Aggregate) else (cf,):
         bits = ids_of(part.ground)
-        local = np.asarray(local_table(part.evaluate, bits), dtype=np.int64)
-        index = np.zeros_like(masks)
-        for i, b in enumerate(bits):
-            index |= (masks >> b & 1) << i
-        chosen = local[index]
-        for i, b in enumerate(bits):
-            table |= (chosen >> i & 1) << b
+        table |= expand(local_table(part.evaluate, bits), bits)[compress(masks, bits)]
     table.flags.writeable = False
     return table
 
@@ -364,8 +367,8 @@ def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
             f"ground has {len(bits)} contracts; exhaustive {what} check is "
             f"capped at {EXHAUSTIVE_CAP}"
         )
-    arr = np.asarray(local_table(fn, bits), dtype=np.int64)
-    order = _canonical_order(len(bits))
+    arr = local_table(fn, bits)
+    order = canonical_order(len(bits))
     checks = []
     for name, finder in laws:
         witness = finder(arr, order)
@@ -373,23 +376,6 @@ def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
             witness = tuple(expand(w, bits) for w in witness)
         checks.append(AxiomCheck(name, witness is None, witness))
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_order(k: int) -> np.ndarray:
-    """Every mask over k local bits, sorted as ``canonical_key`` sorts them
-    (ties in cardinality by the bit-reversed mask, descending); cached per k
-    and therefore read-only."""
-    masks = np.arange(1 << k, dtype=np.int64)
-    rev = np.zeros_like(masks)
-    pop = np.zeros_like(masks)
-    for i in range(k):
-        bit = masks >> i & 1
-        rev |= bit << (k - 1 - i)
-        pop += bit
-    order = np.lexsort((-rev, pop))
-    order.flags.writeable = False
-    return order
 
 
 def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | None:

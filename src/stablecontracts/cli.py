@@ -216,13 +216,14 @@ def _cmd_validate(args) -> int:
         inst = build_instance(agents, contracts, choices)
     except ParseError as exc:
         failure = exc.__cause__
+        if failure.agent_id is not None:
+            # the agents before the failing one passed all their checks
+            for agent in agents:
+                if agent.id == failure.agent_id:
+                    break
+                print(f"agent {agent.id}: ok")
         if not isinstance(failure, ChoiceValidationError):
             raise
-        # the agents before the failing one passed their scans
-        for agent in agents:
-            if agent.id == failure.agent_id:
-                break
-            print(f"agent {agent.id}: ok")
 
         def fmt(mask: int) -> str:
             return "{" + ", ".join(contracts[i].label for i in ids_of(mask)) + "}"

@@ -1,14 +1,25 @@
-"""Contract sets as integer bitmasks over dense contract ids.
+"""Contract sets as integer bitmasks over dense contract ids, and the
+layout of power sets.
 
 Every set-valued quantity in this package is a plain ``int`` whose bit ``i``
 says whether contract ``i`` is a member.  Set algebra is exact and cheap:
 union is ``|``, intersection ``&``, difference ``a & ~b``, and the power set
 of a ground mask is enumerable without allocation.
+
+This module alone decides how a power set is laid out for an exhaustive
+scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
+0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
+it back, on ints or elementwise on numpy arrays.  ``local_table`` tabulates
+a function over the 2^k local masks, and ``canonical_order`` lists those
+masks in the canonical scan order of ``canonical_key``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -26,7 +37,9 @@ def mask_of(ids: Iterable[int]) -> Mask:
 
 
 def ids_of(mask: Mask) -> list[int]:
-    """Member ids of a mask, ascending."""
+    """Member ids of a mask, ascending.  A negative int is no mask."""
+    if mask < 0:
+        raise DomainError(f"contract sets are non-negative masks, got {mask}")
     out = []
     m = mask
     while m:
@@ -64,38 +77,65 @@ def submasks(ground: Mask) -> Iterator[Mask]:
         s = (s - ground) & ground
 
 
-def expand(local: Mask, bits: list[int]) -> Mask:
-    """Map a mask over local indices 0..k-1 to the contract ids ``bits``."""
-    m = 0
-    t = local
-    while t:
-        low = t & -t
-        m |= 1 << bits[low.bit_length() - 1]
-        t ^= low
-    return m
+def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
+    """Map a mask over local indices 0..k-1 to the contract ids ``bits``.
+
+    ``local`` is an int, or a numpy array mapped elementwise: int64 when
+    every id in ``bits`` is below 63, else object dtype holding ints.
+    """
+    out = local & 0
+    for i, b in enumerate(bits):
+        out |= (local >> i & 1) << b
+    return out
 
 
-def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> list[Mask]:
+def compress(mask: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
+    """Map the members of ``mask`` among the contract ids ``bits`` to local
+    indices 0..k-1, the inverse of ``expand``; ints and arrays as there."""
+    out = mask & 0
+    for i, b in enumerate(bits):
+        out |= (mask >> b & 1) << i
+    return out
+
+
+def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> np.ndarray:
     """fn(A) for every subset A of ``bits``, re-indexed to dense local bits.
 
-    Entry ``local`` holds fn of ``expand(local, bits)``, mapped back onto
-    local indices, so a sparse ground tabulates like a dense one.
+    Returns a read-only int64 array whose entry ``local`` is
+    ``compress(fn(expand(local, bits)), bits)``, so a sparse ground
+    tabulates like a dense one.  ``fn`` gets and returns ints; the menus
+    and the choices are each re-indexed as one array, of object dtype when
+    an id is 63 or more.
     """
-    tab = []
-    for local in range(1 << len(bits)):
-        value = fn(expand(local, bits))
-        loc = 0
-        for i, b in enumerate(bits):
-            if value >> b & 1:
-                loc |= 1 << i
-        tab.append(loc)
-    return tab
+    dtype = np.int64 if max(bits, default=0) < 63 else object
+    menus = expand(np.arange(1 << len(bits)).astype(dtype), bits).tolist()
+    chosen = np.array([fn(a) for a in menus], dtype=dtype)
+    table = compress(chosen, bits).astype(np.int64, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 def canonical_key(mask: Mask) -> tuple[int, tuple[int, ...]]:
     """Sort key ordering sets by cardinality, then lexicographically by ids."""
     ids = ids_of(mask)
     return len(ids), tuple(ids)
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_order(k: int) -> np.ndarray:
+    """Every mask over k local bits, sorted as ``canonical_key`` sorts them
+    (ties in cardinality by the bit-reversed mask, descending); cached per k
+    and therefore read-only."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    rev = np.zeros_like(masks)
+    pop = np.zeros_like(masks)
+    for i in range(k):
+        bit = masks >> i & 1
+        rev |= bit << (k - 1 - i)
+        pop += bit
+    order = np.lexsort((-rev, pop))
+    order.flags.writeable = False
+    return order
 
 
 def canonical_sorted(masks: Iterable[Mask]) -> list[Mask]:

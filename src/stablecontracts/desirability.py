@@ -117,21 +117,23 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
     return op._report
 
 
-def _antimonotonicity(arr, order):
-    # offending when D(B) ⊄ D(A) for A ⊆ B
+def antimonotonicity_witness(arr, order):
+    """The first pair (A, B) of the table ``arr`` with A ⊆ B but
+    D(B) ⊄ D(A), A and B in ``order``; or None."""
     return first_pair(
         arr, order, lambda a, da, b, db: ((a & ~b) == 0) & ((db & ~da) != 0)
     )
 
 
-def _lob_identity(arr, order):
-    # offending when D(A) ≠ D(A ∩ D(A))
+def lob_identity_witness(arr, order):
+    """The first state A of the table ``arr`` in ``order`` with
+    D(A) ≠ D(A ∩ D(A)), as a 1-tuple; or None."""
     return first_state(arr != arr[np.arange(len(arr)) & arr], order)
 
 
 _OPERATOR_LAWS = (
-    (ANTIMONOTONICITY, _antimonotonicity),
-    (LOB_IDENTITY, _lob_identity),
+    (ANTIMONOTONICITY, antimonotonicity_witness),
+    (LOB_IDENTITY, lob_identity_witness),
 )
 
 

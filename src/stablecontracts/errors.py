@@ -12,10 +12,12 @@ class DomainError(StableContractsError):
     outside the ground set, malformed payload, ...).
 
     ``code`` is the ParseError code the error is reported under when it
-    stops a document from loading.
+    stops a document from loading.  ``agent_id`` names the agent whose
+    choice function is at fault, when the fault is one agent's.
     """
 
     code = "malformed"
+    agent_id: str | None = None
 
 
 class DanglingReferenceError(DomainError):

@@ -27,7 +27,12 @@ import numpy as np
 
 from .choice import Aggregate, ChoiceFunction, dense_table, validate_plott
 from .contractsets import Mask, check_subset, full_mask, ids_of
-from .errors import ChoiceValidationError, DanglingReferenceError, DomainError
+from .errors import (
+    CapExceededError,
+    ChoiceValidationError,
+    DanglingReferenceError,
+    DomainError,
+)
 
 
 class Side(str, enum.Enum):
@@ -128,7 +133,10 @@ class Instance:
 def _validate_choices(inst: Instance) -> None:
     """Check that each agent has one choice function over exactly its
     adjacent contracts, and that it is path independent: certified by its
-    family, or else proven by the exhaustive ``validate_plott`` scan."""
+    family, or else proven by the exhaustive ``validate_plott`` scan.
+
+    Agents are checked one at a time in declaration order; a fault in one
+    agent's check carries that agent's ``agent_id``."""
     for agent_id in inst.choices:
         if agent_id not in inst._by_id:
             raise DanglingReferenceError(
@@ -138,24 +146,35 @@ def _validate_choices(inst: Instance) -> None:
     if missing:
         raise DomainError(f"no choice function for agent(s) {missing}")
     for a in inst.agents:
-        cf = inst.choices[a.id]
-        adjacent = inst._adjacency[a.id]
-        if cf.ground != adjacent:
-            raise DomainError(
-                f"choice function of agent {a.id!r} is declared over "
-                f"{ids_of(cf.ground)} but its adjacent contracts are "
-                f"{ids_of(adjacent)}"
-            )
-        if cf.plott_by_construction:
-            continue
+        try:
+            _validate_agent(a.id, inst.choices[a.id], inst._adjacency[a.id])
+        except DomainError as exc:
+            # agents are checked in order, so every one before it passed
+            exc.agent_id = a.id
+            raise
+
+
+def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: Mask) -> None:
+    if cf.ground != adjacent:
+        raise DomainError(
+            f"choice function of agent {agent_id!r} is declared over "
+            f"{ids_of(cf.ground)} but its adjacent contracts are "
+            f"{ids_of(adjacent)}"
+        )
+    if cf.plott_by_construction:
+        return
+    try:
         report = validate_plott(cf)
-        if not report.passed:
-            failing = report.first_failure()
-            raise ChoiceValidationError(
-                f"choice function of agent {a.id!r} violates {failing.axiom}",
-                report,
-                agent_id=a.id,
-            )
+    except CapExceededError as exc:
+        raise CapExceededError(
+            f"choice function of agent {agent_id!r}: {exc}"
+        ) from None
+    if not report.passed:
+        failing = report.first_failure()
+        raise ChoiceValidationError(
+            f"choice function of agent {agent_id!r} violates {failing.axiom}",
+            report,
+        )
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ample import ag_step, is_ample
-from .choice import _canonical_order, first_state
-from .contractsets import Mask, ids_of, local_table
-from .desirability import _antimonotonicity, _lob_identity, desirable_set
+from .choice import first_state
+from .contractsets import Mask, canonical_order, ids_of, local_table
+from .desirability import antimonotonicity_witness, desirable_set, lob_identity_witness
 from .errors import CapExceededError
 from .instance import TwoAgentProblem
 from .modest import ample_to_modest, is_modest, modest_to_ample, yang_step
@@ -58,13 +58,9 @@ class _Tables:
 
 def _tabulate(problem: TwoAgentProblem) -> _Tables:
     bits = ids_of(problem.ground)
-    order = _canonical_order(len(bits))
-
-    def desirability(cf) -> np.ndarray:
-        return np.asarray(local_table(partial(desirable_set, cf), bits), dtype=np.int64)
-
+    order = canonical_order(len(bits))
     sides = tuple(
-        (name, c, desirability(cf))
+        (name, c, local_table(partial(desirable_set, cf), bits))
         for name, cf, c in zip(("firm", "worker"), (problem.firm, problem.worker),
                                problem.tables)
     )
@@ -137,12 +133,12 @@ LAWS: tuple[tuple[str, str, Callable[[_Tables], str | None]], ...] = (
     ("L1C", "menu self-chosen iff menu within desirables",
      _per_side(_states(lambda a, c, d: (c == a) != ((a & ~d) == 0)))),
     ("L2A", "desirability antimonotone in the menu",
-     _per_side(lambda c, d, order: _antimonotonicity(d, order))),
+     _per_side(lambda c, d, order: antimonotonicity_witness(d, order))),
     # D(A) = D(C(A))
     ("L2B", "desirability unchanged after choosing",
      _per_side(_states(lambda a, c, d: d != d[c]))),
     ("LOB", "desirability fixed on its desirable core",
-     _per_side(lambda c, d, order: _lob_identity(d, order))),
+     _per_side(lambda c, d, order: lob_identity_witness(d, order))),
     ("L3", "ample fixpoints yield stable systems", _walk("ample", _unstable_fixpoint)),
     ("L4", "descent step preserves ampleness", _walk("ample", _descent_flaw)),
     ("L5", "modest systems are self-chosen on both sides",

@@ -122,8 +122,12 @@ def random_corpus(
     """A deterministic corpus of small random instances for sweeps.
 
     Shapes, densities and family mixes vary per entry but every instance
-    has at most ``max_contracts`` contracts.
+    has at most ``max_contracts`` contracts, at least 1.
     """
+    if count < 0:
+        raise DomainError(f"corpus size must be non-negative, got {count}")
+    if max_contracts < 1:
+        raise DomainError(f"max_contracts must be at least 1, got {max_contracts}")
     master = random.Random(master_seed)
     shapes = [
         (f, w)

@@ -76,7 +76,7 @@ def naive_desirable(cf, state: int) -> int:
 def naive_dense_table(cf) -> list[int]:
     """C(A) for every menu A of a dense ground, indexed by the mask A: one
     ``cf.evaluate`` per menu, independent of ``dense_table``'s per-part
-    gather and scatter."""
+    re-indexing."""
     return [cf.evaluate(menu) for menu in range(1 << cf.ground.bit_count())]
 
 

@@ -12,11 +12,10 @@ from stablecontracts.choice import (
     LinearOrder,
     Quota,
     Table,
-    _canonical_order,
     dense_table,
     validate_plott,
 )
-from stablecontracts.contractsets import canonical_sorted, mask_of, submasks
+from stablecontracts.contractsets import canonical_order, canonical_sorted, mask_of, submasks
 from stablecontracts.errors import CapExceededError, DomainError
 
 
@@ -34,6 +33,10 @@ class TestLinearOrder:
     def test_menu_outside_ground_rejected(self):
         with pytest.raises(DomainError):
             LinearOrder((0, 1)).evaluate(m(2))
+
+    def test_negative_menu_rejected(self):
+        with pytest.raises(DomainError):
+            LinearOrder((0, 1)).evaluate(-1)
 
 
 class TestQuota:
@@ -170,7 +173,7 @@ class TestValidatePlott:
     def test_scan_order_is_canonical(self):
         # witnesses are canonical only if the scan walks this order
         for k in range(11):
-            assert list(_canonical_order(k)) == canonical_sorted(range(1 << k))
+            assert list(canonical_order(k)) == canonical_sorted(range(1 << k))
 
 
 @st.composite

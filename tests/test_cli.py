@@ -176,6 +176,24 @@ def _star_document(firm_choice: dict) -> dict:
     }
 
 
+def _behind_64_contracts(doc: dict) -> dict:
+    """``doc`` with a filler firm's 64 contracts declared first, so its own
+    contracts get ids 64 and above; the filler agents are listed last."""
+    filler = [f"v{j}" for j in range(64)]
+    return {
+        "agents": doc["agents"]
+        + [{"id": "g", "side": "firm"}]
+        + [{"id": v, "side": "worker"} for v in filler],
+        "contracts": [{"id": f"g-{v}", "firm": "g", "worker": v} for v in filler]
+        + doc["contracts"],
+        "choices": {
+            **doc["choices"],
+            "g": {"family": "linear", "payload": [f"g-{v}" for v in filler]},
+            **{v: {"family": "linear", "payload": [f"g-{v}"]} for v in filler},
+        },
+    }
+
+
 class TestValidate:
     def test_valid_instance(self, capsys, i3_file):
         code, out, _ = run(capsys, "validate", i3_file)
@@ -205,10 +223,9 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "validate", str(path))
         assert code == 1
-        # the Instance check fails before every agent is scanned, so no
-        # agent is reported ok
-        assert out == ""
-        assert "[malformed]" in err
+        # the firms, listed before the worker at fault, passed their checks
+        assert out == "agent f1: ok\nagent f2: ok\n"
+        assert "[malformed]" in err and repr(worker) in err
 
     def test_agent_over_the_cap_is_coded(self, capsys, tmp_path):
         # the firm's best-first choice written out as a 13-contract table
@@ -223,9 +240,8 @@ class TestValidate:
         path.write_text(json.dumps(_star_document({"family": "table", "payload": table})))
         code, out, err = run(capsys, "validate", str(path))
         assert code == 1
-        # only an axiom violation is rendered agent by agent
-        assert out == ""
-        assert "[malformed]" in err and "capped at 12" in err
+        assert out == "".join(f"agent {w}: ok\n" for w in WORKERS_13)
+        assert "[malformed]" in err and "capped at 12" in err and "agent 'f'" in err
 
     def test_linear_agent_over_the_old_cap_validates(self, capsys, tmp_path):
         path = tmp_path / "linear_13.json"
@@ -236,6 +252,25 @@ class TestValidate:
         assert code == 0
         assert out == "".join(f"agent {a}: ok\n" for a in WORKERS_13 + ["f"]) + "valid\n"
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [document_from_instance(poset_table_instance()), bad_table_documents()["consistency"]],
+    )
+    def test_table_agent_past_id_63(self, capsys, tmp_path, doc):
+        # the table's menus and choices hold ids past int64's bits
+        reports = []
+        for name, d in (("plain", doc), ("shifted", _behind_64_contracts(doc))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(d))
+            reports.append(run(capsys, "validate", str(path)))
+        (code, out, err), (shifted_code, shifted_out, shifted_err) = reports
+        assert (shifted_code, shifted_err) == (code, err)
+        filler = "agent g: ok\n" + "".join(f"agent v{j}: ok\n" for j in range(64))
+        if code == 0:
+            assert shifted_out == out.replace("valid\n", filler + "valid\n")
+        else:
+            assert shifted_out == out and "failed at" in out
 
     def test_scans_each_agent_once(self, capsys, tmp_path, monkeypatch):
         # each table agent, that is: linear and quota agents are certified
@@ -318,6 +353,13 @@ class TestLemmas:
         code, out, _ = run(capsys, "lemmas", "--problems", "0", i1_file)
         assert code == 0
         assert "problems = 4" in out
+
+    @pytest.mark.parametrize("flags", [["--max-contracts", "0"], ["--max-contracts", "-3"],
+                                       ["--problems", "-1"]])
+    def test_empty_corpus_bounds_are_coded(self, capsys, flags):
+        code, out, err = run(capsys, "lemmas", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_refuses_a_problem_over_the_cap(self, capsys, tmp_path):
         path = tmp_path / "linear_13.json"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,9 +6,13 @@ from hypothesis import strategies as st
 from stablecontracts.contractsets import (
     canonical_key,
     canonical_sorted,
+    check_subset,
+    compress,
+    expand,
     full_mask,
     ids_of,
     is_subset,
+    local_table,
     mask_of,
     submasks,
 )
@@ -24,6 +29,13 @@ def test_mask_round_trip_examples():
 def test_negative_id_rejected():
     with pytest.raises(DomainError):
         mask_of([-1])
+
+
+def test_negative_mask_rejected():
+    with pytest.raises(DomainError):
+        ids_of(-1)
+    with pytest.raises(DomainError):
+        check_subset(-1, 0b111)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=40)))
@@ -58,3 +70,48 @@ def test_canonical_order_prefers_cardinality_then_ids():
 @given(st.integers(min_value=0, max_value=1023), st.integers(min_value=0, max_value=1023))
 def test_is_subset_matches_set_semantics(a, b):
     assert is_subset(a, b) == set(ids_of(a)).issubset(ids_of(b))
+
+
+ids_up_to_200 = st.lists(st.integers(0, 200), max_size=12, unique=True).map(sorted)
+
+
+@given(ids_up_to_200, st.integers(0, (1 << 201) - 1))
+def test_expand_and_compress_round_trip(bits, mask):
+    local = compress(mask, bits)
+    assert local < 1 << len(bits)
+    assert expand(local, bits) == mask & mask_of(bits)
+    assert compress(expand(local, bits), bits) == local
+
+
+@given(
+    st.integers(1, 20).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, n - 1), unique=True).map(sorted),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50),
+        )
+    )
+)
+def test_arrays_agree_with_ints_on_dense_grounds(case):
+    bits, masks = case
+    arr = np.array(masks, dtype=np.int64)
+    assert compress(arr, bits).tolist() == [compress(x, bits) for x in masks]
+    locals_ = [x % (1 << len(bits)) for x in masks]
+    assert expand(np.array(locals_, dtype=np.int64), bits).tolist() == [
+        expand(x, bits) for x in locals_
+    ]
+
+
+@pytest.mark.parametrize("bits", [[3, 9, 40], [64, 70, 100, 130], [0, 5, 63, 64, 200]])
+def test_local_table_matches_a_per_menu_loop(bits):
+    # keeps the two lowest ids of the menu, which must arrive as an int
+    def fn(menu):
+        assert isinstance(menu, int)
+        return mask_of(ids_of(menu)[:2])
+
+    table = local_table(fn, bits)
+    expected = [
+        sum(1 << i for i, b in enumerate(bits) if fn(menu) >> b & 1)
+        for menu in submasks(mask_of(bits))
+    ]
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tolist() == expected

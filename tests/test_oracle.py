@@ -88,6 +88,15 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_instance(0, 1, 1, family_mix={"table": 1.0})
 
+    @pytest.mark.parametrize("count, max_contracts", [(1, 0), (1, -3), (-1, 8)])
+    def test_corpus_bounds(self, count, max_contracts):
+        with pytest.raises(DomainError):
+            random_corpus(count, max_contracts=max_contracts)
+
+    def test_corpus_edges(self):
+        assert random_corpus(0, max_contracts=1) == []
+        assert all(inst.size <= 1 for inst in random_corpus(5, max_contracts=1))
+
 
 class TestExistence:
     def test_stable_systems_always_exist_smoke(self):

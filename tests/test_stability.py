@@ -61,6 +61,10 @@ class TestStable:
         with pytest.raises(DomainError):
             is_stable(p1, m(5))
 
+    def test_negative_set_rejected(self, p1):
+        with pytest.raises(DomainError):
+            is_stable(p1, -1)
+
 
 class TestProp1:
     def test_examples(self, p1):
