@@ -14,15 +14,30 @@ certificate per family.  For every other family (``Table``) the axioms are
 an empirical property: ``validate_plott`` checks all three exhaustively
 over the power set of the ground (never by sampling), and it can check
 certified families too.  The power-set layout comes from ``contractsets``:
-``local_table`` tabulates a function over a ground's local masks, and
-``canonical_order`` sorts menus by cardinality, then lexicographically by
-contract ids.  Each axiom is one blocked numpy scan (``first_pair``) over
-pairs (A, B): A runs in canonical order, and for each A, B does too.  The
-scan stops at the first offending pair, which is the reported witness, so
-detection and witness are one computation.  The desirability-operator laws
-run through the same scanner.  The equivalence between the axioms doubles
-as a self-check: a report where the first two pass and path independence
-fails raises, because it can only mean the scanner itself is broken.
+``local_table`` tabulates a function over a ground's local masks,
+``single_steps`` lists every one-contract step (A, A ∪ {x}) between them,
+and ``canonical_order`` sorts menus by cardinality, then lexicographically
+by contract ids.
+
+Each axiom is decided by a one-contract version of itself, which a chain
+of single additions or removals turns back into the global form (Plott
+1973; Aizerman & Malishevski 1981); for every contract x and menu A
+without it:
+
+  consistency         C(A ∪ {x}) ⊆ A implies C(A) = C(A ∪ {x})
+  substitutability    C(A ∪ {x}) ∩ A ⊆ C(A)
+  path independence   C(C(A)) = C(A), and C(S ∪ {x}) = C(C(S) ∪ {x})
+                      for every S, with x in S or not
+
+Each rule is one numpy pass over all k·2^(k-1) steps of the 2^k table.
+Only a law that fails runs its witness finder, a blocked numpy scan
+(``first_pair``) over pairs (A, B): A runs in canonical order, and for each
+A, B does too, and the first offending pair is the reported witness.  The
+desirability-operator laws run the same way.  Path independence is decided
+on its own, so the equivalence between the axioms doubles as a self-check:
+a report where the first two pass and path independence fails raises, as
+does a failing rule whose finder finds no witness, because either can only
+mean the checks themselves are broken.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ from .contractsets import (
     ids_of,
     local_table,
     mask_of,
+    single_steps,
     submasks,
 )
 from .errors import (
@@ -339,8 +355,11 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
 def validate_plott(cf: ChoiceFunction) -> ValidationReport:
     """Exhaustively check consistency, substitutability and path independence.
 
-    Raises CapExceededError when the ground exceeds ``EXHAUSTIVE_CAP`` (12)
-    contracts; there is deliberately no sampling fallback.
+    Each axiom is decided by its one-contract rule, O(k·2^k) on a ground of
+    k contracts; only a failing axiom runs the 4^k scan that names its
+    canonical witness.  Raises CapExceededError when the ground exceeds
+    ``EXHAUSTIVE_CAP`` (12) contracts; there is deliberately no sampling
+    fallback.
     """
     report = check_laws(cf.evaluate, cf.ground, _PLOTT_LAWS, "axiom")
     cons, subst, pathind = report.checks
@@ -355,11 +374,10 @@ def validate_plott(cf: ChoiceFunction) -> ValidationReport:
 def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
     """Tabulate ``fn`` over the power set of ``ground`` and run every law.
 
-    Each law is a ``(name, finder)`` row; ``finder(arr, order)`` gets the
-    table as an array over local masks plus the canonical order of those
-    masks, and returns the first offending local masks or None.  Witnesses
-    are reported in the ground's own contract ids.  Raises
-    CapExceededError when the ground exceeds ``EXHAUSTIVE_CAP`` contracts.
+    Each law is a ``(name, holds, finder)`` row, run by ``law_witness`` on
+    the table as an array over local masks.  Witnesses are reported in the
+    ground's own contract ids.  Raises CapExceededError when the ground
+    exceeds ``EXHAUSTIVE_CAP`` contracts.
     """
     bits = ids_of(ground)
     if len(bits) > EXHAUSTIVE_CAP:
@@ -370,12 +388,32 @@ def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
     arr = local_table(fn, bits)
     order = canonical_order(len(bits))
     checks = []
-    for name, finder in laws:
-        witness = finder(arr, order)
+    for name, holds, finder in laws:
+        witness = law_witness(arr, order, holds, finder)
         if witness is not None:
             witness = tuple(expand(w, bits) for w in witness)
         checks.append(AxiomCheck(name, witness is None, witness))
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
+
+
+def law_witness(arr: np.ndarray, order: np.ndarray, holds, finder):
+    """The first offending local masks of a law on the table ``arr``, or
+    None when the law holds.
+
+    ``holds(arr, bit, a, ab)`` decides the law from the ``single_steps``
+    arrays, with elementwise operators over all steps at once.  Only when
+    it fails does ``finder(arr, order)`` scan for the canonical witness;
+    a failing law whose finder finds none raises InternalInconsistencyError.
+    """
+    if holds(arr, *single_steps(len(arr).bit_length() - 1)):
+        return None
+    witness = finder(arr, order)
+    if witness is None:
+        raise InternalInconsistencyError(
+            "a one-contract rule failed but the exhaustive scan found no "
+            "witness; the law checks themselves are inconsistent"
+        )
+    return witness
 
 
 def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | None:
@@ -405,6 +443,29 @@ def first_state(bad: np.ndarray, order: np.ndarray) -> tuple[Mask] | None:
     return (int(order[hits.argmax()]),) if hits.any() else None
 
 
+def _consistent(arr, bit, a, ab):
+    # C(A ∪ {x}) ⊆ A implies C(A) = C(A ∪ {x}): the axiom itself for the
+    # pair (A ∪ {x}, A), so the rule needs no C(S) ⊆ S to be exact
+    cab = arr[ab]
+    return bool((((cab & ~a) != 0) | (arr[a] == cab)).all())
+
+
+def _substitutable(arr, bit, a, ab):
+    # C(A ∪ {x}) ∩ A ⊆ C(A)
+    return not (arr[ab] & a & ~arr[a]).any()
+
+
+def _path_independent(arr, bit, a, ab):
+    # idempotence, the induction base, then C(S ∪ {x}) = C(C(S) ∪ {x})
+    # for S = A (x ∉ S) and S = A ∪ {x} (x ∈ S)
+    cab = arr[ab]
+    return bool(
+        (arr[arr] == arr).all()
+        and (arr[arr[a] | bit] == cab).all()
+        and (arr[cab | bit] == cab).all()
+    )
+
+
 def _consistency(arr, order):
     # offending when C(A) ⊆ B ⊆ A but C(B) ≠ C(A)
     return first_pair(
@@ -426,7 +487,7 @@ def _path_independence(arr, order):
 
 
 _PLOTT_LAWS = (
-    (CONSISTENCY, _consistency),
-    (SUBSTITUTABILITY, _substitutability),
-    (PATH_INDEPENDENCE, _path_independence),
+    (CONSISTENCY, _consistent, _consistency),
+    (SUBSTITUTABILITY, _substitutable, _substitutability),
+    (PATH_INDEPENDENCE, _path_independent, _path_independence),
 )

@@ -10,8 +10,9 @@ This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
 it back, on ints or elementwise on numpy arrays.  ``local_table`` tabulates
-a function over the 2^k local masks, and ``canonical_order`` lists those
-masks in the canonical scan order of ``canonical_key``.
+a function over the 2^k local masks, ``canonical_order`` lists those
+masks in the canonical scan order of ``canonical_key``, and ``single_steps``
+lists every one-contract step (A, A ∪ {x}) between them.
 """
 
 from __future__ import annotations
@@ -136,6 +137,22 @@ def canonical_order(k: int) -> np.ndarray:
     order = np.lexsort((-rev, pop))
     order.flags.writeable = False
     return order
+
+
+@functools.lru_cache(maxsize=None)
+def single_steps(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every one-contract step over k local bits as three flat arrays
+    (bit, A, A | bit): for each bit, every mask A without it, ascending.
+    That is k·2^(k-1) steps; cached per k and therefore read-only."""
+    half = (1 << k) >> 1
+    low = (1 << np.arange(k, dtype=np.int64)[:, None]) - 1
+    m = np.arange(half, dtype=np.int64)
+    a = ((m & ~low) << 1 | (m & low)).ravel()
+    bit = np.repeat(low.ravel() + 1, half)
+    steps = (bit, a, a | bit)
+    for x in steps:
+        x.flags.writeable = False
+    return steps
 
 
 def canonical_sorted(masks: Iterable[Mask]) -> list[Mask]:

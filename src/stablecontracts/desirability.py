@@ -8,9 +8,11 @@ C(A) = A ∩ D(A) and obeys two laws:
   Löb identity        D(A) = D(A ∩ D(A))
 
 ``validate_desirability_operator`` checks both exhaustively with the law
-scanner of ``choice``: antimonotonicity is a pair scan like
-substitutability, the Löb identity a scan over single states, and both
-report the first offending sets in the canonical order.
+rows of ``choice``: antimonotonicity is decided by its one-contract rule
+D(A ∪ {x}) ⊆ D(A), which chains to every A ⊆ B, and names its witness
+with a pair scan like substitutability; the Löb identity is a scan over
+single states.  Both report the first offending sets in the canonical
+order.
 
 Conversely, any total map with these two properties induces a choice
 function that passes the rationality axioms; ``choice_from_desirability``
@@ -42,6 +44,7 @@ from .choice import (
     check_laws,
     first_pair,
     first_state,
+    law_witness,
 )
 from .contractsets import Mask, check_subset, ids_of, submasks
 from .errors import DomainError
@@ -108,8 +111,10 @@ class DesirabilityOperator:
 def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport:
     """Exhaustively check antimonotonicity and the Löb identity.
 
-    Witnesses follow the same canonical scan order as the choice-function
-    validator.  An operator over ``EXHAUSTIVE_CAP`` (12) contracts raises
+    Antimonotonicity is decided by its one-contract rule in O(k·2^k); only
+    a failing operator runs the 4^k pair scan for its witness.  Witnesses
+    follow the same canonical scan order as the choice-function validator.
+    An operator over ``EXHAUSTIVE_CAP`` (12) contracts raises
     CapExceededError; any other report is cached on the operator.
     """
     if op._report is None:
@@ -119,21 +124,37 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
 
 def antimonotonicity_witness(arr, order):
     """The first pair (A, B) of the table ``arr`` with A ⊆ B but
-    D(B) ⊄ D(A), A and B in ``order``; or None."""
-    return first_pair(
-        arr, order, lambda a, da, b, db: ((a & ~b) == 0) & ((db & ~da) != 0)
-    )
+    D(B) ⊄ D(A), A and B in ``order``; or None.  The one-contract rule
+    decides first, so an antimonotone table makes no pair scan."""
+    return law_witness(arr, order, _antimonotone, _antimonotonicity_pair)
 
 
 def lob_identity_witness(arr, order):
     """The first state A of the table ``arr`` in ``order`` with
     D(A) ≠ D(A ∩ D(A)), as a 1-tuple; or None."""
-    return first_state(arr != arr[np.arange(len(arr)) & arr], order)
+    return first_state(_lob_breaks(arr), order)
+
+
+def _lob_breaks(arr):
+    # a law on single states, so its rule is the law itself
+    return arr != arr[np.arange(len(arr)) & arr]
+
+
+def _antimonotone(arr, bit, a, ab):
+    # D(A ∪ {x}) ⊆ D(A)
+    return not (arr[ab] & ~arr[a]).any()
+
+
+def _antimonotonicity_pair(arr, order):
+    return first_pair(
+        arr, order, lambda a, da, b, db: ((a & ~b) == 0) & ((db & ~da) != 0)
+    )
 
 
 _OPERATOR_LAWS = (
-    (ANTIMONOTONICITY, antimonotonicity_witness),
-    (LOB_IDENTITY, lob_identity_witness),
+    (ANTIMONOTONICITY, _antimonotone, _antimonotonicity_pair),
+    (LOB_IDENTITY, lambda arr, *steps: not _lob_breaks(arr).any(),
+     lob_identity_witness),
 )
 
 

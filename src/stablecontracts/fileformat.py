@@ -160,6 +160,18 @@ def _resolve_labels(
     return out
 
 
+def _row_set(
+    agent_id: str, entry: dict, key: str, index_by_label: dict[str, int]
+) -> Mask:
+    ids = _resolve_labels(agent_id, entry[key], index_by_label)
+    mask = mask_of(ids)
+    if mask.bit_count() != len(ids):
+        raise ParseError(
+            "malformed", f"agent {agent_id!r}: table row {key} repeats a contract id"
+        )
+    return mask
+
+
 def _parse_choice(
     agent_id: str, raw: Any, index_by_label: dict[str, int]
 ) -> ChoiceFunction:
@@ -203,8 +215,8 @@ def _parse_choice(
                     "malformed",
                     f"agent {agent_id!r}: table rows need 'menu' and 'choice'",
                 )
-            menu = mask_of(_resolve_labels(agent_id, entry["menu"], index_by_label))
-            chosen = mask_of(_resolve_labels(agent_id, entry["choice"], index_by_label))
+            menu = _row_set(agent_id, entry, "menu", index_by_label)
+            chosen = _row_set(agent_id, entry, "choice", index_by_label)
             if menu in entries:
                 raise ParseError(
                     "malformed",

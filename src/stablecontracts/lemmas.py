@@ -9,7 +9,8 @@ bug in the library (or a deliberately invalid problem fed to the suite).
 Each problem is tabulated once: both sides' C (the problem's cached
 ``tables``) and D (from ``desirable_set``, the form that runs) and its
 ample and modest sets.  The per-side laws scan those arrays, L2A and LOB
-with the rows of ``validate_desirability_operator``; the route laws walk
+with the rows of ``validate_desirability_operator`` (L2A by its one-contract
+rule, with a pair scan only for a witness); the route laws walk
 the ample or modest sets through the library's own steps.  Witnesses are
 canonical-first.  Problems over ``LEMMA_SUITE_CAP`` (12) contracts are
 refused before any law.

@@ -1,7 +1,14 @@
 import pytest
 
 from stablecontracts import reduce_to_two_agents
-from stablecontracts.contractsets import canonical_sorted, ids_of, mask_of, submasks
+from stablecontracts.contractsets import (
+    canonical_sorted,
+    ids_of,
+    local_table,
+    mask_of,
+    single_steps,
+    submasks,
+)
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -98,3 +105,11 @@ def naive_operator_witnesses(op) -> dict[str, tuple[int, ...] | None]:
             ((a,) for a in order if d(a) != d(a & d(a))), None
         ),
     }
+
+
+def rule_verdicts(laws, fn, ground) -> dict[str, bool]:
+    """Whether each law row's one-contract rule holds on the table of
+    ``fn`` over ``ground``, without the witness scan."""
+    bits = ids_of(ground)
+    arr = local_table(fn, bits)
+    return {name: holds(arr, *single_steps(len(bits))) for name, holds, _ in laws}

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_axiom_verdicts, naive_axiom_witnesses, naive_dense_table
+from conftest import (
+    m,
+    naive_axiom_verdicts,
+    naive_axiom_witnesses,
+    naive_dense_table,
+    rule_verdicts,
+)
+from stablecontracts import choice
 from stablecontracts.choice import (
+    PATH_INDEPENDENCE,
     Aggregate,
     ChoiceFunction,
     LinearOrder,
@@ -15,8 +23,14 @@ from stablecontracts.choice import (
     dense_table,
     validate_plott,
 )
-from stablecontracts.contractsets import canonical_order, canonical_sorted, mask_of, submasks
-from stablecontracts.errors import CapExceededError, DomainError
+from stablecontracts.contractsets import (
+    canonical_order,
+    canonical_sorted,
+    ids_of,
+    mask_of,
+    submasks,
+)
+from stablecontracts.errors import CapExceededError, DomainError, InternalInconsistencyError
 
 
 class TestLinearOrder:
@@ -281,6 +295,102 @@ def test_validator_agrees_with_naive_oracle(cf):
     assert verdicts["path-independence"] == (
         verdicts["consistency"] and verdicts["substitutability"]
     )
+
+
+@st.composite
+def table_up_to_six(draw):
+    """An arbitrary table, or a quota's table with one to three menus
+    re-chosen, over 0 to 6 dense or sparse contract ids."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True))
+    ground = mask_of(ids)
+
+    def any_subset(menu):
+        return menu & draw(st.integers(min_value=0, max_value=ground))
+
+    if draw(st.booleans()):
+        return Table(ground, {a: any_subset(a) for a in submasks(ground)})
+    quota = Quota(draw(st.integers(min_value=1, max_value=max(len(ids), 1))),
+                  tuple(draw(st.permutations(ids))))
+    entries = {a: quota.evaluate(a) for a in submasks(ground)}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a = draw(st.sampled_from(sorted(entries)))
+        entries[a] = any_subset(a)
+    return Table(ground, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_up_to_six())
+def test_one_contract_rules_agree_with_the_global_scan(cf):
+    assert rule_verdicts(choice._PLOTT_LAWS, cf.evaluate, cf.ground) == (
+        naive_axiom_verdicts(cf)
+    )
+    report = validate_plott(cf)
+    assert {c.axiom: c.witness for c in report.checks} == naive_axiom_witnesses(cf)
+
+
+def _pairs_counted(monkeypatch):
+    calls = []
+    original = choice.first_pair
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(choice, "first_pair", counting)
+    return calls
+
+
+class TestOneContractRules:
+    # C(∅) = ∅, each singleton chosen, C({e1, e2}) = ∅: the steps with
+    # x ∉ S and idempotence all hold, and only a step with x ∈ S catches it
+    # (S = {e1, e2}, x = e1: C(S) = ∅ but C(C(S) ∪ {x}) = {e1})
+    NEEDS_STEPS_INSIDE = Table(m(0, 1), {0: 0, m(0): m(0), m(1): m(1), m(0, 1): 0})
+
+    def test_path_independence_needs_the_steps_inside_the_set(self):
+        cf = self.NEEDS_STEPS_INSIDE
+        c = cf.evaluate
+        outside = all(
+            c(s | 1 << x) == c(c(s) | 1 << x)
+            for s in submasks(cf.ground) for x in ids_of(cf.ground & ~s)
+        )
+        idempotent = all(c(c(a)) == c(a) for a in submasks(cf.ground))
+        assert outside and idempotent
+        assert naive_axiom_witnesses(cf)["path-independence"] == (m(0, 1), m(0))
+        report = validate_plott(cf)
+        assert report.check("path-independence").witness == (m(0, 1), m(0))
+        assert not rule_verdicts(choice._PLOTT_LAWS, c, cf.ground)["path-independence"]
+
+    def test_valid_table_makes_no_pair_scan(self, monkeypatch, poset):
+        calls = _pairs_counted(monkeypatch)
+        for cf in (poset.choices["f1"], Table(m(0, 2, 3), {
+            a: Quota(2, (3, 0, 2)).evaluate(a) for a in submasks(m(0, 2, 3))
+        })):
+            assert validate_plott(cf).passed
+        assert calls == []
+
+    def test_each_failing_law_makes_one_pair_scan(self, monkeypatch):
+        # breaks consistency, and so path independence, but not
+        # substitutability: one scan each for the two failing laws
+        calls = _pairs_counted(monkeypatch)
+        cf = Table(m(0, 1, 2), {
+            0: 0, m(0): m(0), m(1): m(1), m(2): m(2),
+            m(0, 1): m(0, 1), m(0, 2): m(0), m(1, 2): m(1), m(0, 1, 2): m(0),
+        })
+        report = validate_plott(cf)
+        assert [c.passed for c in report.checks] == [False, True, False]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("finder", [
+        choice._path_independence,  # finds no witness on a valid table
+        lambda arr, order: (0, 0),  # a witness the other two axioms deny
+    ], ids=["no-witness", "denied-witness"])
+    def test_false_path_independence_failure_is_internal(self, monkeypatch, poset, finder):
+        cons, subst, _ = choice._PLOTT_LAWS
+        monkeypatch.setattr(choice, "_PLOTT_LAWS", (
+            cons, subst, (PATH_INDEPENDENCE, lambda arr, *steps: False, finder),
+        ))
+        with pytest.raises(InternalInconsistencyError):
+            validate_plott(poset.choices["f1"])
 
 
 @st.composite

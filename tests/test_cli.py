@@ -294,6 +294,20 @@ class TestValidate:
             assert len(calls) == tables
             assert all(isinstance(cf, Table) for cf in calls)
 
+    def test_false_path_independence_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        # a path-independence rule that fails a valid table contradicts
+        # the other two axioms: the self-check stops the load
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(document_from_instance(poset_table_instance())))
+        cons, subst, (name, _, finder) = choice._PLOTT_LAWS
+        monkeypatch.setattr(choice, "_PLOTT_LAWS", (
+            cons, subst, (name, lambda arr, *steps: False, finder),
+        ))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal inconsistency: ")
+
     def test_reports_the_same_first_fault_as_solve(self, capsys, tmp_path):
         # a ground mismatch on the first-listed agent, then a table agent
         # that breaks consistency: both commands stop at the mismatch

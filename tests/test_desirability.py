@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_desirable, naive_operator_witnesses
-from stablecontracts import fixtures
+from conftest import m, naive_desirable, naive_operator_witnesses, rule_verdicts
+from stablecontracts import desirability, fixtures
 from stablecontracts.choice import (
     Aggregate,
     LinearOrder,
@@ -21,6 +21,7 @@ from stablecontracts.desirability import (
 )
 from stablecontracts.errors import CapExceededError, DomainError
 from stablecontracts.instance import reduce_to_two_agents
+from stablecontracts.lemmas import run_lemma_suite
 from stablecontracts.oracle import random_corpus
 
 
@@ -224,6 +225,48 @@ def test_operator_validator_agrees_with_naive_oracle(op):
     assert {c.axiom: c.passed for c in report.checks} == {
         axiom: w is None for axiom, w in witnesses.items()
     }
+
+
+@st.composite
+def operator_up_to_six(draw):
+    """An arbitrary map, or a linear order's or quota's operator with one
+    to three states remapped, over 0 to 6 dense or sparse contract ids."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True))
+    ground = mask_of(ids)
+
+    def any_state():
+        return draw(st.integers(min_value=0, max_value=ground)) & ground
+
+    if draw(st.booleans()):
+        return DesirabilityOperator(ground, {a: any_state() for a in submasks(ground)})
+    order = tuple(draw(st.permutations(ids)))
+    cf = LinearOrder(order) if not ids or draw(st.booleans()) else Quota(
+        draw(st.integers(min_value=1, max_value=len(ids))), order
+    )
+    table = {a: desirable_set(cf, a) for a in submasks(ground)}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        table[draw(st.sampled_from(sorted(table)))] = any_state()
+    return DesirabilityOperator(ground, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_up_to_six())
+def test_one_contract_rules_agree_with_the_global_scan(op):
+    witnesses = naive_operator_witnesses(op)
+    assert rule_verdicts(desirability._OPERATOR_LAWS, op.map, op.ground) == {
+        axiom: w is None for axiom, w in witnesses.items()
+    }
+    report = validate_desirability_operator(op)
+    assert {c.axiom: c.witness for c in report.checks} == witnesses
+
+
+def test_lemma_suite_makes_no_pair_scan_on_valid_problems(monkeypatch):
+    calls = []
+    monkeypatch.setattr(desirability, "first_pair", lambda *args: calls.append(args))
+    problems = [(f"p{i}", reduce_to_two_agents(inst))
+                for i, inst in enumerate(random_corpus(10, master_seed=3))]
+    assert all(law.passed for law in run_lemma_suite(problems))
+    assert calls == []
 
 
 @st.composite

@@ -230,6 +230,19 @@ class TestParseErrors:
                 instance_from_document(doc)
             assert err.value.code == "malformed"
 
+    @pytest.mark.parametrize("key", ["menu", "choice"])
+    def test_table_row_repeating_a_contract_is_malformed(self, capsys, tmp_path, key):
+        # a linear or quota payload with a repeat is malformed too
+        row = {"menu": ["e"], "choice": ["e"], key: ["e", "e"]}
+        doc = _fault(f=None)
+        doc["choices"]["f"] = {
+            "family": "table", "payload": [{"menu": [], "choice": []}, row],
+        }
+        assert cli.main(["validate", _write(tmp_path, doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error [malformed]: agent 'f': table row {key} repeats a contract id\n"
+
     @pytest.mark.parametrize("name", ["consistency", "substitutability", "both"])
     def test_axiom_violations_reported_with_code(self, name):
         doc = bad_table_documents()[name]
