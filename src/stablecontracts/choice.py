@@ -14,7 +14,8 @@ certificate per family.  For every other family (``Table``) the axioms are
 an empirical property: ``validate_plott`` checks all three exhaustively
 over the power set of the ground (never by sampling), and it can check
 certified families too.  The power-set layout comes from ``contractsets``:
-``local_table`` tabulates a function over a ground's local masks,
+``local_table`` tabulates a function over a ground's local masks (a
+``Table`` is stored as that array, so ``tabulate`` returns it as it is),
 ``single_steps`` lists every one-contract step (A, A ∪ {x}) between them,
 and ``canonical_order`` sorts menus by cardinality, then lexicographically
 by contract ids.
@@ -57,7 +58,6 @@ from .contractsets import (
     local_table,
     mask_of,
     single_steps,
-    submasks,
 )
 from .errors import (
     CapExceededError,
@@ -66,6 +66,11 @@ from .errors import (
 )
 
 EXHAUSTIVE_CAP = 12
+
+# Table entries that are no choice: a menu no row lists, and a choice that
+# names a contract outside the table's ground (``Table.from_rows``)
+_MISSING = -1
+OUTSIDE = -2
 
 CONSISTENCY = "consistency"
 SUBSTITUTABILITY = "substitutability"
@@ -115,6 +120,11 @@ class ChoiceFunction(abc.ABC):
                 out |= low
             g ^= low
         return out
+
+    def tabulate(self) -> np.ndarray:
+        """C(A) for every subset A of the ground, as ``local_table`` lays
+        it out: one evaluation per menu unless the family stores the array."""
+        return local_table(self.evaluate, ids_of(self.ground))
 
     @abc.abstractmethod
     def _choose(self, menu: Mask) -> Mask:
@@ -214,44 +224,95 @@ def _held_prefix(order: tuple[int, ...], state: Mask, held: int) -> Mask:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Table(ChoiceFunction):
     """Explicit choice listed for every subset of the ground set.
+
+    A table holds its ground's contract ids ``bits`` (ascending) and one
+    read-only int64 array ``table`` of 2^k entries, laid out as
+    ``contractsets.local_table`` lays out every power set: entry A is C(A)
+    for the menu A, both over local bits 0..k-1.  The axiom check and
+    ``dense_table`` read that array as it is, ``evaluate`` compresses the
+    menu to its local mask and expands the entry back to contract ids, and
+    ``desirable`` compresses the state once and reads one entry per ground
+    contract.  ``Table(ground, mapping)`` tabulates a menu-to-choice
+    mapping in contract ids; the document decoder uses ``from_rows``.
 
     The table must be total over the power set and each entry must satisfy
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
     question answered by ``validate_plott``, so a table is never Plott by
     construction: instances scan every table agent and reject non-Plott
     tables at load time, but free-standing tables may be built invalid on
-    purpose to exercise the validator.  ``desirable`` is the base-class
-    definition, one table lookup per ground contract.
+    purpose to exercise the validator.
     """
 
     ground: Mask
-    entries: Mapping[Mask, Mask]
+    bits: tuple[int, ...]
+    table: np.ndarray
 
-    def __post_init__(self):
-        k = self.ground.bit_count()
+    def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
+        """Tabulate ``mapping``, menu to choice in contract ids, over
+        ``ground``."""
+        bits = ids_of(ground)
+        rows = {
+            compress(a, bits): OUTSIDE if c & ~a else compress(c, bits)
+            for a, c in mapping.items() if not a & ~ground
+        }
+        self._fill(bits, list(rows), list(rows.values()))
+        if len(rows) != len(mapping):
+            raise DomainError("table lists menus outside the ground set")
+
+    @classmethod
+    def from_rows(cls, ids, menus, choices) -> Table:
+        """The table choosing ``choices[i]`` from the distinct ``menus[i]``,
+        masks over local bits that stand for ``ids`` in the order given (a
+        decoder numbers contracts as it meets them); a choice of
+        ``OUTSIDE`` names a contract outside the ground."""
+        table = object.__new__(cls)
+        table._fill(ids, menus, choices)
+        return table
+
+    def _fill(self, ids: list[int], menus, choices) -> None:
+        # the one check of every table: its size, then the first menu, in
+        # ascending mask order, that is missing or chooses outside itself
+        k = len(ids)
         if k > 20:
             raise DomainError(f"table over {k} contracts is too large")
-        entries = dict(self.entries)
-        seen = 0
-        for menu in submasks(self.ground):
-            if menu not in entries:
-                raise DomainError(
-                    f"table is not total: menu {ids_of(menu)} is missing"
-                )
-            if entries[menu] & ~menu:
-                raise DomainError(
-                    f"table entry for menu {ids_of(menu)} chooses outside it"
-                )
-            seen += 1
-        if len(entries) != seen:
-            raise DomainError("table lists menus outside the ground set")
-        object.__setattr__(self, "entries", entries)
+        bits = sorted(ids)
+        rank = [bits.index(i) for i in ids]
+        choices = np.asarray(choices, dtype=np.int64)
+        table = np.full(1 << k, _MISSING, dtype=np.int64)
+        table[expand(np.asarray(menus, dtype=np.int64), rank)] = np.where(
+            choices < 0, choices, expand(choices, rank)
+        )
+        bad = (table & ~np.arange(1 << k)) != 0
+        if bad.any():
+            first = int(bad.argmax())
+            menu = [bits[i] for i in ids_of(first)]
+            if table[first] == _MISSING:
+                raise DomainError(f"table is not total: menu {menu} is missing")
+            raise DomainError(f"table entry for menu {menu} chooses outside it")
+        table.flags.writeable = False
+        object.__setattr__(self, "ground", mask_of(bits))
+        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.bits == other.bits and np.array_equal(self.table, other.table)
+
+    def tabulate(self) -> np.ndarray:
+        return self.table
 
     def _choose(self, menu: Mask) -> Mask:
-        return self.entries[menu]
+        return expand(self.table.item(compress(menu, self.bits)), self.bits)
+
+    def desirable(self, state: Mask) -> Mask:
+        # local bit i is desirable when the entry of state ∪ {i} holds it
+        s, t = compress(state, self.bits), self.table
+        local = sum(1 << i for i in range(len(self.bits)) if t.item(s | 1 << i) >> i & 1)
+        return expand(local, self.bits)
 
 
 @dataclass(frozen=True)
@@ -335,10 +396,11 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
 
     Returns a read-only int64 array of 2^n entries; requires the ground to
     be {0, ..., n-1}.  Each part of an ``Aggregate`` (any other function is
-    one part) is evaluated once per subset of its own ground, 2^deg calls,
-    through ``local_table``.  That table is re-indexed to contract ids, and
-    every mask's row reads its entry at the mask's slice of the part's
-    ground, compressed to a local index: one 2^n gather per part.
+    one part) is tabulated over the subsets of its own ground by
+    ``tabulate``: 2^deg evaluations, or none for a ``Table``, which stores
+    that array.  It is re-indexed to contract ids, and every mask's row
+    reads its entry at the mask's slice of the part's ground, compressed to
+    a local index: one 2^n gather per part.
     """
     n = cf.ground.bit_count()
     if cf.ground != (1 << n) - 1:
@@ -347,7 +409,7 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
     table = np.zeros_like(masks)
     for part in cf.parts if isinstance(cf, Aggregate) else (cf,):
         bits = ids_of(part.ground)
-        table |= expand(local_table(part.evaluate, bits), bits)[compress(masks, bits)]
+        table |= expand(part.tabulate(), bits)[compress(masks, bits)]
     table.flags.writeable = False
     return table
 
@@ -361,7 +423,7 @@ def validate_plott(cf: ChoiceFunction) -> ValidationReport:
     ``EXHAUSTIVE_CAP`` (12) contracts; there is deliberately no sampling
     fallback.
     """
-    report = check_laws(cf.evaluate, cf.ground, _PLOTT_LAWS, "axiom")
+    report = check_laws(cf, _PLOTT_LAWS, "axiom")
     cons, subst, pathind = report.checks
     if cons.passed and subst.passed and not pathind.passed:
         raise InternalInconsistencyError(
@@ -371,21 +433,22 @@ def validate_plott(cf: ChoiceFunction) -> ValidationReport:
     return report
 
 
-def check_laws(fn, ground: Mask, laws, what: str) -> ValidationReport:
-    """Tabulate ``fn`` over the power set of ``ground`` and run every law.
+def check_laws(subject, laws, what: str) -> ValidationReport:
+    """Run every law on ``subject.tabulate()``, the subject's map over the
+    power set of its ground as an array over local masks.
 
-    Each law is a ``(name, holds, finder)`` row, run by ``law_witness`` on
-    the table as an array over local masks.  Witnesses are reported in the
-    ground's own contract ids.  Raises CapExceededError when the ground
-    exceeds ``EXHAUSTIVE_CAP`` contracts.
+    Each law is a ``(name, holds, finder)`` row, run by ``law_witness``.
+    Witnesses are reported in the ground's own contract ids.  Raises
+    CapExceededError, before tabulating, when the ground exceeds
+    ``EXHAUSTIVE_CAP`` contracts.
     """
-    bits = ids_of(ground)
+    bits = ids_of(subject.ground)
     if len(bits) > EXHAUSTIVE_CAP:
         raise CapExceededError(
             f"ground has {len(bits)} contracts; exhaustive {what} check is "
             f"capped at {EXHAUSTIVE_CAP}"
         )
-    arr = local_table(fn, bits)
+    arr = subject.tabulate()
     order = canonical_order(len(bits))
     checks = []
     for name, holds, finder in laws:

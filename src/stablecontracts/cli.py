@@ -10,6 +10,7 @@ theorem it relies on, i.e. a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,9 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if sys.stdout is None:
         # the process started with stdout closed: a report would vanish
         print("error [io]: standard output was closed", file=sys.stderr)

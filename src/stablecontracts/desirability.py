@@ -24,8 +24,8 @@ pass over their preference list: a linear order desires the prefix of its
 order up to and including the first contract held, a quota the prefix up
 to and including the q-th contract held, and a market side (an
 ``Aggregate``) joins what each agent desires of its own slice of the
-state.  Tables fall back to the definition, one evaluation per ground
-contract.  The definition stays the oracle: the tests compare every
+state.  A table reads x ∈ C(state ∪ {x}) off its array for each ground
+contract x.  The definition stays the oracle: the tests compare every
 closed form with it, computed through ``evaluate`` alone, and the lemma
 suite checks the laws above for whichever form runs.  The brute-force
 oracle and the blocking-contract scans never use desirability.
@@ -46,7 +46,7 @@ from .choice import (
     first_state,
     law_witness,
 )
-from .contractsets import Mask, check_subset, ids_of, submasks
+from .contractsets import Mask, check_subset, ids_of, local_table, submasks
 from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
@@ -102,6 +102,10 @@ class DesirabilityOperator:
         check_subset(state, self.ground)
         return self._table[state]
 
+    def tabulate(self) -> np.ndarray:
+        """D over the local masks of the ground, as ``local_table`` lays it out."""
+        return local_table(self.map, ids_of(self.ground))
+
     def __eq__(self, other):
         if not isinstance(other, DesirabilityOperator):
             return NotImplemented
@@ -118,7 +122,7 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
     CapExceededError; any other report is cached on the operator.
     """
     if op._report is None:
-        op._report = check_laws(op.map, op.ground, _OPERATOR_LAWS, "operator")
+        op._report = check_laws(op, _OPERATOR_LAWS, "operator")
     return op._report
 
 
@@ -165,12 +169,11 @@ def choice_from_desirability(op: DesirabilityOperator, menu: Mask) -> Mask:
 
 
 def induced_choice(op: DesirabilityOperator) -> Table:
-    """Materialize the choice function induced by a validated operator."""
+    """Materialize the choice function induced by a validated operator:
+    C(A) = A ∩ D(A) over every local mask A at once."""
     _require_valid(op)
-    return Table(
-        op.ground,
-        {menu: menu & op.map(menu) for menu in submasks(op.ground)},
-    )
+    menus = np.arange(1 << op.ground.bit_count())
+    return Table.from_rows(ids_of(op.ground), menus, menus & op.tabulate())
 
 
 def _require_valid(op: DesirabilityOperator) -> None:

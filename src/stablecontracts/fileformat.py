@@ -23,6 +23,11 @@ contract labels resolved to dense ids.  The market's structural rules and
 the axioms are checked by Instance.  Failures raise ParseError with a
 distinct code (io, malformed, unknown-family, dangling-reference,
 axiom-violation).
+
+A table payload is decoded in bulk into ``Table``'s array (see
+``_parse_table``).  Its faults are reported as a label-by-label reading
+reports them: row faults in document order, then the first menu, in
+ascending mask order, that is missing or chooses outside itself.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .choice import ChoiceFunction, LinearOrder, Quota, Table
-from .contractsets import Mask, canonical_key, ids_of, mask_of
+from .choice import OUTSIDE, ChoiceFunction, LinearOrder, Quota, Table
+from .contractsets import Mask, canonical_order, ids_of, mask_of
 from .errors import DomainError, ParseError
 from .instance import Agent, Contract, Instance, Side
 
@@ -138,19 +143,19 @@ def parse_components(
     return agents, contracts, choices
 
 
+def _malformed(agent_id: str, fault: str) -> ParseError:
+    return ParseError("malformed", f"agent {agent_id!r}: {fault}")
+
+
 def _resolve_labels(
     agent_id: str, labels: Any, index_by_label: dict[str, int]
 ) -> list[int]:
     if not isinstance(labels, list):
-        raise ParseError(
-            "malformed", f"agent {agent_id!r}: expected a list of contract ids"
-        )
+        raise _malformed(agent_id, "expected a list of contract ids")
     out = []
     for label in labels:
         if not isinstance(label, str):
-            raise ParseError(
-                "malformed", f"agent {agent_id!r}: contract id {label!r} is not a string"
-            )
+            raise _malformed(agent_id, f"contract id {label!r} is not a string")
         if label not in index_by_label:
             raise ParseError(
                 "dangling-reference",
@@ -158,18 +163,6 @@ def _resolve_labels(
             )
         out.append(index_by_label[label])
     return out
-
-
-def _row_set(
-    agent_id: str, entry: dict, key: str, index_by_label: dict[str, int]
-) -> Mask:
-    ids = _resolve_labels(agent_id, entry[key], index_by_label)
-    mask = mask_of(ids)
-    if mask.bit_count() != len(ids):
-        raise ParseError(
-            "malformed", f"agent {agent_id!r}: table row {key} repeats a contract id"
-        )
-    return mask
 
 
 def _parse_choice(
@@ -202,33 +195,50 @@ def _parse_choice(
                     "malformed", f"agent {agent_id!r}: quota 'q' must be an integer"
                 )
             return Quota(q, tuple(_resolve_labels(agent_id, payload["priority"], index_by_label)))
-        # table
-        if not isinstance(payload, list):
-            raise ParseError(
-                "malformed", f"agent {agent_id!r}: table payload must be a list"
-            )
-        entries: dict[Mask, Mask] = {}
-        ground = 0
-        for entry in payload:
-            if not isinstance(entry, dict) or "menu" not in entry or "choice" not in entry:
-                raise ParseError(
-                    "malformed",
-                    f"agent {agent_id!r}: table rows need 'menu' and 'choice'",
-                )
-            menu = _row_set(agent_id, entry, "menu", index_by_label)
-            chosen = _row_set(agent_id, entry, "choice", index_by_label)
-            if menu in entries:
-                raise ParseError(
-                    "malformed",
-                    f"agent {agent_id!r}: duplicate table row for one menu",
-                )
-            entries[menu] = chosen
-            ground |= menu
-        return Table(ground, entries)
+        return _parse_table(agent_id, payload, index_by_label)
     except ParseError:
         raise
     except DomainError as exc:
         raise ParseError(exc.code, f"agent {agent_id!r}: {exc}") from exc
+
+
+def _parse_table(agent_id: str, payload: Any, index_by_label: dict[str, int]) -> Table:
+    """Decode a table payload in bulk: each row's menu and choice become
+    local masks by one ``sum(map(...))`` each, over bits numbered as the
+    contracts first appear in a menu.  A row the fast path cannot read is
+    re-read label by label, which names its first fault or numbers the
+    menu's new contracts; ``Table.from_rows`` checks the table itself."""
+    if not isinstance(payload, list):
+        raise _malformed(agent_id, "table payload must be a list")
+    bit: dict[str, int] = {}
+    rows: dict[Mask, Mask] = {}
+    for row in payload:
+        try:
+            menu, choice = row["menu"], row["choice"]
+            m = sum(map(bit.__getitem__, menu))
+            c = sum(map(bit.__getitem__, choice))
+            fast = type(menu) is list is type(choice) and (
+                m.bit_count() == len(menu) and c.bit_count() == len(choice)
+            )
+        except (KeyError, TypeError):
+            fast = False
+        if not fast:
+            if not isinstance(row, dict) or "menu" not in row or "choice" not in row:
+                raise _malformed(agent_id, "table rows need 'menu' and 'choice'")
+            for key in ("menu", "choice"):
+                ids = _resolve_labels(agent_id, row[key], index_by_label)
+                if len(set(ids)) != len(ids):
+                    raise _malformed(agent_id, f"table row {key} repeats a contract id")
+            menu, choice = row["menu"], row["choice"]
+            for label in menu:
+                bit.setdefault(label, 1 << len(bit))
+            m = sum(map(bit.__getitem__, menu))
+            # a contract no menu has named yet is outside this row's menu
+            c = sum(map(bit.__getitem__, choice)) if bit.keys() >= set(choice) else OUTSIDE
+        if m in rows:
+            raise _malformed(agent_id, "duplicate table row for one menu")
+        rows[m] = c
+    return Table.from_rows([index_by_label[x] for x in bit], list(rows), list(rows.values()))
 
 
 def document_from_instance(inst: Instance) -> dict:
@@ -249,12 +259,12 @@ def document_from_instance(inst: Instance) -> dict:
                 "payload": {"q": cf.quota, "priority": name(list(cf.priority))},
             }
         elif isinstance(cf, Table):
-            rows = []
-            for menu in sorted(cf.entries, key=canonical_key):
-                rows.append(
-                    {"menu": name(ids_of(menu)), "choice": name(ids_of(cf.entries[menu]))}
-                )
-            choices[agent.id] = {"family": "table", "payload": rows}
+            local = [labels[i] for i in cf.bits]
+            choices[agent.id] = {"family": "table", "payload": [
+                {"menu": [local[i] for i in ids_of(int(a))],
+                 "choice": [local[i] for i in ids_of(int(cf.table[a]))]}
+                for a in canonical_order(len(cf.bits))
+            ]}
         else:
             raise DomainError(
                 f"choice family {type(cf).__name__} has no document form"

@@ -87,6 +87,18 @@ def naive_dense_table(cf) -> list[int]:
     return [cf.evaluate(menu) for menu in range(1 << cf.ground.bit_count())]
 
 
+def naive_local_table(fn, ids: list[int]) -> list[int]:
+    """fn(A) for every subset A of the contract ids ``ids`` (ascending),
+    indexed by the local mask of A: bit i of an index or an entry stands for
+    ``ids[i]``.  One call per menu, re-indexed bit by bit, independent of
+    ``contractsets``' layout."""
+    out = []
+    for local in range(1 << len(ids)):
+        chosen = fn(mask_of(b for i, b in enumerate(ids) if local >> i & 1))
+        out.append(sum(1 << i for i, b in enumerate(ids) if chosen >> b & 1))
+    return out
+
+
 def naive_axiom_verdicts(cf) -> dict[str, bool]:
     """Whether each axiom holds, by ``naive_axiom_witnesses``."""
     return {axiom: w is None for axiom, w in naive_axiom_witnesses(cf).items()}

@@ -10,6 +10,7 @@ from conftest import (
     naive_axiom_verdicts,
     naive_axiom_witnesses,
     naive_dense_table,
+    naive_local_table,
     rule_verdicts,
 )
 from stablecontracts import choice
@@ -79,6 +80,56 @@ class TestTable:
     def test_extra_menus_rejected(self):
         with pytest.raises(DomainError):
             Table(m(0), {0: 0, m(0): m(0), m(1): 0})
+
+
+@st.composite
+def table_mapping(draw):
+    """A total menu-to-choice mapping, C(A) ⊆ A, over 0 to 5 dense ids or
+    sparse ids up to 200."""
+    top = draw(st.sampled_from((4, 200)))
+    ids = sorted(draw(st.lists(st.integers(min_value=0, max_value=top),
+                               max_size=5, unique=True)))
+    if top == 4:
+        ids = list(range(len(ids)))
+    ground = mask_of(ids)
+    return ids, {a: a & draw(st.integers(min_value=0, max_value=ground))
+                 for a in submasks(ground)}
+
+
+class TestTableArray:
+    @settings(max_examples=150, deadline=None)
+    @given(table_mapping())
+    def test_array_is_the_per_menu_tabulation(self, case):
+        ids, mapping = case
+        table = Table(mask_of(ids), mapping)
+        assert table.bits == tuple(ids)
+        assert table.table.dtype == np.int64
+        assert table.table.tolist() == naive_local_table(mapping.__getitem__, ids)
+        assert all(table.evaluate(a) == c for a, c in mapping.items())
+        if ids == list(range(len(ids))):
+            assert naive_dense_table(table) == [mapping[a] for a in range(1 << len(ids))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(table_mapping(), st.randoms(use_true_random=False))
+    def test_rows_in_any_numbering(self, case, rng):
+        # from_rows takes local bits numbered in any order of the ids
+        ids, mapping = case
+        order = list(ids)
+        rng.shuffle(order)
+
+        def local(mask):
+            return sum(1 << i for i, b in enumerate(order) if mask >> b & 1)
+
+        rows = list(mapping.items())
+        rng.shuffle(rows)
+        table = Table.from_rows(order, [local(a) for a, _ in rows],
+                                [local(c) for _, c in rows])
+        assert table == Table(mask_of(ids), mapping)
+
+    def test_read_only(self):
+        table = Table(m(0), {0: 0, m(0): m(0)})
+        with pytest.raises(ValueError):
+            table.table[0] = 1
 
 
 class TestAggregate:

@@ -38,6 +38,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_reused_without_leaking_state(capsys, i3_file):
+    # main builds its parser once per process; each call parses afresh
+    assert cli.build_parser() is not cli.build_parser()
+    traced = run(capsys, "solve", "--trace", i3_file)
+    plain = run(capsys, "solve", i3_file)
+    assert traced[1].startswith("B[0] = ") and plain[1].startswith("S = ")
+    assert traced[1].endswith(plain[1])
+
+
 class TestSolve:
     def test_ample_default(self, capsys, i3_file):
         code, out, err = run(capsys, "solve", "--algorithm", "ample", i3_file)
@@ -192,6 +201,118 @@ def _behind_64_contracts(doc: dict) -> dict:
             **{v: {"family": "linear", "payload": [f"g-{v}"]} for v in filler},
         },
     }
+
+
+def _poset_with(edit) -> dict:
+    """The poset fixture's document with ``edit`` applied to its table rows
+    (canonical order: [], [x1], [x2], [x3], [x1, x2], ...)."""
+    doc = document_from_instance(poset_table_instance())
+    edit(doc["choices"]["f1"]["payload"])
+    return doc
+
+
+def _dup_then_dangling(rows):
+    rows.insert(2, dict(rows[1]))
+    rows[5]["choice"] = ["ghost"]
+
+
+def _dangling_then_dup(rows):
+    rows[1]["choice"] = ["ghost"]
+    rows.append(dict(rows[4]))
+
+
+def _repeat_then_non_string(rows):
+    rows[1]["menu"] = ["x1", "x1"]
+    rows[4]["menu"] = ["x1", None]
+
+
+def _repeat_and_non_string_in_one_row(rows):
+    # labels are resolved before repeats are counted
+    rows[4]["menu"] = ["x1", "x1", None]
+
+
+def _known_repeat_then_dangling(rows):
+    # x1 already has its bit when row 4 repeats it
+    rows[4]["menu"] = ["x1", "x1"]
+    rows[6]["choice"] = ["ghost"]
+
+
+def _known_choice_repeat_then_dangling(rows):
+    rows[4]["choice"] = ["x1", "x1"]
+    rows[6]["choice"] = ["ghost"]
+
+
+def _object_menu_then_dangling(rows):
+    # an object whose keys are known labels is still no list
+    rows[4]["menu"] = {"x1": 0, "x2": 0}
+    rows[6]["choice"] = ["ghost"]
+
+
+def _outside_before_missing(rows):
+    del rows[2]
+    rows[1]["choice"] = ["x2"]
+
+
+def _missing_before_outside(rows):
+    del rows[1]
+    rows[1]["choice"] = ["x1"]
+
+
+# two faults each, and the stderr of the one reported first; both texts as
+# the label-by-label decoder printed them
+TWO_FAULTS = {
+    "dup-then-dangling": (
+        _dup_then_dangling, "[malformed]: agent 'f1': duplicate table row for one menu"
+    ),
+    "dangling-then-dup": (
+        _dangling_then_dup,
+        "[dangling-reference]: agent 'f1' references unknown contract 'ghost'",
+    ),
+    "repeat-then-non-string": (
+        _repeat_then_non_string,
+        "[malformed]: agent 'f1': table row menu repeats a contract id",
+    ),
+    "repeat-and-non-string-in-one-row": (
+        _repeat_and_non_string_in_one_row,
+        "[malformed]: agent 'f1': contract id None is not a string",
+    ),
+    "known-repeat-then-dangling": (
+        _known_repeat_then_dangling,
+        "[malformed]: agent 'f1': table row menu repeats a contract id",
+    ),
+    "known-choice-repeat-then-dangling": (
+        _known_choice_repeat_then_dangling,
+        "[malformed]: agent 'f1': table row choice repeats a contract id",
+    ),
+    "object-menu-then-dangling": (
+        _object_menu_then_dangling,
+        "[malformed]: agent 'f1': expected a list of contract ids",
+    ),
+    "outside-before-missing": (
+        _outside_before_missing,
+        "[malformed]: agent 'f1': table entry for menu [{x1}] chooses outside it",
+    ),
+    "missing-before-outside": (
+        _missing_before_outside,
+        "[malformed]: agent 'f1': table is not total: menu [{x1}] is missing",
+    ),
+}
+
+
+class TestTableFirstFault:
+    @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+    @pytest.mark.parametrize("shift", [0, 64])
+    def test_names_the_first_fault(self, capsys, tmp_path, name, shift):
+        edit, message = TWO_FAULTS[name]
+        doc = _poset_with(edit)
+        if shift:
+            doc = _behind_64_contracts(doc)
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "solve", "enumerate"):
+            assert run(capsys, command, str(path)) == (
+                1, "", f"error {message.format(x1=shift)}\n"
+            )
 
 
 class TestValidate:

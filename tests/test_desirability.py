@@ -98,6 +98,11 @@ class TestDesirabilityLaws:
     def test_induced_choice_is_plott(self, cf):
         assert validate_plott(induced_choice(DesirabilityOperator.from_choice(cf))).passed
 
+    def test_induced_choice_is_the_choice(self, cf):
+        induced = induced_choice(DesirabilityOperator.from_choice(cf))
+        assert induced.ground == cf.ground
+        assert induced.table.tolist() == cf.tabulate().tolist()
+
 
 class TestOperatorValidation:
     def test_identity_map_fails_antimonotonicity(self):

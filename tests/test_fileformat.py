@@ -101,6 +101,62 @@ def _components(doc):
     return agents, contracts, choices
 
 
+@st.composite
+def table_document(draw):
+    """A market whose firm ``f`` chooses by a table: the top ``q`` of each
+    menu's acceptable contracts by a priority, a Plott rule, over 0 to 6
+    contracts.  The rows come in any order, and a filler firm's contracts
+    are declared first or interleaved, so table ids may pass 63."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    filler = draw(st.sampled_from((0, 3, 70)))
+    labels = [f"x{j}" for j in range(k)]
+    priority = draw(st.permutations(labels))
+    acceptable = set(draw(st.lists(st.sampled_from(labels), unique=True))) if k else set()
+    q = draw(st.integers(min_value=1, max_value=max(k, 1)))
+    rows = []
+    for mask in range(1 << k):
+        menu = [x for j, x in enumerate(labels) if mask >> j & 1]
+        wanted = [x for x in priority if x in menu and x in acceptable]
+        rows.append({"menu": draw(st.permutations(menu)), "choice": wanted[:q]})
+    rows = draw(st.permutations(rows))
+    table = [(x, "f", f"w{j}") for j, x in enumerate(labels)]
+    pad = [(f"y{j}", "g", f"v{j}") for j in range(filler)]
+    contracts = pad + table if draw(st.booleans()) else draw(st.permutations(pad + table))
+    workers = {w: [x] for x, _, w in contracts}
+    return {
+        "agents": [{"id": "f", "side": "firm"}, {"id": "g", "side": "firm"}]
+        + [{"id": w, "side": "worker"} for w in workers],
+        "contracts": [{"id": x, "firm": a, "worker": w} for x, a, w in contracts],
+        "choices": {
+            "f": {"family": "table", "payload": rows},
+            "g": {"family": "linear", "payload": [x for x, _, _ in pad]},
+            **{w: {"family": "linear", "payload": xs} for w, xs in workers.items()},
+        },
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_document())
+def test_table_documents_round_trip(doc):
+    inst = instance_from_document(doc)
+    again = document_from_instance(inst)
+    reparsed = instance_from_document(again)
+    assert reparsed == inst
+    assert json.dumps(document_from_instance(reparsed)) == json.dumps(again)
+    # the serialized rows are the document's rows in canonical order
+    rows = again["choices"]["f"]["payload"]
+    assert sorted(map(json.dumps, rows)) == sorted(
+        json.dumps({"menu": sorted(r["menu"], key=_declared(doc)), "choice":
+                    sorted(r["choice"], key=_declared(doc))})
+        for r in doc["choices"]["f"]["payload"]
+    )
+
+
+def _declared(doc):
+    position = {c["id"]: i for i, c in enumerate(doc["contracts"])}
+    return position.__getitem__
+
+
 class TestRoundTrip:
     def test_fixture_documents(self, i1, i3, poset):
         for inst in (i1, i3, poset):
