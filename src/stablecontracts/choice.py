@@ -15,10 +15,11 @@ an empirical property: ``validate_plott`` checks all three exhaustively
 over the power set of the ground (never by sampling), and it can check
 certified families too.  The power-set layout comes from ``contractsets``:
 ``local_table`` tabulates a function over a ground's local masks (a
-``Table`` is stored as that array, so ``tabulate`` returns it as it is),
-``single_steps`` lists every one-contract step (A, A ∪ {x}) between them,
-and ``canonical_order`` sorts menus by cardinality, then lexicographically
-by contract ids.
+``Table`` is stored as that array, so ``tabulate`` returns it as it is,
+and an ``Aggregate`` gathers its parts' arrays), ``single_steps`` lists
+every one-contract step (A, A ∪ {x}) between them, and
+``canonical_order`` sorts menus by cardinality, then lexicographically by
+contract ids.
 
 Each axiom is decided by a one-contract version of itself, which a chain
 of single additions or removals turns back into the global form (Plott
@@ -33,8 +34,9 @@ without it:
 Each rule is one numpy pass over all k·2^(k-1) steps of the 2^k table.
 Only a law that fails runs its witness finder, a blocked numpy scan
 (``first_pair``) over pairs (A, B): A runs in canonical order, and for each
-A, B does too, and the first offending pair is the reported witness.  The
-desirability-operator laws run the same way.  Path independence is decided
+A, B does too, and the first offending pair is the reported witness.
+``check_laws`` is the one runner of such law rows, these and the
+desirability-operator laws alike.  Path independence is decided
 on its own, so the equivalence between the axioms doubles as a self-check:
 a report where the first two pass and path independence fails raises, as
 does a failing rule whose finder finds no witness, because either can only
@@ -78,8 +80,8 @@ PATH_INDEPENDENCE = "path-independence"
 
 
 class ChoiceFunction(abc.ABC):
-    """Base class for all families.  Subclasses set ``ground`` and choose;
-    families with a closed form for desirability override ``desirable``.
+    """Base class for all families.  Subclasses set ``ground``, choose, and
+    give desirability its family's form.
 
     ``plott_by_construction`` is True for a family whose choices satisfy
     the Plott axioms by theorem, so instances skip the exhaustive scan for
@@ -105,29 +107,21 @@ class ChoiceFunction(abc.ABC):
             )
         return self._choose(menu)
 
-    def desirable(self, state: Mask) -> Mask:
-        """D(state): every ground contract x with x ∈ C(state ∪ {x}).
-
-        This body is the definition, one evaluation per ground contract.
-        The state must lie inside the ground set; ``desirable_set`` checks
-        that before calling here.
-        """
-        out = 0
-        g = self.ground
-        while g:
-            low = g & -g
-            if self.evaluate(state | low) & low:
-                out |= low
-            g ^= low
-        return out
-
     def tabulate(self) -> np.ndarray:
         """C(A) for every subset A of the ground, as ``local_table`` lays
-        it out: one evaluation per menu unless the family stores the array."""
+        it out: one evaluation per menu unless the family builds the array
+        from what it stores."""
         return local_table(self.evaluate, ids_of(self.ground))
 
     @abc.abstractmethod
     def _choose(self, menu: Mask) -> Mask:
+        raise NotImplementedError
+
+    @abc.abstractmethod
+    def desirable(self, state: Mask) -> Mask:
+        """D(state): every ground contract x with x ∈ C(state ∪ {x}), in the
+        family's own form.  The state must lie inside the ground set;
+        ``desirable_set`` checks that before calling here."""
         raise NotImplementedError
 
 
@@ -323,7 +317,9 @@ class Aggregate(ChoiceFunction):
     per-agent functions, their grounds partition the aggregate ground.
     Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
     chosen by its own part from that part's slice of S plus x, so
-    ``desirable`` joins each part's ``desirable`` of its slice.
+    ``desirable`` joins each part's ``desirable`` of its slice, and
+    ``tabulate`` gathers each part's own table: entry A reads the part's
+    entry at A's slice of the part's ground, one 2^k gather per part.
 
     Plott by construction exactly when every part is: each axiom compares
     C on menus slice by slice, so it holds for the join when it holds for
@@ -357,6 +353,17 @@ class Aggregate(ChoiceFunction):
         for part in self.parts:
             out |= part.desirable(state & part.ground)
         return out
+
+    def tabulate(self) -> np.ndarray:
+        bits = ids_of(self.ground)
+        menus = np.arange(1 << len(bits), dtype=np.int64)
+        table = np.zeros_like(menus)
+        for part in self.parts:
+            # the part's contracts as local bits of the aggregate's ground
+            local = ids_of(compress(part.ground, bits))
+            table |= expand(part.tabulate(), local)[compress(menus, local)]
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -395,23 +402,14 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
     """C(A) for every subset A of a dense ground, indexed by the mask A.
 
     Returns a read-only int64 array of 2^n entries; requires the ground to
-    be {0, ..., n-1}.  Each part of an ``Aggregate`` (any other function is
-    one part) is tabulated over the subsets of its own ground by
-    ``tabulate``: 2^deg evaluations, or none for a ``Table``, which stores
-    that array.  It is re-indexed to contract ids, and every mask's row
-    reads its entry at the mask's slice of the part's ground, compressed to
-    a local index: one 2^n gather per part.
+    be {0, ..., n-1}, where local masks are the contract masks themselves,
+    so the array is ``cf.tabulate()``: for a market side, each agent's
+    table gathered by ``Aggregate.tabulate``.
     """
     n = cf.ground.bit_count()
     if cf.ground != (1 << n) - 1:
         raise DomainError("dense_table requires a dense ground set")
-    masks = np.arange(1 << n, dtype=np.int64)
-    table = np.zeros_like(masks)
-    for part in cf.parts if isinstance(cf, Aggregate) else (cf,):
-        bits = ids_of(part.ground)
-        table |= expand(part.tabulate(), bits)[compress(masks, bits)]
-    table.flags.writeable = False
-    return table
+    return cf.tabulate()
 
 
 def validate_plott(cf: ChoiceFunction) -> ValidationReport:
@@ -437,10 +435,14 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
     """Run every law on ``subject.tabulate()``, the subject's map over the
     power set of its ground as an array over local masks.
 
-    Each law is a ``(name, holds, finder)`` row, run by ``law_witness``.
-    Witnesses are reported in the ground's own contract ids.  Raises
-    CapExceededError, before tabulating, when the ground exceeds
-    ``EXHAUSTIVE_CAP`` contracts.
+    Each law is a ``(name, holds, finder)`` row.  ``holds(arr, bit, a,
+    ab)`` decides the law from the ``single_steps`` arrays, with
+    elementwise operators over all steps at once.  Only when it fails does
+    ``finder(arr, order)`` scan for the first offending local masks in the
+    canonical order; a failing law whose finder finds none raises
+    InternalInconsistencyError.  Witnesses are reported in the ground's own
+    contract ids.  Raises CapExceededError, before tabulating, when the
+    ground exceeds ``EXHAUSTIVE_CAP`` contracts.
     """
     bits = ids_of(subject.ground)
     if len(bits) > EXHAUSTIVE_CAP:
@@ -452,31 +454,17 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
     order = canonical_order(len(bits))
     checks = []
     for name, holds, finder in laws:
-        witness = law_witness(arr, order, holds, finder)
-        if witness is not None:
+        witness = None
+        if not holds(arr, *single_steps(len(bits))):
+            witness = finder(arr, order)
+            if witness is None:
+                raise InternalInconsistencyError(
+                    "a one-contract rule failed but the exhaustive scan found "
+                    "no witness; the law checks themselves are inconsistent"
+                )
             witness = tuple(expand(w, bits) for w in witness)
         checks.append(AxiomCheck(name, witness is None, witness))
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
-
-
-def law_witness(arr: np.ndarray, order: np.ndarray, holds, finder):
-    """The first offending local masks of a law on the table ``arr``, or
-    None when the law holds.
-
-    ``holds(arr, bit, a, ab)`` decides the law from the ``single_steps``
-    arrays, with elementwise operators over all steps at once.  Only when
-    it fails does ``finder(arr, order)`` scan for the canonical witness;
-    a failing law whose finder finds none raises InternalInconsistencyError.
-    """
-    if holds(arr, *single_steps(len(arr).bit_length() - 1)):
-        return None
-    witness = finder(arr, order)
-    if witness is None:
-        raise InternalInconsistencyError(
-            "a one-contract rule failed but the exhaustive scan found no "
-            "witness; the law checks themselves are inconsistent"
-        )
-    return witness
 
 
 def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | None:

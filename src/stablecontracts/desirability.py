@@ -14,21 +14,24 @@ with a pair scan like substitutability; the Löb identity is a scan over
 single states.  Both report the first offending sets in the canonical
 order.
 
-Conversely, any total map with these two properties induces a choice
-function that passes the rationality axioms; ``choice_from_desirability``
-implements that reconstruction.
+An operator is stored as a ``Table`` stores a choice function, one
+read-only array over its ground's local masks filled by one
+``local_table`` pass.  Conversely, any total map with these two
+properties induces a choice function that passes the rationality axioms;
+``choice_from_desirability`` implements that reconstruction.
 
 ``desirable_set`` checks the state and hands it to the family's
-``ChoiceFunction.desirable``.  Ordered families answer in closed form, one
-pass over their preference list: a linear order desires the prefix of its
-order up to and including the first contract held, a quota the prefix up
-to and including the q-th contract held, and a market side (an
-``Aggregate``) joins what each agent desires of its own slice of the
-state.  A table reads x ∈ C(state ∪ {x}) off its array for each ground
-contract x.  The definition stays the oracle: the tests compare every
-closed form with it, computed through ``evaluate`` alone, and the lemma
-suite checks the laws above for whichever form runs.  The brute-force
-oracle and the blocking-contract scans never use desirability.
+``ChoiceFunction.desirable``, which every family must give.  Ordered
+families answer in closed form, one pass over their preference list: a
+linear order desires the prefix of its order up to and including the
+first contract held, a quota the prefix up to and including the q-th
+contract held, and a market side (an ``Aggregate``) joins what each agent
+desires of its own slice of the state.  A table reads x ∈ C(state ∪ {x})
+off its array for each ground contract x.  The definition lives only in
+the tests, as the oracle that every family's form is compared with,
+computed through ``evaluate`` alone; the lemma suite checks the laws
+above for whichever form runs.  The brute-force oracle and the
+blocking-contract scans never use desirability.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ from .choice import (
     check_laws,
     first_pair,
     first_state,
-    law_witness,
 )
-from .contractsets import Mask, check_subset, ids_of, local_table, submasks
+from .contractsets import Mask, check_subset, compress, expand, ids_of, local_table
 from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
@@ -66,15 +68,20 @@ def desirable_set(cf: ChoiceFunction, state: Mask) -> Mask:
 class DesirabilityOperator:
     """A total map from subsets of the ground set to subsets of it.
 
-    Arbitrary maps are accepted so the validator can be exercised on
+    Stored as ``Table`` stores a choice function: the ground's contract ids
+    (ascending) and one read-only int64 array over their local masks, laid
+    out by ``contractsets.local_table``, which ``map`` and ``tabulate``
+    read.  Arbitrary maps are accepted so the validator can be exercised on
     negative cases; only validated operators may be turned back into
     choice functions.
     """
 
     def __init__(self, ground: Mask, table: Mapping[Mask, Mask]):
-        table = dict(table)
-        count = 0
-        for state in submasks(ground):
+        """Tabulate ``table``, state to desirable set in contract ids, over
+        ``ground``: the first state, in ascending order, that is missing or
+        maps outside the ground is named, then any state outside it."""
+
+        def entry(state: Mask) -> Mask:
             if state not in table:
                 raise DomainError(
                     f"operator is not total: state {ids_of(state)} is missing"
@@ -83,33 +90,37 @@ class DesirabilityOperator:
                 raise DomainError(
                     f"operator maps state {ids_of(state)} outside the ground set"
                 )
-            count += 1
-        if len(table) != count:
+            return table[state]
+
+        self._fill(ground, entry)
+        if len(table) != len(self._table):
             raise DomainError("operator lists states outside the ground set")
-        self.ground = ground
-        self._table = table
-        self._report: ValidationReport | None = None
 
     @classmethod
     def from_choice(cls, cf: ChoiceFunction) -> "DesirabilityOperator":
         """Materialize the desirability operator of a choice function."""
-        return cls(
-            cf.ground,
-            {state: desirable_set(cf, state) for state in submasks(cf.ground)},
-        )
+        op = object.__new__(cls)
+        op._fill(cf.ground, cf.desirable)
+        return op
+
+    def _fill(self, ground: Mask, fn) -> None:
+        self.ground = ground
+        self._bits = ids_of(ground)
+        self._table = local_table(fn, self._bits)
+        self._report: ValidationReport | None = None
 
     def map(self, state: Mask) -> Mask:
         check_subset(state, self.ground)
-        return self._table[state]
+        return expand(self._table.item(compress(state, self._bits)), self._bits)
 
     def tabulate(self) -> np.ndarray:
         """D over the local masks of the ground, as ``local_table`` lays it out."""
-        return local_table(self.map, ids_of(self.ground))
+        return self._table
 
     def __eq__(self, other):
         if not isinstance(other, DesirabilityOperator):
             return NotImplemented
-        return self.ground == other.ground and self._table == other._table
+        return self.ground == other.ground and np.array_equal(self._table, other._table)
 
 
 def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport:
@@ -124,19 +135,6 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
     if op._report is None:
         op._report = check_laws(op, _OPERATOR_LAWS, "operator")
     return op._report
-
-
-def antimonotonicity_witness(arr, order):
-    """The first pair (A, B) of the table ``arr`` with A ⊆ B but
-    D(B) ⊄ D(A), A and B in ``order``; or None.  The one-contract rule
-    decides first, so an antimonotone table makes no pair scan."""
-    return law_witness(arr, order, _antimonotone, _antimonotonicity_pair)
-
-
-def lob_identity_witness(arr, order):
-    """The first state A of the table ``arr`` in ``order`` with
-    D(A) ≠ D(A ∩ D(A)), as a 1-tuple; or None."""
-    return first_state(_lob_breaks(arr), order)
 
 
 def _lob_breaks(arr):
@@ -158,7 +156,7 @@ def _antimonotonicity_pair(arr, order):
 _OPERATOR_LAWS = (
     (ANTIMONOTONICITY, _antimonotone, _antimonotonicity_pair),
     (LOB_IDENTITY, lambda arr, *steps: not _lob_breaks(arr).any(),
-     lob_identity_witness),
+     lambda arr, order: first_state(_lob_breaks(arr), order)),
 )
 
 

@@ -57,16 +57,15 @@ class ParseError(DomainError):
 class ChoiceValidationError(DomainError):
     """A choice function failed exhaustive axiom validation.
 
-    Carries the offending agent id (when known) and the full
-    ValidationReport so callers can render the witness.
+    Carries the full ValidationReport so callers can render the witness;
+    Instance sets ``agent_id`` to the offending agent.
     """
 
     code = "axiom-violation"
 
-    def __init__(self, message: str, report, agent_id: str | None = None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
-        self.agent_id = agent_id
 
 
 class InternalInconsistencyError(StableContractsError):

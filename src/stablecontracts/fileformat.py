@@ -185,15 +185,10 @@ def _parse_choice(
             return LinearOrder(tuple(_resolve_labels(agent_id, payload, index_by_label)))
         if family == "quota":
             if not isinstance(payload, dict) or "q" not in payload or "priority" not in payload:
-                raise ParseError(
-                    "malformed",
-                    f"agent {agent_id!r}: quota payload needs 'q' and 'priority'",
-                )
+                raise _malformed(agent_id, "quota payload needs 'q' and 'priority'")
             q = payload["q"]
             if not isinstance(q, int) or isinstance(q, bool):
-                raise ParseError(
-                    "malformed", f"agent {agent_id!r}: quota 'q' must be an integer"
-                )
+                raise _malformed(agent_id, "quota 'q' must be an integer")
             return Quota(q, tuple(_resolve_labels(agent_id, payload["priority"], index_by_label)))
         return _parse_table(agent_id, payload, index_by_label)
     except ParseError:

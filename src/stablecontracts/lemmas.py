@@ -7,27 +7,33 @@ reported; on valid input every law is a theorem, so failures indicate a
 bug in the library (or a deliberately invalid problem fed to the suite).
 
 Each problem is tabulated once: both sides' C (the problem's cached
-``tables``) and D (from ``desirable_set``, the form that runs) and its
-ample and modest sets.  The per-side laws scan those arrays, L2A and LOB
-with the rows of ``validate_desirability_operator`` (L2A by its one-contract
-rule, with a pair scan only for a witness); the route laws walk
-the ample or modest sets through the library's own steps.  Witnesses are
-canonical-first.  Problems over ``LEMMA_SUITE_CAP`` (12) contracts are
+``tables``), each side's desirability operator (built once from the
+family's own form of D, the form that runs) and its ample and modest
+sets.  The per-side laws scan those arrays; L2A and LOB are read from the
+operator's ``validate_desirability_operator`` report (L2A by its
+one-contract rule, with a pair scan only for a witness).  The route laws
+walk the ample or modest sets through the library's own steps.  Witnesses
+are canonical-first.  Problems over ``LEMMA_SUITE_CAP`` (12) contracts are
 refused before any law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ample import ag_step, is_ample
 from .choice import first_state
-from .contractsets import Mask, canonical_order, ids_of, local_table
-from .desirability import antimonotonicity_witness, desirable_set, lob_identity_witness
+from .contractsets import Mask, canonical_order, ids_of
+from .desirability import (
+    ANTIMONOTONICITY,
+    LOB_IDENTITY,
+    DesirabilityOperator,
+    desirable_set,
+    validate_desirability_operator,
+)
 from .errors import CapExceededError
 from .instance import TwoAgentProblem
 from .modest import ample_to_modest, is_modest, modest_to_ample, yang_step
@@ -46,22 +52,22 @@ class LawResult:
 
 @dataclass(frozen=True)
 class _Tables:
-    """One problem tabulated once: each side's (name, C, D) over the power
-    set, and its ample and modest sets.  The ground is dense, so local masks
-    are the problem's own; ``order`` and both lists are canonical."""
+    """One problem tabulated once: each side's (name, C, D) with C over the
+    power set and D its desirability operator, and the problem's ample and
+    modest sets.  The ground is dense, so local masks are the problem's
+    own; ``order`` and both lists are canonical."""
 
     problem: TwoAgentProblem
     order: np.ndarray
-    sides: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    sides: tuple[tuple[str, np.ndarray, DesirabilityOperator], ...]
     ample: list[Mask]
     modest: list[Mask]
 
 
 def _tabulate(problem: TwoAgentProblem) -> _Tables:
-    bits = ids_of(problem.ground)
-    order = canonical_order(len(bits))
+    order = canonical_order(problem.size)
     sides = tuple(
-        (name, c, local_table(partial(desirable_set, cf), bits))
+        (name, c, DesirabilityOperator.from_choice(cf))
         for name, cf, c in zip(("firm", "worker"), (problem.firm, problem.worker),
                                problem.tables)
     )
@@ -76,12 +82,12 @@ def _fmt(mask: Mask) -> str:
 
 
 def _per_side(finder) -> Callable[[_Tables], str | None]:
-    """A law on each side's tables: ``finder(c, d, order)`` returns the first
-    offending A (or pair A, B) in ``order``, or None."""
+    """A law on each side's tables: ``finder(c, op, order)`` returns the
+    first offending A (or pair A, B) in ``order``, or None."""
 
     def check(t: _Tables) -> str | None:
-        for name, c, d in t.sides:
-            witness = finder(c, d, t.order)
+        for name, c, op in t.sides:
+            witness = finder(c, op, t.order)
             if witness is not None:
                 sets = ", ".join(f"{n}={_fmt(w)}" for n, w in zip("AB", witness))
                 return f"{name} side: {sets}"
@@ -93,7 +99,14 @@ def _per_side(finder) -> Callable[[_Tables], str | None]:
 def _states(bad):
     """A finder for a law on single states: ``bad(a, c, d)`` flags each
     state A from its row (A, C(A), D(A)), over whole arrays."""
-    return lambda c, d, order: first_state(bad(np.arange(len(c)), c, d), order)
+    return lambda c, op, order: first_state(
+        bad(np.arange(len(c)), c, op.tabulate()), order
+    )
+
+
+def _operator_law(name: str):
+    """A finder reading one law's witness off the operator's report."""
+    return lambda c, op, order: validate_desirability_operator(op).check(name).witness
 
 
 def _walk(kind: str, flaw) -> Callable[[_Tables], str | None]:
@@ -134,12 +147,12 @@ LAWS: tuple[tuple[str, str, Callable[[_Tables], str | None]], ...] = (
     ("L1C", "menu self-chosen iff menu within desirables",
      _per_side(_states(lambda a, c, d: (c == a) != ((a & ~d) == 0)))),
     ("L2A", "desirability antimonotone in the menu",
-     _per_side(lambda c, d, order: antimonotonicity_witness(d, order))),
+     _per_side(_operator_law(ANTIMONOTONICITY))),
     # D(A) = D(C(A))
     ("L2B", "desirability unchanged after choosing",
      _per_side(_states(lambda a, c, d: d != d[c]))),
     ("LOB", "desirability fixed on its desirable core",
-     _per_side(lambda c, d, order: lob_identity_witness(d, order))),
+     _per_side(_operator_law(LOB_IDENTITY))),
     ("L3", "ample fixpoints yield stable systems", _walk("ample", _unstable_fixpoint)),
     ("L4", "descent step preserves ampleness", _walk("ample", _descent_flaw)),
     ("L5", "modest systems are self-chosen on both sides",

@@ -64,15 +64,18 @@ def random_instance(
 
     One potential contract per (firm, worker) pair, kept with probability
     ``density``.  Each agent draws a choice family from ``family_mix``
-    (weights over "linear" and "quota"), a shuffled strict order, and for
-    quotas a size between 1 and its degree.  The result always passes
-    instance validation.
+    (weights over "linear" and "quota"; all linear when None, and a mix
+    naming no family is refused), a shuffled strict order, and for quotas
+    a size between 1 and its degree.  The result always passes instance
+    validation.
     """
     if firms < 0 or workers < 0:
         raise DomainError("agent counts must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise DomainError("density must lie in [0, 1]")
-    mix = dict(family_mix) if family_mix else {"linear": 1.0}
+    mix = {"linear": 1.0} if family_mix is None else dict(family_mix)
+    if not mix:
+        raise DomainError("family_mix names no family")
     for fam in mix:
         if fam not in _FAMILIES:
             raise DomainError(f"unknown choice family {fam!r} in family_mix")

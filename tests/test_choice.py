@@ -10,6 +10,7 @@ from conftest import (
     naive_axiom_verdicts,
     naive_axiom_witnesses,
     naive_dense_table,
+    naive_desirable,
     naive_local_table,
     rule_verdicts,
 )
@@ -147,6 +148,23 @@ class TestAggregate:
         agg = Aggregate(())
         assert agg.ground == 0
         assert agg.evaluate(0) == 0
+
+    @pytest.mark.parametrize("agg", [
+        Aggregate(()),
+        Aggregate((
+            LinearOrder((9, 2)),
+            Quota(2, (4, 0, 7)),
+            Table(m(1, 3), {0: 0, m(1): m(1), m(3): m(3), m(1, 3): m(3)}),
+        )),
+        Aggregate((Quota(1, (70, 64)), LinearOrder((65,)))),
+    ], ids=["empty", "interleaved", "past-63"])
+    def test_tabulates_its_parts_without_evaluating_itself(self, agg, monkeypatch):
+        expected = naive_local_table(agg.evaluate, ids_of(agg.ground))
+        calls = []
+        monkeypatch.setattr(Aggregate, "_choose", lambda self, menu: calls.append(menu))
+        assert agg.tabulate().tolist() == expected
+        assert validate_plott(agg).passed
+        assert calls == []
 
 
 class TestValidatePlott:
@@ -485,6 +503,9 @@ class _Parity(ChoiceFunction):
 
     def _choose(self, menu):
         return menu if menu.bit_count() % 2 == 0 else 1 << (menu.bit_length() - 1)
+
+    def desirable(self, state):
+        return naive_desirable(self, state)
 
 
 class TestDenseTable:

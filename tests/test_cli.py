@@ -172,14 +172,15 @@ class TestCheck:
 WORKERS_13 = [f"w{i}" for i in range(13)]
 
 
-def _star_document(firm_choice: dict) -> dict:
-    """Thirteen single-contract workers, then one firm holding all of them."""
+def _star_document(firm_choice: dict, workers: list[str] = WORKERS_13) -> dict:
+    """Single-contract workers (thirteen by default), then one firm holding
+    all of them."""
     return {
-        "agents": [{"id": w, "side": "worker"} for w in WORKERS_13]
+        "agents": [{"id": w, "side": "worker"} for w in workers]
         + [{"id": "f", "side": "firm"}],
-        "contracts": [{"id": w, "firm": "f", "worker": w} for w in WORKERS_13],
+        "contracts": [{"id": w, "firm": "f", "worker": w} for w in workers],
         "choices": {
-            **{w: {"family": "linear", "payload": [w]} for w in WORKERS_13},
+            **{w: {"family": "linear", "payload": [w]} for w in workers},
             "f": firm_choice,
         },
     }
@@ -444,6 +445,39 @@ class TestValidate:
         assert run(capsys, "solve", str(path)) == (code, "", err)
 
 
+def _choices_as_a_list():
+    doc = document_from_instance(marriage_2x2())
+    doc["choices"] = list(doc["choices"].values())
+    return doc
+
+
+def _table_payload_as_an_object():
+    doc = document_from_instance(poset_table_instance())
+    doc["choices"]["f1"]["payload"] = {"menu": [], "choice": []}
+    return doc
+
+
+def _table_row_over_21_contracts():
+    workers = [f"w{i}" for i in range(21)]
+    row = {"menu": workers, "choice": workers[:1]}
+    return _star_document({"family": "table", "payload": [row]}, workers)
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("make, message", [
+        (list, "document root must be an object"),
+        (_choices_as_a_list, "'choices' must be an object keyed by agent id"),
+        (_table_payload_as_an_object, "agent 'f1': table payload must be a list"),
+        (_table_row_over_21_contracts, "agent 'f': table over 21 contracts is too large"),
+    ], ids=["root", "choices", "table-payload", "table-size"])
+    def test_exits_1_with_the_malformed_line(self, capsys, tmp_path, command, make,
+                                             message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(make()))
+        assert run(capsys, command, str(path)) == (1, "", f"error [malformed]: {message}\n")
+
+
 class TestGenerate:
     def test_round_trips_through_validate(self, capsys, tmp_path):
         code, out, _ = run(
@@ -468,6 +502,13 @@ class TestGenerate:
         code, out, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert out.startswith("S = {")
+
+    @pytest.mark.parametrize("families", ["", ","])
+    def test_a_mix_naming_no_family_is_refused(self, capsys, families):
+        code, out, err = run(capsys, "generate", "--firms", "2", "--workers", "2",
+                             "--families", families)
+        assert (code, out) == (1, "")
+        assert err == "error: family_mix names no family\n"
 
     def test_deterministic(self, capsys):
         a = run(capsys, "generate", "--seed", "5", "--firms", "2", "--workers", "2")

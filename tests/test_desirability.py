@@ -154,6 +154,26 @@ class TestOperatorValidation:
         with pytest.raises(DomainError):
             DesirabilityOperator(m(0), {0: m(1), m(0): m(0)})
 
+    @pytest.mark.parametrize("table, fault", [
+        # the first bad state in ascending order decides, then stray states
+        ({0: 0, m(3): m(0)}, r"not total: state \[1\] is missing"),
+        ({0: 0, m(1): m(0)}, r"maps state \[1\] outside the ground set"),
+        ({0: m(0), m(3): 0, m(5): 0}, r"maps state \[\] outside the ground set"),
+        ({0: 0, m(1): 0, m(3): 0, m(1, 3): 0, m(0): 0},
+         "lists states outside the ground set"),
+    ])
+    def test_first_fault_in_ascending_state_order(self, table, fault):
+        with pytest.raises(DomainError, match=fault):
+            DesirabilityOperator(m(1, 3), table)
+
+    def test_equality(self):
+        op = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
+        table = {0: m(0, 1), m(0): m(0, 1), m(1): m(1), m(0, 1): m(1)}
+        assert op == DesirabilityOperator(m(0, 1), table)
+        assert op != DesirabilityOperator(m(0, 1), table | {m(1): 0})
+        assert op != DesirabilityOperator.from_choice(LinearOrder((2, 0)))
+        assert op.__eq__(table) is NotImplemented
+
     def test_cap_exceeded(self):
         ground = (1 << 13) - 1
         op = DesirabilityOperator(ground, {a: 0 for a in submasks(ground)})

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import m
 from stablecontracts import cli
-from stablecontracts.choice import LinearOrder
+from stablecontracts.choice import Aggregate, LinearOrder
 from stablecontracts.errors import DomainError, ParseError
 from stablecontracts.fileformat import (
     document_from_instance,
@@ -169,6 +169,14 @@ class TestRoundTrip:
             again = instance_from_document(doc)
             assert again == inst
             assert document_from_instance(again) == doc
+
+    def test_aggregate_agent_has_no_document_form(self):
+        agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
+        inst = Instance(agents, (Contract(0, "e", "f", "w"),), {
+            "f": Aggregate((LinearOrder((0,)),)), "w": LinearOrder((0,)),
+        })
+        with pytest.raises(DomainError, match="family Aggregate has no document form"):
+            document_from_instance(inst)
 
     def test_parse_from_file(self, tmp_path, i3):
         path = _write(tmp_path, document_from_instance(i3))

@@ -103,6 +103,10 @@ class TestInstanceValidation:
                 (Agent("a", Side.FIRM), Agent("a", Side.WORKER)), (), {"a": LinearOrder(())}
             )
 
+    def test_side_given_as_a_plain_string(self):
+        with pytest.raises(DomainError, match="agent 'a' has no declared side"):
+            Instance((Agent("a", "firm"),), (), {"a": LinearOrder(())})
+
     def test_contract_to_wrong_side(self):
         agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
         with pytest.raises(DomainError, match="not a declared worker"):

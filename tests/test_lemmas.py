@@ -70,6 +70,65 @@ def test_suite_detects_laws_broken_by_invalid_input():
             assert results[key].detail == (expected or "")
 
 
+def _naive_route_details(problem):
+    """Each route law's detail straight from the definitions: the first
+    ample B or modest Q in canonical order that breaks it, or None."""
+    f, w = problem.firm.evaluate, problem.worker.evaluate
+    g = problem.ground
+
+    def d_f(s):
+        return naive_desirable(problem.firm, s)
+
+    def ample(b):
+        return d_f(w(b)) & ~b == 0
+
+    def modest(q):
+        return q & ~w(d_f(q)) == 0
+
+    def stable(s):
+        return s == d_f(s) & naive_desirable(problem.worker, s)
+
+    def descent(b):
+        return (b & ~w(b)) | f(w(b))
+
+    def ascent(q):
+        return f(w(d_f(q)))
+
+    flaws = {
+        "L3": ("B", ample, lambda b: f(w(b)) == w(b) and not stable(w(b))),
+        "L4": ("B", ample, lambda b: descent(b) & ~b or not ample(descent(b))),
+        "L5": ("Q", modest, lambda q: f(q) != q or w(q) != q),
+        "L6": ("Q", modest, lambda q: not modest(ascent(q))),
+        "L6D": ("Q", modest, lambda q: d_f(ascent(q)) & ~d_f(q) != 0),
+        "DAM": ("B", ample, lambda b: not modest(f(w(b)))),
+        "DMA": ("Q", modest, lambda q: not ample(d_f(q))),
+    }
+    details = {}
+    for key, (name, kind, flaw) in flaws.items():
+        s = next((s for s in canonical_sorted(submasks(g)) if kind(s) and flaw(s)), None)
+        details[key] = None if s is None else (
+            f"bad: {name}={{{', '.join(map(str, ids_of(s)))}}}"
+        )
+    return details
+
+
+def test_route_laws_name_the_first_broken_set():
+    """An invalid two-table problem breaks every route law; each detail
+    names the walk's first offending set."""
+    firm = Table(m(0, 1, 2), {0: 0, m(0): m(0), m(1): m(1), m(0, 1): m(1),
+                              m(2): m(2), m(0, 2): m(0, 2), m(1, 2): m(1, 2),
+                              m(0, 1, 2): m(0)})
+    worker = Table(m(0, 1, 2), {0: 0, m(0): 0, m(1): m(1), m(0, 1): m(0, 1),
+                                m(2): 0, m(0, 2): m(0), m(1, 2): m(1, 2),
+                                m(0, 1, 2): m(0, 2)})
+    problem = TwoAgentProblem(firm, worker)
+    results = {r.key: r for r in run_lemma_suite([("bad", problem)])}
+    expected = _naive_route_details(problem)
+    assert all(expected.values())
+    assert {key: results[key].detail for key in expected} == expected
+    assert not any(results[key].passed for key in expected)
+
+
 def test_suite_refuses_an_oversized_problem_before_any_law(monkeypatch, p1):
     ran = []
     monkeypatch.setattr(lemmas, "LAWS", (("X", "records", ran.append),))

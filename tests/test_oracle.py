@@ -88,6 +88,10 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_instance(0, 1, 1, family_mix={"table": 1.0})
 
+    def test_mix_naming_no_family(self):
+        with pytest.raises(DomainError, match="names no family"):
+            random_instance(0, 1, 1, family_mix={})
+
     @pytest.mark.parametrize("count, max_contracts", [(1, 0), (1, -3), (-1, 8)])
     def test_corpus_bounds(self, count, max_contracts):
         with pytest.raises(DomainError):
