@@ -10,10 +10,15 @@ which together are equivalent to path independence:
 
 ``LinearOrder`` and ``Quota`` satisfy them by theorem, and an ``Aggregate``
 of such parts inherits them; ``plott_by_construction`` records that
-certificate per family.  For every other family (``Table``) the axioms are
-an empirical property: ``validate_plott`` checks all three exhaustively
-over the power set of the ground (never by sampling), and it can check
-certified families too.  The power-set layout comes from ``contractsets``:
+certificate per family.  Both keep the q best contracts of a menu by
+priority (a linear order keeps one), so a market side with many of them
+answers for all of them at once: ``Aggregate`` lays their preference
+lists end to end on first use, and x is chosen when it is held and fewer
+than q held contracts rank above it in its agent's list, a running count
+over the whole side in one numpy pass.  For every other family
+(``Table``) the axioms are an empirical property: ``validate_plott``
+checks all three exhaustively over the power set of the ground (never by
+sampling), and it can check certified families too.  The power-set layout comes from ``contractsets``:
 ``local_table`` tabulates a function over a ground's local masks (a
 ``Table`` is stored as that array, so ``tabulate`` returns it as it is,
 and an ``Aggregate`` gathers its parts' arrays), ``single_steps`` lists
@@ -46,6 +51,8 @@ mean the checks themselves are broken.
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
@@ -68,6 +75,12 @@ from .errors import (
 )
 
 EXHAUSTIVE_CAP = 12
+
+# A market side answers for its linear and quota agents in one numpy pass
+# once it has this many of them.  The pass costs about the same at any
+# side size, while one call per agent grows with the count; on degree-8
+# agents the pass is about 1.5 times cheaper than the calls from here on.
+_VECTOR_PARTS = 32
 
 # Table entries that are no choice: a menu no row lists, and a choice that
 # names a contract outside the table's ground (``Table.from_rows``)
@@ -100,7 +113,7 @@ class ChoiceFunction(abc.ABC):
 
     def evaluate(self, menu: Mask) -> Mask:
         """C(menu).  The menu must lie inside the ground set."""
-        if menu & ~self.ground:
+        if menu | self.ground != self.ground:
             raise DomainError(
                 f"menu {ids_of(menu)} is not a subset of the ground set "
                 f"{ids_of(self.ground)}"
@@ -150,12 +163,16 @@ class LinearOrder(ChoiceFunction):
         object.__setattr__(self, "ground", g)
 
     def _choose(self, menu: Mask) -> Mask:
+        if menu & (menu - 1) == 0:
+            return menu
         for e in self.order:
             if menu >> e & 1:
                 return 1 << e
         return 0
 
     def desirable(self, state: Mask) -> Mask:
+        if not state:
+            return self.ground
         return _held_prefix(self.order, state, 1)
 
 
@@ -191,6 +208,8 @@ class Quota(ChoiceFunction):
         object.__setattr__(self, "ground", g)
 
     def _choose(self, menu: Mask) -> Mask:
+        if menu.bit_count() <= self.quota:
+            return menu
         out = 0
         left = self.quota
         for e in self.priority:
@@ -202,6 +221,8 @@ class Quota(ChoiceFunction):
         return out
 
     def desirable(self, state: Mask) -> Mask:
+        if state.bit_count() < self.quota:
+            return self.ground
         return _held_prefix(self.priority, state, self.quota)
 
 
@@ -309,6 +330,49 @@ class Table(ChoiceFunction):
         return expand(local, self.bits)
 
 
+_RANKED = (LinearOrder, Quota)
+
+
+class _RankedParts:
+    """Linear and quota parts with disjoint grounds, answered in one numpy
+    pass.  Their contracts are laid out once in (part, rank) order as
+    ``pos``, with each position's run start ``start`` and its part's
+    ``quota`` (a linear order keeps one).  A contract is desirable from a
+    state when fewer than its quota of held contracts rank above it in its
+    part, and chosen from a menu when it is desirable and held: an
+    exclusive running count of the held contracts, restarted at each run.
+    """
+
+    def __init__(self, parts):
+        orders = [p.order if type(p) is LinearOrder else p.priority for p in parts]
+        sizes = np.fromiter(map(len, orders), dtype=np.intp, count=len(orders))
+        self.pos = np.fromiter(itertools.chain.from_iterable(orders), dtype=np.intp)
+        self.start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.quota = np.repeat([getattr(p, "quota", 1) for p in parts], sizes)
+        self.ground = sum(p.ground for p in parts)  # disjoint: the union
+        self.nbytes = (self.ground.bit_length() + 7) // 8
+
+    def _flags(self, mask: Mask) -> tuple[np.ndarray, np.ndarray]:
+        # (held, desirable) at each position
+        raw = (mask & self.ground).to_bytes(self.nbytes, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        held = bits[self.pos]
+        ahead = np.add.accumulate(held, dtype=np.intp) - held
+        return held, ahead - ahead[self.start] < self.quota
+
+    def _mask(self, flags: np.ndarray) -> Mask:
+        bits = np.zeros(8 * self.nbytes, dtype=np.uint8)
+        bits[self.pos] = flags
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    def choose(self, menu: Mask) -> Mask:
+        held, wanted = self._flags(menu)
+        return self._mask(held & wanted)
+
+    def desirable(self, state: Mask) -> Mask:
+        return self._mask(self._flags(state)[1])
+
+
 @dataclass(frozen=True)
 class Aggregate(ChoiceFunction):
     """Evaluate disjoint part functions on their slice of the menu and join.
@@ -317,9 +381,15 @@ class Aggregate(ChoiceFunction):
     per-agent functions, their grounds partition the aggregate ground.
     Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
     chosen by its own part from that part's slice of S plus x, so
-    ``desirable`` joins each part's ``desirable`` of its slice, and
-    ``tabulate`` gathers each part's own table: entry A reads the part's
-    entry at A's slice of the part's ground, one 2^k gather per part.
+    ``desirable`` joins each part's ``desirable`` of its slice (the
+    side's D), and ``tabulate`` gathers each part's own table: entry A
+    reads the part's entry at A's slice of the part's ground, one 2^k
+    gather per part.
+
+    A side with at least ``_VECTOR_PARTS`` linear and quota parts answers
+    ``evaluate`` and ``desirable`` for all of them in one numpy pass
+    (``_RankedParts``), laid out on first use; below that count, and for
+    every other part, each part answers for its slice with one call.
 
     Plott by construction exactly when every part is: each axiom compares
     C on menus slice by slice, so it holds for the join when it holds for
@@ -342,15 +412,29 @@ class Aggregate(ChoiceFunction):
     def plott_by_construction(self) -> bool:
         return all(part.plott_by_construction for part in self.parts)
 
+    @functools.cached_property
+    def _passes(self) -> tuple[_RankedParts | None, tuple[ChoiceFunction, ...]]:
+        """The linear and quota parts laid out for one numpy pass, or None
+        when there are fewer than ``_VECTOR_PARTS`` of them, and the parts
+        evaluated one call each.  Built on first use, so a side that is
+        only tabulated never lays itself out."""
+        ranked = [p for p in self.parts if type(p) in _RANKED]
+        if len(ranked) < _VECTOR_PARTS:
+            return None, self.parts
+        rest = tuple(p for p in self.parts if type(p) not in _RANKED)
+        return _RankedParts(ranked), rest
+
     def _choose(self, menu: Mask) -> Mask:
-        out = 0
-        for part in self.parts:
+        ranked, rest = self._passes
+        out = 0 if ranked is None else ranked.choose(menu)
+        for part in rest:
             out |= part.evaluate(menu & part.ground)
         return out
 
     def desirable(self, state: Mask) -> Mask:
-        out = 0
-        for part in self.parts:
+        ranked, rest = self._passes
+        out = 0 if ranked is None else ranked.desirable(state)
+        for part in rest:
             out |= part.desirable(state & part.ground)
         return out
 

@@ -25,8 +25,12 @@ properties induces a choice function that passes the rationality axioms;
 families answer in closed form, one pass over their preference list: a
 linear order desires the prefix of its order up to and including the
 first contract held, a quota the prefix up to and including the q-th
-contract held, and a market side (an ``Aggregate``) joins what each agent
-desires of its own slice of the state.  A table reads x ∈ C(state ∪ {x})
+contract held (either desires its whole ground while it holds fewer than
+q), and a market side (an ``Aggregate``) joins what each agent desires
+of its own slice of the state; a side of many linear and quota agents
+finds all their prefixes in one numpy pass, a running count of held
+contracts over its agents' preference lists laid end to end.  A table
+reads x ∈ C(state ∪ {x})
 off its array for each ground contract x.  The definition lives only in
 the tests, as the oracle that every family's form is compared with,
 computed through ``evaluate`` alone; the lemma suite checks the laws

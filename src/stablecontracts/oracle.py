@@ -11,6 +11,7 @@ between them; the tables are plain choices, C(A) for every menu A.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Mapping, Sequence
 
@@ -64,9 +65,10 @@ def random_instance(
 
     One potential contract per (firm, worker) pair, kept with probability
     ``density``.  Each agent draws a choice family from ``family_mix``
-    (weights over "linear" and "quota"; all linear when None, and a mix
-    naming no family is refused), a shuffled strict order, and for quotas
-    a size between 1 and its degree.  The result always passes instance
+    (finite non-negative weights over "linear" and "quota" with a
+    positive finite total; all linear when None, and a mix naming no
+    family is refused), a shuffled strict order, and for quotas a size
+    between 1 and its degree.  The result always passes instance
     validation.
     """
     if firms < 0 or workers < 0:
@@ -79,6 +81,12 @@ def random_instance(
     for fam in mix:
         if fam not in _FAMILIES:
             raise DomainError(f"unknown choice family {fam!r} in family_mix")
+    finite = all(0 <= w < math.inf for w in mix.values())
+    if not (finite and 0 < sum(mix.values()) < math.inf):
+        raise DomainError(
+            f"family_mix weights must be finite and non-negative with a positive "
+            f"finite total, got {mix}"
+        )
 
     rng = random.Random(seed)
     firm_ids = [f"f{i + 1}" for i in range(firms)]

@@ -69,6 +69,34 @@ class TestQuota:
             Quota(0, (0,))
 
 
+def _top(priority, menu, quota):
+    """The ``quota`` best contracts of ``menu`` under ``priority``."""
+    return mask_of([e for e in priority if menu >> e & 1][:quota])
+
+
+@pytest.mark.parametrize("cf", [
+    LinearOrder((3, 0, 70, 2)),
+    Quota(1, (3, 0, 70, 2)),
+    Quota(2, (3, 0, 70, 2, 9)),
+    Quota(3, (3, 0, 70, 2, 9)),
+], ids=["linear", "quota-1", "quota-2", "quota-3"])
+def test_answers_around_the_quota(cf):
+    # menus and states of q - 1, q and q + 1 contracts (and none), where
+    # a slice of at most q is kept whole and fewer than q held leave the
+    # whole ground desirable
+    priority = cf.priority if isinstance(cf, Quota) else cf.order
+    q = getattr(cf, "quota", 1)
+    for size in sorted({0, max(q - 1, 0), q, q + 1}):
+        for held in (priority[:size], priority[len(priority) - size:]):
+            menu = mask_of(held)
+            assert cf.evaluate(menu) == _top(priority, menu, q)
+            assert cf.desirable(menu) == naive_desirable(cf, menu)
+            if size <= q:
+                assert cf.evaluate(menu) == menu
+            if size < q:
+                assert cf.desirable(menu) == cf.ground
+
+
 class TestTable:
     def test_partial_table_rejected(self):
         with pytest.raises(DomainError, match="not total"):
@@ -492,6 +520,73 @@ def dense_choice(draw):
         draw(dense_part([x for x, o in zip(ids, owner) if o == p]))
         for p in range(parts)
     ))
+
+
+@st.composite
+def ranked_side(draw):
+    """Parts of a market side on a sparse ground with ids past 63: linear
+    and quota agents (some empty, as for isolated agents; quotas up to two
+    past the degree), a few on either side of ``_VECTOR_PARTS``, and up
+    to two table agents."""
+    count = draw(st.sampled_from((0, 1, 5, choice._VECTOR_PARTS - 1,
+                                  choice._VECTOR_PARTS, choice._VECTOR_PARTS + 3)))
+    degrees = draw(st.lists(st.integers(min_value=0, max_value=4),
+                            min_size=count, max_size=count))
+    tables = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2))
+    pool = draw(st.permutations(range(3 * (sum(degrees) + sum(tables)) + 1)))
+    ids = iter(pool)
+    parts = []
+    for degree in degrees:
+        order = tuple(next(ids) for _ in range(degree))
+        if degree and draw(st.booleans()):
+            parts.append(Quota(draw(st.integers(min_value=1, max_value=degree + 2)), order))
+        else:
+            parts.append(LinearOrder(order))
+    for size in tables:
+        ground = mask_of(next(ids) for _ in range(size))
+        parts.append(Table(ground, {
+            a: a & draw(st.integers(min_value=0, max_value=ground))
+            for a in submasks(ground)
+        }))
+    return tuple(draw(st.permutations(parts)))
+
+
+def _joined(parts, menu, answer):
+    out = 0
+    for part in parts:
+        out |= answer(part, menu & part.ground)
+    return out
+
+
+class TestVectorPass:
+    """A side with ``_VECTOR_PARTS`` or more linear and quota agents answers
+    for them in one numpy pass; it must answer as the per-part join."""
+
+    def test_selected_by_the_count_of_ordered_parts(self):
+        table = Table(m(500), {0: 0, m(500): m(500)})
+        below = [LinearOrder((i,)) for i in range(choice._VECTOR_PARTS - 1)]
+        assert Aggregate(tuple(below) + (table,))._passes == (None, tuple(below) + (table,))
+        at = below + [Quota(2, (200, 100, 300))]
+        ranked, rest = Aggregate((table, *at))._passes
+        assert ranked is not None and rest == (table,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_side(), st.data())
+    def test_agrees_with_the_per_part_join(self, parts, data):
+        ranked = sum(type(p) in (LinearOrder, Quota) for p in parts)
+        # the constant as it is, then each path forced on the same parts
+        for limit in (choice._VECTOR_PARTS, 0, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(choice, "_VECTOR_PARTS", limit)
+                agg = Aggregate(parts)
+                assert (agg._passes[0] is not None) == (ranked >= limit)
+                g = agg.ground
+                menus = [0, g] + [g & data.draw(st.integers(min_value=0, max_value=g))
+                                  for _ in range(3)]
+                for menu in menus:
+                    assert agg.evaluate(menu) == _joined(parts, menu, ChoiceFunction.evaluate)
+                    want = _joined(parts, menu, lambda part, s: part.desirable(s))
+                    assert agg.desirable(menu) == want == naive_desirable(agg, menu)
 
 
 class _Parity(ChoiceFunction):

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import m, naive_desirable
 from stablecontracts import lemmas
-from stablecontracts.choice import LinearOrder, Table
+from stablecontracts.choice import ChoiceFunction, LinearOrder, Table
 from stablecontracts.contractsets import canonical_sorted, ids_of, submasks
 from stablecontracts.errors import CapExceededError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
@@ -153,3 +153,38 @@ def test_law_keys_are_stable():
         "DAM",
         "DMA",
     ]
+
+
+class _KeepsEveryMenu(ChoiceFunction):
+    """Outside every family: keeps each menu whole and desires nothing."""
+
+    ground = m(0, 1)
+
+    def _choose(self, menu):
+        return menu
+
+    def desirable(self, state):
+        return 0
+
+
+class _ChoosesTheGround(ChoiceFunction):
+    """Outside every family: chooses both contracts from any non-empty menu,
+    even one holding only one of them, and desires both."""
+
+    ground = m(0, 1)
+
+    def _choose(self, menu):
+        return self.ground if menu else 0
+
+    def desirable(self, state):
+        return self.ground
+
+
+def test_descent_that_grows_is_named():
+    """No library family lets the descent step grow B, since each keeps
+    C(A) ⊆ A; a worker choosing outside its menu does, and L4 names the
+    set it grew to."""
+    problem = TwoAgentProblem(_KeepsEveryMenu(), _ChoosesTheGround())
+    results = {r.key: r for r in run_lemma_suite([("grow", problem)])}
+    assert not results["L4"].passed
+    assert results["L4"].detail == "grow: B={0} grew to {0, 1}"

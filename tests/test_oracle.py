@@ -92,6 +92,24 @@ class TestRandomInstance:
         with pytest.raises(DomainError, match="names no family"):
             random_instance(0, 1, 1, family_mix={})
 
+    @pytest.mark.parametrize("mix", [
+        {"linear": 0.0},
+        {"linear": -1.0},
+        {"linear": float("nan")},
+        {"linear": float("inf")},
+        {"linear": 1.0, "quota": -1.0},
+        {"linear": 0.0, "quota": 0.0},
+    ], ids=["zero", "negative", "nan", "inf", "one-negative", "all-zero"])
+    @pytest.mark.parametrize("firms", [0, 2])
+    def test_bad_weights_are_refused_before_drawing(self, mix, firms):
+        # with no firms no agent draws a family, and the mix is still refused
+        with pytest.raises(DomainError, match="family_mix"):
+            random_instance(0, firms, 2, family_mix=mix)
+
+    def test_a_zero_weight_beside_a_positive_one(self):
+        inst = random_instance(0, 2, 2, family_mix={"linear": 0.0, "quota": 1.0})
+        assert all(isinstance(cf, Quota) for cf in inst.choices.values())
+
     @pytest.mark.parametrize("count, max_contracts", [(1, 0), (1, -3), (-1, 8)])
     def test_corpus_bounds(self, count, max_contracts):
         with pytest.raises(DomainError):
