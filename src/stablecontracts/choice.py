@@ -8,23 +8,27 @@ which together are equivalent to path independence:
   substitutability    if A ⊆ B then C(B) ∩ A ⊆ C(A)
   path independence   C(A ∪ B) = C(C(A) ∪ B)
 
-``LinearOrder`` and ``Quota`` satisfy them by theorem, and an ``Aggregate``
-of such parts inherits them; ``plott_by_construction`` records that
-certificate per family.  Both keep the q best contracts of a menu by
-priority (a linear order keeps one), so a market side with many of them
-answers for all of them at once: ``Aggregate`` lays their preference
-lists end to end on first use, and x is chosen when it is held and fewer
-than q held contracts rank above it in its agent's list, a running count
-over the whole side in one numpy pass.  For every other family
+``LinearOrder`` and ``Quota`` are one ranked rule (``_Ranked``): keep the
+q best contracts of a menu by priority, where a linear order is a quota
+of one.  The rule satisfies the axioms by theorem, and an ``Aggregate`` of
+such parts inherits them; ``plott_by_construction`` records that
+certificate per family.  A market side with many ranked parts answers for
+all of them at once: ``Aggregate`` lays their priorities end to end when
+it is built, and x is desirable when fewer than q held contracts rank
+above it in its agent's list, a running count over the whole side in one
+numpy pass; x is chosen when it is also held.  For every other family
 (``Table``) the axioms are an empirical property: ``validate_plott``
 checks all three exhaustively over the power set of the ground (never by
-sampling), and it can check certified families too.  The power-set layout comes from ``contractsets``:
-``local_table`` tabulates a function over a ground's local masks (a
-``Table`` is stored as that array, so ``tabulate`` returns it as it is,
-and an ``Aggregate`` gathers its parts' arrays), ``single_steps`` lists
-every one-contract step (A, A ∪ {x}) between them, and
-``canonical_order`` sorts menus by cardinality, then lexicographically by
-contract ids.
+sampling), and it can check certified families too.
+
+The power-set layout comes from ``contractsets``: ``local_table``
+tabulates a function over a ground's local masks, ``single_steps`` lists
+every one-contract step (A, A ∪ {x}) between them, and ``canonical_order``
+sorts menus by cardinality, then lexicographically by contract ids.  A map
+stored in that layout (``_PowerSetMap``: the ground's ids and one
+read-only array) is a ``Table`` here and a ``DesirabilityOperator`` in
+``desirability``; its ``tabulate`` returns the array as it is, and an
+``Aggregate`` gathers its parts' arrays.
 
 Each axiom is decided by a one-contract version of itself, which a chain
 of single additions or removals turns back into the global form (Plott
@@ -51,7 +55,6 @@ mean the checks themselves are broken.
 from __future__ import annotations
 
 import abc
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
@@ -138,51 +141,12 @@ class ChoiceFunction(abc.ABC):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class LinearOrder(ChoiceFunction):
-    """Pick the single best element of the menu under a strict total order.
-
-    ``order`` lists contract ids best-first and must cover the ground set
-    exactly.  The empty menu chooses nothing.  ``desirable(state)`` is the
-    prefix of the order up to and including the first contract held, or
-    the whole ground when none is held.
-
-    Plott by construction: the best element of A ∪ B is the best of
-    max(A) ∪ B, which is path independence (Plott 1973).
-    """
-
-    order: tuple[int, ...]
-    ground: Mask = field(init=False)
-    plott_by_construction: ClassVar[bool] = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        g = mask_of(self.order)
-        if g.bit_count() != len(self.order):
-            raise DomainError("linear order repeats a contract id")
-        object.__setattr__(self, "ground", g)
-
-    def _choose(self, menu: Mask) -> Mask:
-        if menu & (menu - 1) == 0:
-            return menu
-        for e in self.order:
-            if menu >> e & 1:
-                return 1 << e
-        return 0
-
-    def desirable(self, state: Mask) -> Mask:
-        if not state:
-            return self.ground
-        return _held_prefix(self.order, state, 1)
-
-
-@dataclass(frozen=True)
-class Quota(ChoiceFunction):
-    """Keep the top ``quota`` elements of the menu by a strict priority.
+class _Ranked(ChoiceFunction):
+    """Keep the ``quota`` best contracts of a menu by a strict ``priority``.
 
     ``priority`` lists contract ids best-first over the whole ground set;
-    menus smaller than the quota are kept whole.  ``desirable(state)`` is
-    the prefix of the priority up to and including the ``quota``-th
+    menus of at most ``quota`` contracts are kept whole.  ``desirable(state)``
+    is the prefix of the priority up to and including the ``quota``-th
     contract held, or the whole ground when fewer are held: x is desirable
     exactly when fewer than ``quota`` held contracts rank above it.
 
@@ -190,8 +154,74 @@ class Quota(ChoiceFunction):
     members of A rank above x.  Shrinking a menu that contains x only
     removes rivals, so the rule is substitutable; and when C(A) ⊆ B ⊆ A
     the top ``quota`` of B are those of A, so it is consistent
-    (Aizerman & Malishevski 1981).
+    (Aizerman & Malishevski 1981).  With a quota of one it is a linear
+    order, whose best element of A ∪ B is the best of max(A) ∪ B (Plott
+    1973).
     """
+
+    quota: int
+    priority: tuple[int, ...]
+
+    def _set_ground(self, what: str) -> None:
+        g = mask_of(self.priority)
+        if g.bit_count() != len(self.priority):
+            raise DomainError(f"{what} repeats a contract id")
+        object.__setattr__(self, "ground", g)
+
+    def _choose(self, menu: Mask) -> Mask:
+        if menu.bit_count() <= self.quota:
+            return menu
+        out = 0
+        left = self.quota
+        for e in self.priority:
+            if menu >> e & 1:
+                out |= 1 << e
+                left -= 1
+                if left == 0:
+                    break
+        return out
+
+    def desirable(self, state: Mask) -> Mask:
+        if state.bit_count() < self.quota:
+            return self.ground
+        out = 0
+        left = self.quota
+        for e in self.priority:
+            out |= 1 << e
+            if state >> e & 1:
+                left -= 1
+                if left == 0:
+                    break
+        return out
+
+
+@dataclass(frozen=True)
+class LinearOrder(_Ranked):
+    """Pick the single best element of the menu under a strict total order:
+    the ranked rule with a quota of one and ``order`` as its priority.
+
+    ``order`` lists contract ids best-first and must cover the ground set
+    exactly.  The empty menu chooses nothing.  A linear order is still its
+    own family, not a ``Quota``: it differs from ``Quota(1, order)`` in
+    equality and in its document form, and only linear orders feed the
+    classical solvers.
+    """
+
+    order: tuple[int, ...]
+    ground: Mask = field(init=False)
+    quota: ClassVar[int] = 1
+    plott_by_construction: ClassVar[bool] = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "priority", self.order)
+        self._set_ground("linear order")
+
+
+@dataclass(frozen=True)
+class Quota(_Ranked):
+    """Keep the top ``quota`` elements of the menu by a strict priority
+    (the ranked rule); ``quota`` must be at least 1."""
 
     quota: int
     priority: tuple[int, ...]
@@ -202,53 +232,49 @@ class Quota(ChoiceFunction):
         object.__setattr__(self, "priority", tuple(self.priority))
         if self.quota < 1:
             raise DomainError(f"quota must be at least 1, got {self.quota}")
-        g = mask_of(self.priority)
-        if g.bit_count() != len(self.priority):
-            raise DomainError("quota priority repeats a contract id")
-        object.__setattr__(self, "ground", g)
-
-    def _choose(self, menu: Mask) -> Mask:
-        if menu.bit_count() <= self.quota:
-            return menu
-        out = 0
-        left = self.quota
-        for e in self.priority:
-            if left == 0:
-                break
-            if menu >> e & 1:
-                out |= 1 << e
-                left -= 1
-        return out
-
-    def desirable(self, state: Mask) -> Mask:
-        if state.bit_count() < self.quota:
-            return self.ground
-        return _held_prefix(self.priority, state, self.quota)
-
-
-def _held_prefix(order: tuple[int, ...], state: Mask, held: int) -> Mask:
-    """The contracts of ``order`` up to and including the ``held``-th one
-    in ``state``, or all of them when the state holds fewer."""
-    out = 0
-    for e in order:
-        out |= 1 << e
-        if state >> e & 1:
-            held -= 1
-            if held == 0:
-                break
-    return out
+        self._set_ground("quota priority")
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Table(ChoiceFunction):
+class _PowerSetMap:
+    """A map over the power set of a ground, stored one way: the ground's
+    contract ids ``bits`` (ascending) and one read-only int64 array
+    ``table`` of 2^k entries, laid out as ``contractsets.local_table`` lays
+    out every power set.  ``tabulate`` returns the array as it is, and
+    ``_lookup`` compresses a mask to its local bits and expands its entry
+    back to contract ids.  Two maps are equal when they are of one type and
+    store the same ids and array.
+    """
+
+    ground: Mask
+    bits: tuple[int, ...]
+    table: np.ndarray
+
+    def _store(self, bits, table: np.ndarray) -> None:
+        table.flags.writeable = False
+        object.__setattr__(self, "ground", mask_of(bits))
+        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "table", table)
+
+    def tabulate(self) -> np.ndarray:
+        return self.table
+
+    def _lookup(self, mask: Mask) -> Mask:
+        return expand(self.table.item(compress(mask, self.bits)), self.bits)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.bits == other.bits and np.array_equal(self.table, other.table)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Table(_PowerSetMap, ChoiceFunction):
     """Explicit choice listed for every subset of the ground set.
 
-    A table holds its ground's contract ids ``bits`` (ascending) and one
-    read-only int64 array ``table`` of 2^k entries, laid out as
-    ``contractsets.local_table`` lays out every power set: entry A is C(A)
-    for the menu A, both over local bits 0..k-1.  The axiom check and
-    ``dense_table`` read that array as it is, ``evaluate`` compresses the
-    menu to its local mask and expands the entry back to contract ids, and
+    Stored as a ``_PowerSetMap``: entry A of ``table`` is C(A) for the menu
+    A, both over local bits 0..k-1.  The axiom check and ``dense_table``
+    read that array as it is, ``evaluate`` looks the menu up, and
     ``desirable`` compresses the state once and reads one entry per ground
     contract.  ``Table(ground, mapping)`` tabulates a menu-to-choice
     mapping in contract ids; the document decoder uses ``from_rows``.
@@ -260,10 +286,6 @@ class Table(ChoiceFunction):
     tables at load time, but free-standing tables may be built invalid on
     purpose to exercise the validator.
     """
-
-    ground: Mask
-    bits: tuple[int, ...]
-    table: np.ndarray
 
     def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
         """Tabulate ``mapping``, menu to choice in contract ids, over
@@ -307,21 +329,10 @@ class Table(ChoiceFunction):
             if table[first] == _MISSING:
                 raise DomainError(f"table is not total: menu {menu} is missing")
             raise DomainError(f"table entry for menu {menu} chooses outside it")
-        table.flags.writeable = False
-        object.__setattr__(self, "ground", mask_of(bits))
-        object.__setattr__(self, "bits", tuple(bits))
-        object.__setattr__(self, "table", table)
-
-    def __eq__(self, other):
-        if not isinstance(other, Table):
-            return NotImplemented
-        return self.bits == other.bits and np.array_equal(self.table, other.table)
-
-    def tabulate(self) -> np.ndarray:
-        return self.table
+        self._store(bits, table)
 
     def _choose(self, menu: Mask) -> Mask:
-        return expand(self.table.item(compress(menu, self.bits)), self.bits)
+        return self._lookup(menu)
 
     def desirable(self, state: Mask) -> Mask:
         # local bit i is desirable when the entry of state ∪ {i} holds it
@@ -334,43 +345,31 @@ _RANKED = (LinearOrder, Quota)
 
 
 class _RankedParts:
-    """Linear and quota parts with disjoint grounds, answered in one numpy
-    pass.  Their contracts are laid out once in (part, rank) order as
-    ``pos``, with each position's run start ``start`` and its part's
-    ``quota`` (a linear order keeps one).  A contract is desirable from a
-    state when fewer than its quota of held contracts rank above it in its
-    part, and chosen from a menu when it is desirable and held: an
+    """Ranked parts (linear and quota agents) with disjoint grounds,
+    answered in one numpy pass.  Their priorities are laid out once in
+    (part, rank) order as ``pos``, with each position's run start ``start``
+    and its part's ``quota``.  A contract is desirable from a state when
+    fewer than its quota of held contracts rank above it in its part: an
     exclusive running count of the held contracts, restarted at each run.
     """
 
     def __init__(self, parts):
-        orders = [p.order if type(p) is LinearOrder else p.priority for p in parts]
+        orders = [p.priority for p in parts]
         sizes = np.fromiter(map(len, orders), dtype=np.intp, count=len(orders))
         self.pos = np.fromiter(itertools.chain.from_iterable(orders), dtype=np.intp)
         self.start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.quota = np.repeat([getattr(p, "quota", 1) for p in parts], sizes)
+        self.quota = np.repeat([p.quota for p in parts], sizes)
         self.ground = sum(p.ground for p in parts)  # disjoint: the union
         self.nbytes = (self.ground.bit_length() + 7) // 8
 
-    def _flags(self, mask: Mask) -> tuple[np.ndarray, np.ndarray]:
-        # (held, desirable) at each position
-        raw = (mask & self.ground).to_bytes(self.nbytes, "little")
+    def desirable(self, state: Mask) -> Mask:
+        raw = (state & self.ground).to_bytes(self.nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         held = bits[self.pos]
         ahead = np.add.accumulate(held, dtype=np.intp) - held
-        return held, ahead - ahead[self.start] < self.quota
-
-    def _mask(self, flags: np.ndarray) -> Mask:
-        bits = np.zeros(8 * self.nbytes, dtype=np.uint8)
-        bits[self.pos] = flags
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    def choose(self, menu: Mask) -> Mask:
-        held, wanted = self._flags(menu)
-        return self._mask(held & wanted)
-
-    def desirable(self, state: Mask) -> Mask:
-        return self._mask(self._flags(state)[1])
+        out = np.zeros(8 * self.nbytes, dtype=np.uint8)
+        out[self.pos] = ahead - ahead[self.start] < self.quota
+        return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -386,10 +385,11 @@ class Aggregate(ChoiceFunction):
     reads the part's entry at A's slice of the part's ground, one 2^k
     gather per part.
 
-    A side with at least ``_VECTOR_PARTS`` linear and quota parts answers
-    ``evaluate`` and ``desirable`` for all of them in one numpy pass
-    (``_RankedParts``), laid out on first use; below that count, and for
-    every other part, each part answers for its slice with one call.
+    A side with at least ``_VECTOR_PARTS`` linear and quota parts lays
+    them out at construction (``_passes``) and answers for all of them in
+    one numpy pass (``_RankedParts``): their desirable set, and their
+    choice as the held part of it.  Below that count, and for every other
+    part, each part answers for its slice with one call.
 
     Plott by construction exactly when every part is: each axiom compares
     C on menus slice by slice, so it holds for the join when it holds for
@@ -407,26 +407,22 @@ class Aggregate(ChoiceFunction):
                 raise DomainError("aggregate parts must have disjoint grounds")
             g |= part.ground
         object.__setattr__(self, "ground", g)
+        # the ranked parts laid out for one pass, or None below
+        # _VECTOR_PARTS of them, and the parts answered one call each
+        ranked = [p for p in self.parts if type(p) in _RANKED]
+        passes = None, self.parts
+        if len(ranked) >= _VECTOR_PARTS:
+            rest = tuple(p for p in self.parts if type(p) not in _RANKED)
+            passes = _RankedParts(ranked), rest
+        object.__setattr__(self, "_passes", passes)
 
     @property
     def plott_by_construction(self) -> bool:
         return all(part.plott_by_construction for part in self.parts)
 
-    @functools.cached_property
-    def _passes(self) -> tuple[_RankedParts | None, tuple[ChoiceFunction, ...]]:
-        """The linear and quota parts laid out for one numpy pass, or None
-        when there are fewer than ``_VECTOR_PARTS`` of them, and the parts
-        evaluated one call each.  Built on first use, so a side that is
-        only tabulated never lays itself out."""
-        ranked = [p for p in self.parts if type(p) in _RANKED]
-        if len(ranked) < _VECTOR_PARTS:
-            return None, self.parts
-        rest = tuple(p for p in self.parts if type(p) not in _RANKED)
-        return _RankedParts(ranked), rest
-
     def _choose(self, menu: Mask) -> Mask:
         ranked, rest = self._passes
-        out = 0 if ranked is None else ranked.choose(menu)
+        out = 0 if ranked is None else menu & ranked.desirable(menu)
         for part in rest:
             out |= part.evaluate(menu & part.ground)
         return out

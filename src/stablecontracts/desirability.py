@@ -15,31 +15,31 @@ single states.  Both report the first offending sets in the canonical
 order.
 
 An operator is stored as a ``Table`` stores a choice function, one
-read-only array over its ground's local masks filled by one
-``local_table`` pass.  Conversely, any total map with these two
-properties induces a choice function that passes the rationality axioms;
-``choice_from_desirability`` implements that reconstruction.
+``choice._PowerSetMap``: the ground's ids and one read-only array over its
+local masks, filled by one ``local_table`` pass.  Conversely, any total map
+with these two properties induces a choice function that passes the
+rationality axioms; ``choice_from_desirability`` implements that
+reconstruction.
 
 ``desirable_set`` checks the state and hands it to the family's
-``ChoiceFunction.desirable``, which every family must give.  Ordered
-families answer in closed form, one pass over their preference list: a
-linear order desires the prefix of its order up to and including the
-first contract held, a quota the prefix up to and including the q-th
-contract held (either desires its whole ground while it holds fewer than
-q), and a market side (an ``Aggregate``) joins what each agent desires
-of its own slice of the state; a side of many linear and quota agents
-finds all their prefixes in one numpy pass, a running count of held
-contracts over its agents' preference lists laid end to end.  A table
-reads x ∈ C(state ∪ {x})
-off its array for each ground contract x.  The definition lives only in
-the tests, as the oracle that every family's form is compared with,
-computed through ``evaluate`` alone; the lemma suite checks the laws
-above for whichever form runs.  The brute-force oracle and the
-blocking-contract scans never use desirability.
+``ChoiceFunction.desirable``, which every family must give.  The ranked
+rule (a linear order is a quota of one) answers in closed form, one pass
+over its priority: the prefix up to and including the q-th contract held,
+or the whole ground while it holds fewer than q.  A market side (an
+``Aggregate``) joins what each agent desires of its own slice of the
+state; a side of many linear and quota agents finds all their prefixes in
+one numpy pass, a running count of held contracts over its agents'
+priorities laid end to end.  A table reads x ∈ C(state ∪ {x}) off its
+array for each ground contract x.  The definition lives only in the
+tests, as the oracle that every family's form is compared with, computed
+through ``evaluate`` alone; the lemma suite checks the laws above for
+whichever form runs.  The brute-force oracle and the blocking-contract
+scans never use desirability.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
@@ -47,12 +47,13 @@ import numpy as np
 from .choice import (
     ChoiceFunction,
     Table,
+    _PowerSetMap,
     ValidationReport,
     check_laws,
     first_pair,
     first_state,
 )
-from .contractsets import Mask, check_subset, compress, expand, ids_of, local_table
+from .contractsets import Mask, check_subset, ids_of, local_table
 from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
@@ -69,13 +70,13 @@ def desirable_set(cf: ChoiceFunction, state: Mask) -> Mask:
     return cf.desirable(state)
 
 
-class DesirabilityOperator:
+class DesirabilityOperator(_PowerSetMap):
     """A total map from subsets of the ground set to subsets of it.
 
-    Stored as ``Table`` stores a choice function: the ground's contract ids
-    (ascending) and one read-only int64 array over their local masks, laid
-    out by ``contractsets.local_table``, which ``map`` and ``tabulate``
-    read.  Arbitrary maps are accepted so the validator can be exercised on
+    Stored as a ``Table`` stores a choice function (``choice._PowerSetMap``):
+    the ground's contract ids ``bits`` and one read-only int64 array
+    ``table`` over their local masks, which ``map`` and ``tabulate`` read.
+    Arbitrary maps are accepted so the validator can be exercised on
     negative cases; only validated operators may be turned back into
     choice functions.
     """
@@ -96,35 +97,25 @@ class DesirabilityOperator:
                 )
             return table[state]
 
-        self._fill(ground, entry)
-        if len(table) != len(self._table):
+        self._store(ids_of(ground), local_table(entry, ids_of(ground)))
+        if len(table) != len(self.table):
             raise DomainError("operator lists states outside the ground set")
 
     @classmethod
     def from_choice(cls, cf: ChoiceFunction) -> "DesirabilityOperator":
         """Materialize the desirability operator of a choice function."""
         op = object.__new__(cls)
-        op._fill(cf.ground, cf.desirable)
+        op._store(ids_of(cf.ground), local_table(cf.desirable, ids_of(cf.ground)))
         return op
-
-    def _fill(self, ground: Mask, fn) -> None:
-        self.ground = ground
-        self._bits = ids_of(ground)
-        self._table = local_table(fn, self._bits)
-        self._report: ValidationReport | None = None
 
     def map(self, state: Mask) -> Mask:
         check_subset(state, self.ground)
-        return expand(self._table.item(compress(state, self._bits)), self._bits)
+        return self._lookup(state)
 
-    def tabulate(self) -> np.ndarray:
-        """D over the local masks of the ground, as ``local_table`` lays it out."""
-        return self._table
-
-    def __eq__(self, other):
-        if not isinstance(other, DesirabilityOperator):
-            return NotImplemented
-        return self.ground == other.ground and np.array_equal(self._table, other._table)
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        # a cap refusal raises and is not cached, so it raises every time
+        return check_laws(self, _OPERATOR_LAWS, "operator")
 
 
 def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport:
@@ -136,8 +127,6 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
     An operator over ``EXHAUSTIVE_CAP`` (12) contracts raises
     CapExceededError; any other report is cached on the operator.
     """
-    if op._report is None:
-        op._report = check_laws(op, _OPERATOR_LAWS, "operator")
     return op._report
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,7 +32,15 @@ from stablecontracts.contractsets import (
     mask_of,
     submasks,
 )
-from stablecontracts.errors import CapExceededError, DomainError, InternalInconsistencyError
+from stablecontracts.classical import gale_shapley, sotomayor_insert_solve
+from stablecontracts.errors import (
+    CapExceededError,
+    DomainError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
+from stablecontracts.fileformat import document_from_instance, instance_from_document
+from stablecontracts.instance import Agent, Contract, Instance, Side
 
 
 class TestLinearOrder:
@@ -84,8 +92,7 @@ def test_answers_around_the_quota(cf):
     # menus and states of q - 1, q and q + 1 contracts (and none), where
     # a slice of at most q is kept whole and fewer than q held leave the
     # whole ground desirable
-    priority = cf.priority if isinstance(cf, Quota) else cf.order
-    q = getattr(cf, "quota", 1)
+    priority, q = cf.priority, cf.quota
     for size in sorted({0, max(q - 1, 0), q, q + 1}):
         for held in (priority[:size], priority[len(priority) - size:]):
             menu = mask_of(held)
@@ -95,6 +102,45 @@ def test_answers_around_the_quota(cf):
                 assert cf.evaluate(menu) == menu
             if size < q:
                 assert cf.desirable(menu) == cf.ground
+
+
+class TestLinearOrderIsQuotaOfOne:
+    """A linear order is the ranked rule with a quota of one: it answers
+    as ``Quota(1, order)`` everywhere, but stays its own family."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=200), max_size=6, unique=True))
+    @example([])
+    @example([70, 3, 130, 64])
+    def test_same_answers_on_every_menu(self, order):
+        linear, quota = LinearOrder(order), Quota(1, order)
+        assert linear.priority == quota.priority == tuple(order)
+        assert linear.quota == quota.quota == 1
+        assert linear.ground == quota.ground
+        for menu in submasks(linear.ground):
+            assert linear.evaluate(menu) == quota.evaluate(menu)
+            want = naive_desirable(quota, menu)
+            assert linear.desirable(menu) == quota.desirable(menu) == want
+        assert linear.tabulate().tolist() == quota.tabulate().tolist()
+
+    def test_stay_distinct_families(self):
+        linear, quota = LinearOrder((1, 0)), Quota(1, (1, 0))
+        assert linear != quota and quota != linear
+        assert not isinstance(linear, Quota) and not isinstance(quota, LinearOrder)
+        agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
+        contracts = (Contract(0, "a", "f", "w"), Contract(1, "b", "f", "w"))
+        inst = Instance(agents, contracts, {"f": linear, "w": quota})
+        doc = document_from_instance(inst)
+        assert doc["choices"] == {
+            "f": {"family": "linear", "payload": ["b", "a"]},
+            "w": {"family": "quota", "payload": {"q": 1, "priority": ["b", "a"]}},
+        }
+        again = instance_from_document(doc)
+        assert again == inst
+        assert type(again.choices["f"]) is LinearOrder and type(again.choices["w"]) is Quota
+        for solver in (gale_shapley, sotomayor_insert_solve):
+            with pytest.raises(PreconditionError, match="'w' has a Quota choice function"):
+                solver(inst)
 
 
 class TestTable:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from stablecontracts.choice import (
     LinearOrder,
     Quota,
     Table,
+    check_laws,
     validate_plott,
 )
 from stablecontracts.contractsets import mask_of, submasks
@@ -177,8 +179,28 @@ class TestOperatorValidation:
     def test_cap_exceeded(self):
         ground = (1 << 13) - 1
         op = DesirabilityOperator(ground, {a: 0 for a in submasks(ground)})
-        with pytest.raises(CapExceededError):
-            validate_desirability_operator(op)
+        # a refusal is no report, so it is not kept: every call raises
+        for _ in range(2):
+            with pytest.raises(CapExceededError, match="operator check is capped at 12"):
+                validate_desirability_operator(op)
+
+    def test_laws_checked_once_per_operator(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return check_laws(*args)
+
+        monkeypatch.setattr(desirability, "check_laws", counting)
+        op = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
+        other = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
+        first = validate_desirability_operator(op)
+        assert validate_desirability_operator(op) is first
+        assert choice_from_desirability(op, m(0, 1)) == m(1)
+        assert induced_choice(op).ground == op.ground
+        assert calls == [op]
+        assert validate_desirability_operator(other) == first
+        assert calls == [op, other]
 
     def test_invalid_operator_cannot_become_choice(self):
         op = DesirabilityOperator(m(0, 1), {a: a for a in submasks(m(0, 1))})
@@ -186,6 +208,31 @@ class TestOperatorValidation:
             choice_from_desirability(op, m(0))
         with pytest.raises(DomainError):
             induced_choice(op)
+
+
+class TestSharedStore:
+    """Tables and operators are stored one way: ids and a read-only array."""
+
+    def test_table_and_operator_with_one_array_are_not_equal(self):
+        g = m(2, 70)
+        identity = {a: a for a in submasks(g)}
+        table, op = Table(g, identity), DesirabilityOperator(g, identity)
+        assert table.bits == op.bits == (2, 70)
+        assert np.array_equal(table.table, op.table)
+        assert table != op and op != table
+        assert not table == op
+
+    @pytest.mark.parametrize("stored", [
+        lambda: Table(m(0, 1), {0: 0, m(0): m(0), m(1): 0, m(0, 1): m(0)}),
+        lambda: Table.from_rows([1, 0], [0, 1, 2, 3], [0, 1, 0, 1]),
+        lambda: DesirabilityOperator(m(0, 1), {a: 0 for a in submasks(m(0, 1))}),
+        lambda: DesirabilityOperator.from_choice(Quota(1, (70, 2))),
+    ], ids=["table", "table-rows", "operator", "operator-of-choice"])
+    def test_arrays_stay_read_only(self, stored):
+        s = stored()
+        assert s.tabulate() is s.table
+        with pytest.raises(ValueError):
+            s.table[0] = 1
 
 
 def test_choice_vs_desirability_exhaustive_at_ten_contracts():
