@@ -6,7 +6,7 @@ set is trivially ample, the descent step B ↦ (B \\ W(B)) ∪ F(W(B)) keeps
 ampleness and shrinks B, and at the fixpoint W(B) = F(W(B)) the system
 W(B) is stable.  Scanning every ample B whose worker choice is such a
 fixpoint recovers every stable system, which is what the power-set
-enumerator does, on the problem's cached choice tables.
+enumerator does on the problem's cached choice tables, candidates first.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
     """All stable systems, found as worker choices of ample fixpoint sets.
 
     Scans the full power set through ``problem.tables``: S is collected
-    whenever some B is ample with W(B) = F(W(B)) = S, where ampleness reads
-    the firm side's desirability off its choice table.  Matches the
-    brute-force oracle exactly; output is canonically sorted (cardinality,
-    then ids).
+    whenever some B is ample with W(B) = F(W(B)) = S.  It keeps the B with
+    W(B) = F(W(B)) first, then reads D_F(S) off the firm table once per
+    distinct S.  Matches the brute-force oracle exactly; output is
+    canonically sorted (cardinality, then ids).
     """
     n = problem.size
     if n > ENUMERATION_CAP:
@@ -120,15 +120,14 @@ def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
             f"{ENUMERATION_CAP}"
         )
     tf, wb = problem.tables  # wb[b] is W(B)
-    masks = np.arange(1 << n, dtype=np.int64)
-    # desirability table of the firm side: bit x of df[s] says x ∈ F(s ∪ x).
-    # Viewed as (-1, 2, 2^x), index [:, 1] holds the menus s ∪ x, and it
-    # broadcasts onto both halves, s without x and s with it.
-    df = np.zeros_like(masks)
+    b = np.flatnonzero(wb == tf[wb])
+    s = wb[b]  # W(B) = F(W(B)) for each of these B
+    # D_F once per distinct S, kept at index S: bit x says x ∈ F(S ∪ {x})
+    seen = np.zeros(len(wb), dtype=bool)
+    seen[s] = True
+    distinct = np.flatnonzero(seen)
+    df = np.zeros_like(wb)
     for x in range(n):
-        shape = (-1, 2, 1 << x)
-        df.reshape(shape)[...] |= (tf.reshape(shape)[:, 1:] >> x & 1) << x
-    ample = (df[wb] & ~masks) == 0
-    fixed = wb == tf[wb]
-    found = np.unique(wb[ample & fixed])
-    return canonical_sorted(int(s) for s in found)
+        df[distinct] |= tf[distinct | 1 << x] & 1 << x
+    found = np.unique(s[(df[s] & ~b) == 0])
+    return canonical_sorted(int(x) for x in found)

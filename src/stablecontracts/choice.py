@@ -28,7 +28,7 @@ sorts menus by cardinality, then lexicographically by contract ids.  A map
 stored in that layout (``_PowerSetMap``: the ground's ids and one
 read-only array) is a ``Table`` here and a ``DesirabilityOperator`` in
 ``desirability``; its ``tabulate`` returns the array as it is, and an
-``Aggregate`` gathers its parts' arrays.
+``Aggregate`` broadcasts its parts' arrays, each onto its own axes.
 
 Each axiom is decided by a one-contract version of itself, which a chain
 of single additions or removals turns back into the global form (Plott
@@ -381,9 +381,9 @@ class Aggregate(ChoiceFunction):
     Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
     chosen by its own part from that part's slice of S plus x, so
     ``desirable`` joins each part's ``desirable`` of its slice (the
-    side's D), and ``tabulate`` gathers each part's own table: entry A
-    reads the part's entry at A's slice of the part's ground, one 2^k
-    gather per part.
+    side's D), and ``tabulate`` ORs the parts' own tables: in C order the
+    side's table has one axis per run of adjacent local bits of one part,
+    and each part's table, reshaped onto its axes, broadcasts over the rest.
 
     A side with at least ``_VECTOR_PARTS`` linear and quota parts lays
     them out at construction (``_passes``) and answers for all of them in
@@ -435,13 +435,17 @@ class Aggregate(ChoiceFunction):
         return out
 
     def tabulate(self) -> np.ndarray:
-        bits = ids_of(self.ground)
-        menus = np.arange(1 << len(bits), dtype=np.int64)
-        table = np.zeros_like(menus)
-        for part in self.parts:
-            # the part's contracts as local bits of the aggregate's ground
-            local = ids_of(compress(part.ground, bits))
-            table |= expand(part.tabulate(), local)[compress(menus, local)]
+        # runs of adjacent local bits of one part, highest bits first, are
+        # the axes of the table in C order
+        owner = [next(i for i, p in enumerate(self.parts) if p.ground >> b & 1)
+                 for b in ids_of(self.ground)]
+        runs = [(i, len(list(g))) for i, g in itertools.groupby(reversed(owner))]
+        table = np.zeros((1,) * len(runs), dtype=np.int64)
+        for i, part in enumerate(self.parts):
+            local = [j for j, o in enumerate(owner) if o == i]
+            shape = [1 << size if o == i else 1 for o, size in runs]
+            table = table | expand(part.tabulate(), local).reshape(shape)
+        table = table.reshape(-1)
         table.flags.writeable = False
         return table
 
@@ -483,8 +487,8 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
 
     Returns a read-only int64 array of 2^n entries; requires the ground to
     be {0, ..., n-1}, where local masks are the contract masks themselves,
-    so the array is ``cf.tabulate()``: for a market side, each agent's
-    table gathered by ``Aggregate.tabulate``.
+    so the array is ``cf.tabulate()``: for a market side, the agents'
+    tables broadcast together by ``Aggregate.tabulate``.
     """
     n = cf.ground.bit_count()
     if cf.ground != (1 << n) - 1:

@@ -30,8 +30,9 @@ _FAMILIES = ("linear", "quota")
 def brute_force_stable(problem: TwoAgentProblem) -> list[Mask]:
     """Every stable system, by scanning the full power set.
 
-    Output order is canonical (cardinality, then lexicographic ids) and is
-    part of the interface.
+    Only the acceptable S (F(S) = S = W(S)) are tested for a blocking
+    e ∉ S, which both sides choose from S ∪ {e}.  Output order is canonical
+    (cardinality, then lexicographic ids) and is part of the interface.
     """
     n = problem.size
     if n > BRUTE_FORCE_CAP:
@@ -40,18 +41,12 @@ def brute_force_stable(problem: TwoAgentProblem) -> list[Mask]:
             f"{BRUTE_FORCE_CAP}"
         )
     tf, tw = problem.tables
-    masks = np.arange(1 << n, dtype=np.int64)
-    acceptable = (tf == masks) & (tw == masks)
-    blocked = np.zeros(len(masks), dtype=bool)
+    s = np.flatnonzero((tf == tw) & (tf == np.arange(1 << n)))
+    blocked = np.zeros(len(s), dtype=bool)
     for e in range(n):
-        # viewed as (-1, 2, 2^e), index [:, 0] holds the sets S without e
-        # and [:, 1] the matching S ∪ {e}
-        shape = (-1, 2, 1 << e)
-        firm_wants = tf.reshape(shape)[:, 1] >> e & 1
-        worker_wants = tw.reshape(shape)[:, 1] >> e & 1
-        blocked.reshape(shape)[:, 0] |= (firm_wants & worker_wants) == 1
-    stable = np.nonzero(acceptable & ~blocked)[0]
-    return canonical_sorted(int(s) for s in stable)
+        se = s | 1 << e
+        blocked |= (tf[se] & tw[se] & ~s) >> e & 1 == 1
+    return canonical_sorted(int(x) for x in s[~blocked])
 
 
 def random_instance(

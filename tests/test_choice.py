@@ -207,7 +207,52 @@ class TestTableArray:
             table.table[0] = 1
 
 
+@st.composite
+def aggregate(draw):
+    """An aggregate of disjoint parts over at most 9 contract ids, dense or
+    sparse past 63, whose grounds interleave: linear, quota and table parts
+    and parts with an empty ground; padded with empty linear orders, a side
+    of 32 or more ranked parts, which answers in one pass."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=8)
+                        | st.integers(min_value=60, max_value=140),
+                        max_size=9, unique=True))
+    parts, rest = [], list(draw(st.permutations(ids)))
+    while rest:
+        size = draw(st.integers(min_value=1, max_value=min(3, len(rest))))
+        own, rest = tuple(rest[:size]), rest[size:]
+        kind = draw(st.sampled_from(["linear", "quota", "table"]))
+        if kind == "linear":
+            parts.append(LinearOrder(own))
+        elif kind == "quota":
+            parts.append(Quota(draw(st.integers(min_value=1, max_value=size)), own))
+        else:
+            ground = mask_of(own)
+            parts.append(Table(ground, {
+                a: a & draw(st.integers(min_value=0, max_value=ground))
+                for a in submasks(ground)
+            }))
+    parts += [LinearOrder(())] * draw(st.sampled_from([0, 1, 32]))
+    return Aggregate(tuple(draw(st.permutations(parts))))
+
+
 class TestAggregate:
+    @settings(max_examples=150, deadline=None)
+    @given(aggregate())
+    @example(Aggregate(()))
+    @example(Aggregate((LinearOrder(()),)))
+    @example(Aggregate((LinearOrder((70, 2)), Quota(1, (64, 0)), LinearOrder((1,)))))
+    def test_tabulates_as_it_evaluates(self, agg):
+        table = agg.tabulate()
+        assert table.dtype == np.int64
+        assert not table.flags.writeable
+        assert table.tolist() == naive_local_table(agg.evaluate, ids_of(agg.ground))
+
+    def test_one_pass_side_is_covered(self):
+        # the strategy's padding reaches the one-pass evaluation
+        agg = Aggregate((Quota(2, (5, 1, 70)),) + (LinearOrder(()),) * 32)
+        assert agg._passes[0] is not None
+        assert agg.tabulate().tolist() == naive_local_table(agg.evaluate, [1, 5, 70])
+
     def test_overlapping_parts_rejected(self):
         with pytest.raises(DomainError, match="disjoint"):
             Aggregate((LinearOrder((0, 1)), LinearOrder((1, 2))))

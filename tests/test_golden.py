@@ -1,10 +1,10 @@
 """Golden CLI reports: byte-exact stdout of every report-producing command
-on five fixed documents.
+on six fixed documents.
 
-``tests/golden/`` holds the input documents (the three fixtures and two
-``stablecontracts generate`` documents of at most 12 contracts) and one
-``<case>.out`` file per command below.  A report may change only on
-purpose; after such a change, rewrite the files with
+``tests/golden/`` holds the input documents (the three fixtures, two
+``stablecontracts generate`` documents of at most 12 contracts and the
+empty market) and one ``<case>.out`` file per command below.  A report
+may change only on purpose; after such a change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -40,6 +40,9 @@ GENERATED = {
                   "--families", "linear,quota"],
 }
 
+# no agents and no contracts: one stable system, the empty one
+EMPTY = {"agents": [], "contracts": [], "choices": {}}
+
 # the last system each document's ``enumerate`` report lists
 CHECKED = {
     "i1": ["e2"],
@@ -62,6 +65,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}.solve-modest"] = ["solve", "--trace", "--algorithm", "modest", doc]
         cases[f"{name}.enumerate"] = ["enumerate", doc]
         cases[f"{name}.check"] = ["check", doc, *CHECKED[name]]
+    cases["empty.enumerate"] = ["enumerate", _doc("empty")]
     cases["lemmas"] = ["lemmas", "--problems", "5", *map(_doc, GENERATED)]
     return cases
 
@@ -84,6 +88,7 @@ def _inputs() -> dict[str, str]:
     }
     for name, args in GENERATED.items():
         docs[name] = _stdout(["generate", *args])
+    docs["empty"] = json.dumps(EMPTY, indent=2) + "\n"
     return docs
 
 

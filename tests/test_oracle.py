@@ -2,10 +2,18 @@ import pytest
 
 from conftest import m
 from stablecontracts.ample import ENUMERATION_CAP, ag_solve, enumerate_stable_via_ample
-from stablecontracts.choice import LinearOrder, Quota
-from stablecontracts.contractsets import canonical_key
+from stablecontracts.choice import LinearOrder, Quota, Table
+from stablecontracts.contractsets import canonical_key, canonical_sorted, submasks
 from stablecontracts.errors import CapExceededError, DomainError
-from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
+from stablecontracts.fixtures import marriage_2x2
+from stablecontracts.instance import (
+    Agent,
+    Contract,
+    Instance,
+    Side,
+    TwoAgentProblem,
+    reduce_to_two_agents,
+)
 from stablecontracts.modest import yang_solve
 from stablecontracts.oracle import (
     BRUTE_FORCE_CAP,
@@ -13,6 +21,7 @@ from stablecontracts.oracle import (
     random_corpus,
     random_instance,
 )
+from stablecontracts.stability import is_stable_multi
 
 
 class TestBruteForce:
@@ -36,6 +45,95 @@ class TestBruteForce:
         order = tuple(range(21))
         with pytest.raises(CapExceededError):
             brute_force_stable(TwoAgentProblem(LinearOrder(order), LinearOrder(order)))
+
+
+def stable_by_definition(inst: Instance) -> list[int]:
+    """Every stable system by the multi-agent definition, one mask at a
+    time; it reads the agents' own choices, never ``problem.tables``."""
+    return canonical_sorted(
+        s for s in range(1 << inst.size) if is_stable_multi(inst, s)
+    )
+
+
+def latin_square_market(k: int, variant: str) -> Instance:
+    """Cyclic Latin-square marriage market on k firms and k workers.
+
+    Firm i ranks worker i + r r-th and worker j ranks firm j + r + 1 r-th
+    (mod k), so each diagonal matching {(i, i + r)} is stable.  ``variant``
+    "quota" gives every firm a quota of 2, and "table" turns firm 0 and
+    worker 0 into tables of their linear orders.
+    """
+    firms = [Agent(f"f{i}", Side.FIRM) for i in range(k)]
+    workers = [Agent(f"w{j}", Side.WORKER) for j in range(k)]
+    contracts = [Contract(i * k + j, f"f{i}-w{j}", f"f{i}", f"w{j}")
+                 for i in range(k) for j in range(k)]
+    choices = {}
+    for i in range(k):
+        order = tuple(i * k + (i + r) % k for r in range(k))
+        choices[f"f{i}"] = Quota(2, order) if variant == "quota" else LinearOrder(order)
+    for j in range(k):
+        choices[f"w{j}"] = LinearOrder(tuple((j + r + 1) % k * k + j for r in range(k)))
+    if variant == "table":
+        for agent in ("f0", "w0"):
+            cf = choices[agent]
+            choices[agent] = Table(cf.ground, {a: cf.evaluate(a) for a in submasks(cf.ground)})
+    return Instance(tuple(firms + workers), tuple(contracts), choices)
+
+
+def disjoint_marriages(b: int) -> Instance:
+    """b disjoint copies of the 2x2 marriage market, which has two stable
+    systems, so the union has 2^b."""
+    one = marriage_2x2()
+    agents, contracts, choices = [], [], {}
+    for c in range(b):
+        agents += [Agent(f"{a.id}.{c}", a.side) for a in one.agents]
+        contracts += [Contract(4 * c + x.id, f"{x.label}.{c}", f"{x.firm}.{c}",
+                               f"{x.worker}.{c}") for x in one.contracts]
+        for agent_id, cf in one.choices.items():
+            choices[f"{agent_id}.{c}"] = LinearOrder(tuple(4 * c + e for e in cf.order))
+    return Instance(tuple(agents), tuple(contracts), choices)
+
+
+def _one_contract() -> Instance:
+    agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
+    return Instance(agents, (Contract(0, "e", "f", "w"),),
+                    {"f": LinearOrder((0,)), "w": LinearOrder((0,))})
+
+
+class TestAgainstTheDefinition:
+    """Both power-set scans list exactly the systems that the multi-agent
+    definition calls stable, checked mask by mask."""
+
+    def _agree(self, inst):
+        problem = reduce_to_two_agents(inst)
+        stable = stable_by_definition(inst)
+        assert brute_force_stable(problem) == stable
+        assert enumerate_stable_via_ample(problem) == stable
+        return stable
+
+    def test_random_markets(self):
+        # full 3x3 linear markets often have several stable systems
+        corpus = random_corpus(60, master_seed=17, max_contracts=10) + [
+            random_instance(seed, 3, 3, family_mix=mix)
+            for seed in range(30)
+            for mix in (None, {"linear": 1.0, "quota": 1.0}, {"quota": 1.0})
+        ]
+        several = sum(len(self._agree(inst)) > 1 for inst in corpus)
+        assert several >= 5
+
+    @pytest.mark.parametrize("variant", ["linear", "quota", "table"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_latin_squares(self, k, variant):
+        stable = self._agree(latin_square_market(k, variant))
+        assert len(stable) >= (1 if variant == "quota" else k)
+
+    @pytest.mark.parametrize("b", [3, 4])
+    def test_disjoint_marriages_have_two_to_the_b(self, b):
+        assert len(self._agree(disjoint_marriages(b))) == 1 << b
+
+    def test_zero_and_one_contract(self):
+        assert self._agree(Instance((), (), {})) == [0]
+        assert self._agree(_one_contract()) == [m(0)]
 
 
 class TestEnumerationCap:
