@@ -43,6 +43,10 @@ GENERATED = {
 # no agents and no contracts: one stable system, the empty one
 EMPTY = {"agents": [], "contracts": [], "choices": {}}
 
+# the documents with linear orders throughout, which the classical
+# solvers also answer
+LINEAR = ("i1", "i3", "gen-linear")
+
 # the last system each document's ``enumerate`` report lists
 CHECKED = {
     "i1": ["e2"],
@@ -65,6 +69,11 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}.solve-modest"] = ["solve", "--trace", "--algorithm", "modest", doc]
         cases[f"{name}.enumerate"] = ["enumerate", doc]
         cases[f"{name}.check"] = ["check", doc, *CHECKED[name]]
+    for name in LINEAR:
+        for algorithm in ("gs", "sotomayor"):
+            cases[f"{name}.solve-{algorithm}"] = [
+                "solve", "--algorithm", algorithm, _doc(name)
+            ]
     cases["empty.enumerate"] = ["enumerate", _doc("empty")]
     cases["lemmas"] = ["lemmas", "--problems", "5", *map(_doc, GENERATED)]
     return cases
