@@ -1,16 +1,23 @@
 """Classical marriage markets: strict linear orders, one contract per agent.
 
-Two solvers live here.  ``gale_shapley`` is worker-proposing deferred
-acceptance: every round each unmatched worker offers its best not-yet-
-rejected contract, and each firm keeps the best contract among its current
-holding and the round's offers, rejecting the rest.  The rounds are batch
-operations, so the outcome cannot depend on the order workers are visited.
+Two solvers live here.  Both keep one mask of held contracts and read every
+preference from the market's own choice functions, C_v and D_v of agent v
+over E(v), the contracts naming v; they hold no preference data of their
+own.
+
+``gale_shapley`` is worker-proposing deferred acceptance.  Every round
+each free worker w offers C_w(E(w) minus its rejected contracts), its best
+contract not yet rejected, and each firm f that received an offer keeps
+C_f((held ∪ offers) ∩ E(f)).  The workers of the dropped contracts are
+free in the next round.  The rounds are batch operations, so the outcome
+cannot depend on the order workers are visited.
 
 ``sotomayor_insert_solve`` builds a stable matching one worker at a time.
-The entering worker takes its best contract among those the counterpart
-firm would accept; if that displaces another worker, the displaced worker
-re-enters the same way, and the chain stops because the dismissing firm's
-position strictly improves at every link.
+The entering worker w takes C_w(E(w) ∩ D), where D joins each adjacent
+firm's D_f(held ∩ E(f)): its best contract among those the firm would
+accept.  If that displaces another worker, the displaced worker re-enters
+the same way, and the chain stops because the dismissing firm's position
+strictly improves at every link.
 
 Both require every agent's choice function to be a strict linear order
 (the one-contract-per-agent marriage model); anything else is rejected.
@@ -25,8 +32,9 @@ from .instance import Instance, contracts_of
 from .stability import keeps_slices, multi_blocking
 
 
-def _linear_orders(inst: Instance) -> dict[str, tuple[int, ...]]:
-    orders = {}
+def _sequence(inst: Instance, sequence: tuple[str, ...] | None, name: str):
+    """The workers in ``sequence`` (declaration order when None), once every
+    agent is known to choose by a linear order."""
     for agent in inst.agents:
         cf = inst.choices[agent.id]
         if not isinstance(cf, LinearOrder):
@@ -34,35 +42,12 @@ def _linear_orders(inst: Instance) -> dict[str, tuple[int, ...]]:
                 f"agent {agent.id!r} has a {type(cf).__name__} choice function; "
                 f"the classical solvers need linear orders throughout"
             )
-        orders[agent.id] = cf.order
-    return orders
-
-
-def _setup(inst: Instance, sequence: tuple[str, ...] | None, name: str):
-    """What both solvers start from: each agent's linear order, the workers
-    in ``sequence`` (declaration order when None), each firm's rank of its
-    contracts, and each contract's firm and worker."""
-    orders = _linear_orders(inst)
     workers = inst.workers()
     if sequence is None:
-        sequence = workers
-    elif sorted(sequence) != sorted(workers):
+        return workers
+    if sorted(sequence) != sorted(workers):
         raise DomainError(f"{name} must be a permutation of the workers")
-    firm_rank = {
-        f: {e: r for r, e in enumerate(orders[f])} for f in inst.firms()
-    }
-    firm_of = {c.id: c.firm for c in inst.contracts}
-    worker_of = {c.id: c.worker for c in inst.contracts}
-    return orders, list(sequence), firm_rank, firm_of, worker_of
-
-
-def _held(holding: dict[str, int | None]) -> Mask:
-    """The contracts the firms hold, as a mask."""
-    out = 0
-    for e in holding.values():
-        if e is not None:
-            out |= 1 << e
-    return out
+    return tuple(sequence)
 
 
 def is_matching(inst: Instance, s: Mask) -> bool:
@@ -78,47 +63,31 @@ def gale_shapley(inst: Instance, worker_order: tuple[str, ...] | None = None) ->
     """Worker-proposing deferred acceptance; returns the worker-optimal
     stable matching as a contract mask.
 
-    ``worker_order`` only permutes the bookkeeping sequence within rounds;
-    it exists so order-independence can be tested directly.
+    Each round the free workers offer C_w of their contracts not yet
+    rejected, each firm that received an offer keeps C_f of what it holds
+    and was offered, and the workers of the dropped contracts are the next
+    round's free workers.  ``worker_order`` only permutes the first round's
+    bookkeeping sequence; it exists so order-independence can be tested
+    directly.
     """
-    orders, workers, firm_rank, firm_of, worker_of = _setup(
-        inst, worker_order, "worker_order"
-    )
-    pointer = {w: 0 for w in workers}
-    matched: dict[str, int | None] = {w: None for w in workers}
-    holding: dict[str, int | None] = {f: None for f in inst.firms()}
-
+    free = _sequence(inst, worker_order, "worker_order")
+    held = rejected = 0
     for _ in range(2 * inst.size + 2):
-        offers: dict[str, list[int]] = {}
-        for w in workers:
-            if matched[w] is not None:
-                continue
-            order = orders[w]
-            if pointer[w] >= len(order):
-                continue
-            e = order[pointer[w]]
-            offers.setdefault(firm_of[e], []).append(e)
+        offers = 0
+        for w in free:
+            offers |= inst.choices[w].evaluate(contracts_of(inst, w) & ~rejected)
         if not offers:
-            break
-        for f, proposals in offers.items():
-            candidates = list(proposals)
-            if holding[f] is not None:
-                candidates.append(holding[f])
-            best = min(candidates, key=lambda e: firm_rank[f][e])
-            for e in candidates:
-                if e == best:
-                    continue
-                loser = worker_of[e]
-                matched[loser] = None
-                pointer[loser] += 1
-            holding[f] = best
-            matched[worker_of[best]] = best
-    else:
-        raise InternalInconsistencyError(
-            "deferred acceptance did not terminate within the proposal bound"
-        )
-
-    return _held(holding)
+            return held
+        menu = held | offers
+        for f in {inst.contracts[e].firm for e in ids_of(offers)}:
+            mine = contracts_of(inst, f)
+            held = held & ~mine | inst.choices[f].evaluate(menu & mine)
+        dropped = menu & ~held
+        rejected |= dropped
+        free = [inst.contracts[e].worker for e in ids_of(dropped)]
+    raise InternalInconsistencyError(
+        "deferred acceptance did not terminate within the proposal bound"
+    )
 
 
 def sotomayor_insert_solve(
@@ -126,40 +95,34 @@ def sotomayor_insert_solve(
 ) -> Mask:
     """Build a stable matching by inserting workers one at a time.
 
-    Each entering worker picks its best contract among those desirable to
-    the counterpart firm (the firm is free, or prefers it to its current
-    contract).  A displaced worker re-enters immediately, depth-first; the
-    repair chain is asserted to stop within |E| links.
+    Each entering worker w takes C_w(E(w) ∩ D), its best contract among
+    those in some adjacent firm's D_f(held ∩ E(f)): the firm is free, or
+    prefers the contract to the one it holds.  A displaced worker re-enters
+    immediately, depth-first; the repair chain is asserted to stop within
+    |E| links.
     """
-    orders, insertion_order, firm_rank, firm_of, worker_of = _setup(
-        inst, insertion_order, "insertion_order"
-    )
-    holding: dict[str, int | None] = {f: None for f in inst.firms()}
-
-    for entering in insertion_order:
+    held = 0
+    for entering in _sequence(inst, insertion_order, "insertion_order"):
         current = entering
         for _ in range(inst.size + 1):
-            chosen = None
-            for e in orders[current]:
-                f = firm_of[e]
-                held = holding[f]
-                if held is None or firm_rank[f][e] < firm_rank[f][held]:
-                    chosen = e
-                    break
-            if chosen is None:
+            mine = contracts_of(inst, current)
+            wanted = 0
+            for f in {inst.contracts[e].firm for e in ids_of(mine)}:
+                wanted |= inst.choices[f].desirable(held & contracts_of(inst, f))
+            chosen = inst.choices[current].evaluate(mine & wanted)
+            if not chosen:
                 break
-            f = firm_of[chosen]
-            displaced = holding[f]
-            holding[f] = chosen
-            if displaced is None:
+            f = inst.contracts[ids_of(chosen)[0]].firm
+            displaced = held & contracts_of(inst, f)
+            held = held & ~displaced | chosen
+            if not displaced:
                 break
-            current = worker_of[displaced]
+            current = inst.contracts[ids_of(displaced)[0]].worker
         else:
             raise InternalInconsistencyError(
                 "repair chain exceeded the ground-set bound"
             )
-
-    return _held(holding)
+    return held
 
 
 def is_quasi_stable(inst: Instance, matching: Mask) -> bool:

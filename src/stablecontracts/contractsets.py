@@ -122,19 +122,16 @@ def canonical_key(mask: Mask) -> tuple[int, tuple[int, ...]]:
     return len(ids), tuple(ids)
 
 
+def canonical_sorted(masks: Iterable[Mask]) -> list[Mask]:
+    """Masks sorted by the canonical (cardinality, ids) order."""
+    return sorted(masks, key=canonical_key)
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_order(k: int) -> np.ndarray:
-    """Every mask over k local bits, sorted as ``canonical_key`` sorts them
-    (ties in cardinality by the bit-reversed mask, descending); cached per k
-    and therefore read-only."""
-    masks = np.arange(1 << k, dtype=np.int64)
-    rev = np.zeros_like(masks)
-    pop = np.zeros_like(masks)
-    for i in range(k):
-        bit = masks >> i & 1
-        rev |= bit << (k - 1 - i)
-        pop += bit
-    order = np.lexsort((-rev, pop))
+    """Every mask over k local bits, as ``canonical_sorted`` sorts them;
+    cached per k and therefore read-only."""
+    order = np.array(canonical_sorted(range(1 << k)), dtype=np.int64)
     order.flags.writeable = False
     return order
 
@@ -154,7 +151,3 @@ def single_steps(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x.flags.writeable = False
     return steps
 
-
-def canonical_sorted(masks: Iterable[Mask]) -> list[Mask]:
-    """Masks sorted by the canonical (cardinality, ids) order."""
-    return sorted(masks, key=canonical_key)

@@ -13,7 +13,13 @@ from stablecontracts.classical import (
 )
 from stablecontracts.choice import LinearOrder
 from stablecontracts.errors import DomainError, PreconditionError
-from stablecontracts.instance import Agent, Instance, Side, reduce_to_two_agents
+from stablecontracts.instance import (
+    Agent,
+    Contract,
+    Instance,
+    Side,
+    reduce_to_two_agents,
+)
 from stablecontracts.oracle import random_corpus, random_instance
 from stablecontracts.stability import is_stable_multi
 
@@ -27,6 +33,25 @@ def _classical_corpus(count, master_seed):
         density = master.choice((0.5, 0.75, 1.0))
         out.append(random_instance(master.randrange(2**32), firms, workers, density))
     return out
+
+
+def _multigraph_market(seed):
+    """Linear orders throughout, 0-3 parallel contracts per (firm, worker)
+    pair, and at most 12 contracts."""
+    rng = random.Random(seed)
+    firms = [f"f{i + 1}" for i in range(rng.randint(1, 3))]
+    workers = [f"w{j + 1}" for j in range(rng.randint(1, 3))]
+    contracts = []
+    for f, w in itertools.product(firms, workers):
+        for _ in range(min(rng.randint(0, 3), 12 - len(contracts))):
+            contracts.append(Contract(len(contracts), f"{f}-{w}-{len(contracts)}", f, w))
+    agents = [Agent(f, Side.FIRM) for f in firms] + [Agent(w, Side.WORKER) for w in workers]
+    choices = {}
+    for agent in agents:
+        order = [c.id for c in contracts if agent.id in (c.firm, c.worker)]
+        rng.shuffle(order)
+        choices[agent.id] = LinearOrder(tuple(order))
+    return Instance(tuple(agents), tuple(contracts), choices)
 
 
 def _empty_instance():
@@ -98,9 +123,11 @@ class TestSotomayorInsertion:
             workers = inst.workers()
             if len(workers) > 4:
                 continue
+            optimal = gale_shapley(inst)
             for order in itertools.permutations(workers):
                 matching = sotomayor_insert_solve(inst, order)
                 assert is_stable_multi(inst, matching)
+                assert matching == optimal
                 checked += 1
         assert checked > 0
 
@@ -110,10 +137,24 @@ class TestSotomayorInsertion:
             workers = list(inst.workers())
             if len(workers) <= 4:
                 continue
+            optimal = gale_shapley(inst)
             for _ in range(10):
                 rng.shuffle(workers)
                 matching = sotomayor_insert_solve(inst, tuple(workers))
                 assert is_stable_multi(inst, matching)
+                assert matching == optimal
+
+    def test_worker_optimal_for_every_order_on_multigraphs(self):
+        # parallel contracts between one pair: both solvers, in every
+        # worker order, land on the descending route's worker-optimal system
+        for seed in range(150):
+            inst = _multigraph_market(seed)
+            optimal = ag_solve(reduce_to_two_agents(inst)).system
+            for order in itertools.permutations(inst.workers()):
+                for solver in (gale_shapley, sotomayor_insert_solve):
+                    matching = solver(inst, order)
+                    assert matching == optimal
+                    assert is_stable_multi(inst, matching)
 
 
 class TestQuasiStable:
