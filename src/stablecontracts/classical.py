@@ -2,8 +2,8 @@
 
 Two solvers live here.  Both keep one mask of held contracts and read every
 preference from the market's own choice functions, C_v and D_v of agent v
-over E(v), the contracts naming v; they hold no preference data of their
-own.
+over its ground E(v), the contracts naming v; they hold no preference data
+of their own.
 
 ``gale_shapley`` is worker-proposing deferred acceptance.  Every round
 each free worker w offers C_w(E(w) minus its rejected contracts), its best
@@ -13,11 +13,11 @@ free in the next round.  The rounds are batch operations, so the outcome
 cannot depend on the order workers are visited.
 
 ``sotomayor_insert_solve`` builds a stable matching one worker at a time.
-The entering worker w takes C_w(E(w) ∩ D), where D joins each adjacent
-firm's D_f(held ∩ E(f)): its best contract among those the firm would
-accept.  If that displaces another worker, the displaced worker re-enters
-the same way, and the chain stops because the dismissing firm's position
-strictly improves at every link.
+The entering worker takes the first contract e in its order with
+e ∈ D_f(held ∩ E(f)), f the firm of e: its best contract among those the
+firm would accept.  If that displaces another worker, the displaced worker
+re-enters the same way, and the chain stops because the dismissing firm's
+position strictly improves at every link.
 
 Both require every agent's choice function to be a strict linear order
 (the one-contract-per-agent marriage model); anything else is rejected.
@@ -50,6 +50,12 @@ def _sequence(inst: Instance, sequence: tuple[str, ...] | None, name: str):
     return tuple(sequence)
 
 
+def _desired(inst: Instance, held: Mask, e: int) -> bool:
+    """e ∈ D_f(held ∩ E(f)) for the firm f of contract e."""
+    firm = inst.choices[inst.contracts[e].firm]
+    return bool(firm.desirable(held & firm.ground) >> e & 1)
+
+
 def is_matching(inst: Instance, s: Mask) -> bool:
     """At most one contract per agent."""
     check_subset(s, inst.ground)
@@ -75,13 +81,14 @@ def gale_shapley(inst: Instance, worker_order: tuple[str, ...] | None = None) ->
     for _ in range(2 * inst.size + 2):
         offers = 0
         for w in free:
-            offers |= inst.choices[w].evaluate(contracts_of(inst, w) & ~rejected)
+            worker = inst.choices[w]
+            offers |= worker.evaluate(worker.ground & ~rejected)
         if not offers:
             return held
         menu = held | offers
         for f in {inst.contracts[e].firm for e in ids_of(offers)}:
-            mine = contracts_of(inst, f)
-            held = held & ~mine | inst.choices[f].evaluate(menu & mine)
+            firm = inst.choices[f]
+            held = held & ~firm.ground | firm.evaluate(menu & firm.ground)
         dropped = menu & ~held
         rejected |= dropped
         free = [inst.contracts[e].worker for e in ids_of(dropped)]
@@ -95,29 +102,26 @@ def sotomayor_insert_solve(
 ) -> Mask:
     """Build a stable matching by inserting workers one at a time.
 
-    Each entering worker w takes C_w(E(w) ∩ D), its best contract among
-    those in some adjacent firm's D_f(held ∩ E(f)): the firm is free, or
-    prefers the contract to the one it holds.  A displaced worker re-enters
-    immediately, depth-first; the repair chain is asserted to stop within
-    |E| links.
+    Each entering worker takes the first contract e in its order that the
+    firm f of e desires, e ∈ D_f(held ∩ E(f)): the firm is free, or prefers
+    e to the contract it holds.  A displaced worker re-enters immediately,
+    depth-first; the repair chain is asserted to stop within |E| links.
     """
     held = 0
     for entering in _sequence(inst, insertion_order, "insertion_order"):
         current = entering
         for _ in range(inst.size + 1):
-            mine = contracts_of(inst, current)
-            wanted = 0
-            for f in {inst.contracts[e].firm for e in ids_of(mine)}:
-                wanted |= inst.choices[f].desirable(held & contracts_of(inst, f))
-            chosen = inst.choices[current].evaluate(mine & wanted)
-            if not chosen:
+            chosen = next(
+                (e for e in inst.choices[current].order if _desired(inst, held, e)),
+                None,
+            )
+            if chosen is None:
                 break
-            f = inst.contracts[ids_of(chosen)[0]].firm
-            displaced = held & contracts_of(inst, f)
-            held = held & ~displaced | chosen
+            displaced = held & inst.choices[inst.contracts[chosen].firm].ground
+            held = held & ~displaced | 1 << chosen
             if not displaced:
                 break
-            current = inst.contracts[ids_of(displaced)[0]].worker
+            current = inst.contracts[displaced.bit_length() - 1].worker
         else:
             raise InternalInconsistencyError(
                 "repair chain exceeded the ground-set bound"
