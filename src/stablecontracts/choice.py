@@ -535,12 +535,11 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
             f"capped at {EXHAUSTIVE_CAP}"
         )
     arr = subject.tabulate()
-    order = canonical_order(len(bits))
     checks = []
     for name, holds, finder in laws:
         witness = None
         if not holds(arr, *single_steps(len(bits))):
-            witness = finder(arr, order)
+            witness = finder(arr, canonical_order(len(bits)))
             if witness is None:
                 raise InternalInconsistencyError(
                     "a one-contract rule failed but the exhaustive scan found "
