@@ -62,8 +62,10 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .contractsets import (
+    POWER_SET_CAP,
     Mask,
     canonical_order,
+    check_power_set,
     compress,
     expand,
     ids_of,
@@ -313,7 +315,7 @@ class Table(_PowerSetMap, ChoiceFunction):
         # the one check of every table: its size, then the first menu, in
         # ascending mask order, that is missing or chooses outside itself
         k = len(ids)
-        if k > 20:
+        if k > POWER_SET_CAP:
             raise DomainError(f"table over {k} contracts is too large")
         bits = sorted(ids)
         rank = [bits.index(i) for i in ids]
@@ -437,6 +439,7 @@ class Aggregate(ChoiceFunction):
     def tabulate(self) -> np.ndarray:
         # runs of adjacent local bits of one part, highest bits first, are
         # the axes of the table in C order
+        check_power_set(self.ground.bit_count())
         owner = [next(i for i, p in enumerate(self.parts) if p.ground >> b & 1)
                  for b in ids_of(self.ground)]
         runs = [(i, len(list(g))) for i, g in itertools.groupby(reversed(owner))]

@@ -32,8 +32,8 @@ from .instance import Instance, contracts_of
 from .stability import keeps_slices, multi_blocking
 
 
-def _sequence(inst: Instance, sequence: tuple[str, ...] | None, name: str):
-    """The workers in ``sequence`` (declaration order when None), once every
+def _workers(inst: Instance, order: tuple[str, ...] | None = None):
+    """The workers in ``order`` (declaration order when None), once every
     agent is known to choose by a linear order."""
     for agent in inst.agents:
         cf = inst.choices[agent.id]
@@ -43,11 +43,9 @@ def _sequence(inst: Instance, sequence: tuple[str, ...] | None, name: str):
                 f"the classical solvers need linear orders throughout"
             )
     workers = inst.workers()
-    if sequence is None:
-        return workers
-    if sorted(sequence) != sorted(workers):
-        raise DomainError(f"{name} must be a permutation of the workers")
-    return tuple(sequence)
+    if order is not None and sorted(order) != sorted(workers):
+        raise DomainError("insertion_order must be a permutation of the workers")
+    return workers if order is None else tuple(order)
 
 
 def _desired(inst: Instance, held: Mask, e: int) -> bool:
@@ -65,18 +63,17 @@ def is_matching(inst: Instance, s: Mask) -> bool:
     return True
 
 
-def gale_shapley(inst: Instance, worker_order: tuple[str, ...] | None = None) -> Mask:
+def gale_shapley(inst: Instance) -> Mask:
     """Worker-proposing deferred acceptance; returns the worker-optimal
     stable matching as a contract mask.
 
     Each round the free workers offer C_w of their contracts not yet
     rejected, each firm that received an offer keeps C_f of what it holds
     and was offered, and the workers of the dropped contracts are the next
-    round's free workers.  ``worker_order`` only permutes the first round's
-    bookkeeping sequence; it exists so order-independence can be tested
-    directly.
+    round's free workers.  Every offer of a round joins one mask before
+    any firm chooses, so no order of the workers can change the outcome.
     """
-    free = _sequence(inst, worker_order, "worker_order")
+    free = _workers(inst)
     held = rejected = 0
     for _ in range(2 * inst.size + 2):
         offers = 0
@@ -108,7 +105,7 @@ def sotomayor_insert_solve(
     depth-first; the repair chain is asserted to stop within |E| links.
     """
     held = 0
-    for entering in _sequence(inst, insertion_order, "insertion_order"):
+    for entering in _workers(inst, insertion_order):
         current = entering
         for _ in range(inst.size + 1):
             chosen = next(

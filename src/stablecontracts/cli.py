@@ -147,16 +147,20 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_solve(args) -> int:
+    classical = args.algorithm in ("gs", "sotomayor")
+    if classical and (args.start is not None or args.trace):
+        return _usage_error(
+            "--start and --trace apply only to the ample and modest algorithms"
+        )
     inst = parse_instance(args.instance)
-    if args.algorithm in ("gs", "sotomayor"):
-        if args.start is not None or args.trace:
-            return _usage_error(
-                "--start and --trace apply only to the ample and modest algorithms"
+    if classical:
+        solver = gale_shapley if args.algorithm == "gs" else sotomayor_insert_solve
+        system = solver(inst)
+        # the stability definition itself, which reads no D_f
+        if not is_stable_multi(inst, system):
+            raise InternalInconsistencyError(
+                f"the {args.algorithm} solver returned an unstable system"
             )
-        if args.algorithm == "gs":
-            system = gale_shapley(inst)
-        else:
-            system = sotomayor_insert_solve(inst)
         print(f"S = {format_set(inst, system)}")
         return 0
 
@@ -250,10 +254,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    families = tuple(x for x in args.families.split(",") if x)
-    mix = {fam: 1.0 for fam in families}
+    families = [x for x in args.families.split(",") if x]
     inst = random_instance(
-        args.seed, args.firms, args.workers, density=args.density, family_mix=mix
+        args.seed, args.firms, args.workers, density=args.density, families=families
     )
     print(json.dumps(document_from_instance(inst), indent=2))
     return 0

@@ -9,10 +9,11 @@ of a ground mask is enumerable without allocation.
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
-it back, on ints or elementwise on numpy arrays.  ``local_table`` tabulates
-a function over the 2^k local masks, ``canonical_order`` lists those
-masks in the canonical scan order of ``canonical_key``, and ``single_steps``
-lists every one-contract step (A, A ∪ {x}) between them.
+it back, on ints or elementwise on int64 arrays of local masks.
+``local_table`` tabulates a function over the 2^k local masks, for k up to
+``POWER_SET_CAP``; ``canonical_order`` lists those masks in the canonical
+scan order of ``canonical_key``, and ``single_steps`` lists every
+one-contract step (A, A ∪ {x}) between them.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 Mask = int
+
+# The most contracts a power set is laid out over: 2^20 entries
+POWER_SET_CAP = 20
 
 
 def mask_of(ids: Iterable[int]) -> Mask:
@@ -81,8 +85,8 @@ def submasks(ground: Mask) -> Iterator[Mask]:
 def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
     """Map a mask over local indices 0..k-1 to the contract ids ``bits``.
 
-    ``local`` is an int, or a numpy array mapped elementwise: int64 when
-    every id in ``bits`` is below 63, else object dtype holding ints.
+    ``local`` is an int, or an int64 numpy array mapped elementwise, which
+    needs every id in ``bits`` below 63: arrays carry local masks only.
     """
     out = local & 0
     for i, b in enumerate(bits):
@@ -92,11 +96,19 @@ def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
 
 def compress(mask: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
     """Map the members of ``mask`` among the contract ids ``bits`` to local
-    indices 0..k-1, the inverse of ``expand``; ints and arrays as there."""
+    indices 0..k-1, the inverse of ``expand``; ints and int64 arrays as there."""
     out = mask & 0
     for i, b in enumerate(bits):
         out |= (mask >> b & 1) << i
     return out
+
+
+def check_power_set(k: int) -> None:
+    """Refuse, with CapExceededError, to lay out a power set over more than
+    ``POWER_SET_CAP`` contracts."""
+    if k > POWER_SET_CAP:
+        raise CapExceededError(f"ground has {k} contracts; power-set tables "
+                               f"are capped at {POWER_SET_CAP}")
 
 
 def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> np.ndarray:
@@ -104,14 +116,19 @@ def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> np.ndarray:
 
     Returns a read-only int64 array whose entry ``local`` is
     ``compress(fn(expand(local, bits)), bits)``, so a sparse ground
-    tabulates like a dense one.  ``fn`` gets and returns ints; the menus
-    and the choices are each re-indexed as one array, of object dtype when
-    an id is 63 or more.
+    tabulates like a dense one.  ``fn`` gets and returns ints: the menus
+    are built by doubling, ``menus[local]`` being ``expand(local, bits)``,
+    and each result is mapped back to its local mask through one dict.  A
+    ground over ``POWER_SET_CAP`` contracts is refused before anything is
+    built.
     """
-    dtype = np.int64 if max(bits, default=0) < 63 else object
-    menus = expand(np.arange(1 << len(bits)).astype(dtype), bits).tolist()
-    chosen = np.array([fn(a) for a in menus], dtype=dtype)
-    table = compress(chosen, bits).astype(np.int64, copy=False)
+    check_power_set(len(bits))
+    menus = [0]
+    for b in bits:
+        menus += [a | 1 << b for a in menus]
+    local = {a: i for i, a in enumerate(menus)}
+    # as compress does, a member outside the ground is dropped
+    table = np.array([local[fn(a) & menus[-1]] for a in menus], dtype=np.int64)
     table.flags.writeable = False
     return table
 

@@ -37,7 +37,7 @@ from .desirability import (
 from .errors import CapExceededError
 from .instance import TwoAgentProblem
 from .modest import ample_to_modest, is_modest, modest_to_ample, yang_step
-from .stability import is_stable
+from .stability import is_acceptable, is_stable
 
 LEMMA_SUITE_CAP = 12
 
@@ -156,7 +156,7 @@ LAWS: tuple[tuple[str, str, Callable[[_Tables], str | None]], ...] = (
     ("L3", "ample fixpoints yield stable systems", _walk("ample", _unstable_fixpoint)),
     ("L4", "descent step preserves ampleness", _walk("ample", _descent_flaw)),
     ("L5", "modest systems are self-chosen on both sides",
-     _walk("modest", lambda p, q: p.firm.evaluate(q) != q or p.worker.evaluate(q) != q)),
+     _walk("modest", lambda p, q: not is_acceptable(p, q))),
     ("L6", "ascent step preserves modesty",
      _walk("modest", lambda p, q: not is_modest(p, yang_step(p, q)))),
     ("L6D", "ascent step never widens firm desirability", _walk("modest", _widens_firm_d)),

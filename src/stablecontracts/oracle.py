@@ -11,9 +11,8 @@ between them; the tables are plain choices, C(A) for every menu A.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,34 +53,24 @@ def random_instance(
     firms: int,
     workers: int,
     density: float = 1.0,
-    family_mix: Mapping[str, float] | None = None,
+    families: Sequence[str] = ("linear",),
 ) -> Instance:
     """Deterministic random bipartite market.
 
     One potential contract per (firm, worker) pair, kept with probability
-    ``density``.  Each agent draws a choice family from ``family_mix``
-    (finite non-negative weights over "linear" and "quota" with a
-    positive finite total; all linear when None, and a mix naming no
-    family is refused), a shuffled strict order, and for quotas a size
-    between 1 and its degree.  The result always passes instance
-    validation.
+    ``density``.  Each agent draws a choice family uniformly from the
+    distinct names in ``families`` ("linear", "quota"; repeats and their
+    order change nothing, and naming none is refused), a shuffled strict
+    order, and for quotas a size between 1 and its degree.  The result
+    always passes instance validation.
     """
     if firms < 0 or workers < 0:
         raise DomainError("agent counts must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise DomainError("density must lie in [0, 1]")
-    mix = {"linear": 1.0} if family_mix is None else dict(family_mix)
-    if not mix:
-        raise DomainError("family_mix names no family")
-    for fam in mix:
-        if fam not in _FAMILIES:
-            raise DomainError(f"unknown choice family {fam!r} in family_mix")
-    finite = all(0 <= w < math.inf for w in mix.values())
-    if not (finite and 0 < sum(mix.values()) < math.inf):
-        raise DomainError(
-            f"family_mix weights must be finite and non-negative with a positive "
-            f"finite total, got {mix}"
-        )
+    families = sorted(set(families))
+    if not families or any(fam not in _FAMILIES for fam in families):
+        raise DomainError(f"families must name linear, quota or both, got {families}")
 
     rng = random.Random(seed)
     firm_ids = [f"f{i + 1}" for i in range(firms)]
@@ -101,21 +90,18 @@ def random_instance(
         adjacency[c.firm].append(c.id)
         adjacency[c.worker].append(c.id)
 
-    families = sorted(mix)
-    weights = [mix[fam] for fam in families]
     choices: dict[str, ChoiceFunction] = {}
     for agent in agents:
-        adjacent = adjacency[agent.id]
-        order = list(adjacent)
+        order = adjacency[agent.id]
         rng.shuffle(order)
-        if not adjacent:
+        if not order:
             choices[agent.id] = LinearOrder(())
             continue
-        family = rng.choices(families, weights=weights)[0]
+        family = rng.choices(families)[0]
         if family == "linear":
             choices[agent.id] = LinearOrder(tuple(order))
         else:
-            choices[agent.id] = Quota(rng.randint(1, len(adjacent)), tuple(order))
+            choices[agent.id] = Quota(rng.randint(1, len(order)), tuple(order))
     return Instance(tuple(agents), tuple(contracts), choices)
 
 
@@ -141,14 +127,13 @@ def random_corpus(
         for w in range(1, max_contracts + 1)
         if f * w <= max_contracts
     ]
-    mix = {fam: 1.0 for fam in families}
     out = []
     for _ in range(count):
         f, w = master.choice(shapes)
         density = master.choice((0.5, 0.75, 1.0))
         out.append(
             random_instance(
-                master.randrange(2**32), f, w, density=density, family_mix=mix
+                master.randrange(2**32), f, w, density=density, families=families
             )
         )
     return out

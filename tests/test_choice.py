@@ -287,6 +287,12 @@ class TestAggregate:
         assert validate_plott(agg).passed
         assert calls == []
 
+    def test_side_over_20_contracts_is_refused_before_its_parts(self, monkeypatch):
+        agg = Aggregate(tuple(LinearOrder((e,)) for e in range(21)))
+        monkeypatch.setattr(LinearOrder, "tabulate", lambda self: 1 / 0)
+        with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
+            agg.tabulate()
+
 
 class TestValidatePlott:
     def test_linear_order_three_contracts_passes_all_axioms(self):

@@ -16,6 +16,7 @@ from stablecontracts.fixtures import (
     poset_table_instance,
     two_parallel_contracts,
 )
+from stablecontracts.lemmas import LawResult
 
 
 @pytest.fixture()
@@ -96,10 +97,37 @@ class TestSolve:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize("document, flags", [
+        (None, ["--algorithm", "gs", "--trace"]),
+        ("{not json", ["--algorithm", "sotomayor", "--start", "e11"]),
+    ], ids=["missing", "malformed"])
+    def test_usage_is_checked_before_the_document(self, capsys, tmp_path, document,
+                                                  flags):
+        # the flags alone decide: the document is never read
+        path = tmp_path / "doc.json"
+        if document is not None:
+            path.write_text(document)
+        code, out, err = run(capsys, "solve", *flags, str(path))
+        assert (code, out) == (2, "")
+        assert err == ("usage error: --start and --trace apply only to the ample "
+                       "and modest algorithms\n")
+
+    @pytest.mark.parametrize("algorithm, solver", [
+        ("gs", "gale_shapley"), ("sotomayor", "sotomayor_insert_solve"),
+    ])
+    def test_classical_output_is_checked_for_stability(self, capsys, monkeypatch,
+                                                       i3_file, algorithm, solver):
+        # the empty matching of i3 is blocked by every contract
+        monkeypatch.setattr(cli, solver, lambda inst: 0)
+        code, out, err = run(capsys, "solve", "--algorithm", algorithm, i3_file)
+        assert (code, out) == (3, "")
+        assert err == (f"internal inconsistency: the {algorithm} solver returned "
+                       f"an unstable system\n")
+
     def test_gs_on_quota_instance_is_domain_error(self, capsys, tmp_path):
         from stablecontracts.oracle import random_instance
 
-        inst = random_instance(2, 2, 2, family_mix={"quota": 1.0})
+        inst = random_instance(2, 2, 2, families=("quota",))
         path = tmp_path / "quota.json"
         path.write_text(json.dumps(document_from_instance(inst)))
         code, _, err = run(capsys, "solve", "--algorithm", "gs", str(path))
@@ -463,6 +491,13 @@ def _table_row_over_21_contracts():
     return _star_document({"family": "table", "payload": [row]}, workers)
 
 
+_QUOTA_PAYLOAD = "agent 'f': quota payload needs 'q' and 'priority'"
+
+
+def _quota_document(payload):
+    return _star_document({"family": "quota", "payload": payload}, ["w1", "w2"])
+
+
 class TestMalformedSections:
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize("make, message", [
@@ -470,7 +505,11 @@ class TestMalformedSections:
         (_choices_as_a_list, "'choices' must be an object keyed by agent id"),
         (_table_payload_as_an_object, "agent 'f1': table payload must be a list"),
         (_table_row_over_21_contracts, "agent 'f': table over 21 contracts is too large"),
-    ], ids=["root", "choices", "table-payload", "table-size"])
+        (lambda: _quota_document(["w1", "w2"]), _QUOTA_PAYLOAD),
+        (lambda: _quota_document({"priority": ["w1", "w2"]}), _QUOTA_PAYLOAD),
+        (lambda: _quota_document({"q": 1}), _QUOTA_PAYLOAD),
+    ], ids=["root", "choices", "table-payload", "table-size", "quota-list",
+            "quota-no-q", "quota-no-priority"])
     def test_exits_1_with_the_malformed_line(self, capsys, tmp_path, command, make,
                                              message):
         path = tmp_path / "doc.json"
@@ -508,7 +547,7 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--firms", "2", "--workers", "2",
                              "--families", families)
         assert (code, out) == (1, "")
-        assert err == "error: family_mix names no family\n"
+        assert err == "error: families must name linear, quota or both, got []\n"
 
     def test_deterministic(self, capsys):
         a = run(capsys, "generate", "--seed", "5", "--firms", "2", "--workers", "2")
@@ -536,6 +575,23 @@ class TestLemmas:
         code, out, err = run(capsys, "lemmas", *flags)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_a_failing_law_exits_3_with_its_witness(self, capsys, monkeypatch):
+        results = [
+            LawResult("L1", "choice equals desirables within the menu", True),
+            LawResult("L3", "ample fixpoints yield stable systems", False, "i3: B={0}"),
+        ]
+        monkeypatch.setattr(cli, "run_lemma_suite", lambda problems: results)
+        code, out, err = run(capsys, "lemmas", "--problems", "0")
+        assert code == 3
+        assert out == (
+            "problems = 3\n"
+            "L1    choice equals desirables within the menu         pass\n"
+            "L3    ample fixpoints yield stable systems             FAIL\n"
+            "      witness i3: B={0}\n"
+            "overall = FAIL\n"
+        )
+        assert err == "internal inconsistency: the lemma suite found a violated law\n"
 
     def test_refuses_a_problem_over_the_cap(self, capsys, tmp_path):
         path = tmp_path / "linear_13.json"

@@ -16,7 +16,7 @@ from stablecontracts.contractsets import (
     mask_of,
     submasks,
 )
-from stablecontracts.errors import DomainError
+from stablecontracts.errors import CapExceededError, DomainError
 
 
 def test_mask_round_trip_examples():
@@ -115,3 +115,12 @@ def test_local_table_matches_a_per_menu_loop(bits):
     ]
     assert table.dtype == np.int64 and not table.flags.writeable
     assert table.tolist() == expected
+
+
+def test_local_table_refuses_over_20_contracts_before_calling():
+    def fn(menu):
+        raise AssertionError("called before the size check")
+
+    with pytest.raises(CapExceededError, match="ground has 21 contracts; power-set "
+                                               "tables are capped at 20"):
+        local_table(fn, list(range(100, 121)))

@@ -184,6 +184,23 @@ class TestOperatorValidation:
             with pytest.raises(CapExceededError, match="operator check is capped at 12"):
                 validate_desirability_operator(op)
 
+    def test_over_21_contracts_is_refused_before_any_state(self, monkeypatch):
+        class Unread(dict):
+            def __contains__(self, state):
+                raise AssertionError("a state was read before the size check")
+
+            __getitem__ = __contains__
+
+        def unasked(self, state):
+            raise AssertionError("a state was asked before the size check")
+
+        ground = (1 << 21) - 1
+        with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
+            DesirabilityOperator(ground, Unread())
+        monkeypatch.setattr(LinearOrder, "desirable", unasked)
+        with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
+            DesirabilityOperator.from_choice(LinearOrder(tuple(range(21))))
+
     def test_laws_checked_once_per_operator(self, monkeypatch):
         calls = []
 

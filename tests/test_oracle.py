@@ -114,9 +114,9 @@ class TestAgainstTheDefinition:
     def test_random_markets(self):
         # full 3x3 linear markets often have several stable systems
         corpus = random_corpus(60, master_seed=17, max_contracts=10) + [
-            random_instance(seed, 3, 3, family_mix=mix)
+            random_instance(seed, 3, 3, families=families)
             for seed in range(30)
-            for mix in (None, {"linear": 1.0, "quota": 1.0}, {"quota": 1.0})
+            for families in (("linear",), ("linear", "quota"), ("quota",))
         ]
         several = sum(len(self._agree(inst)) > 1 for inst in corpus)
         assert several >= 5
@@ -141,11 +141,12 @@ class TestEnumerationCap:
     gives each shape two stable systems, so the extremes differ."""
 
     @pytest.mark.parametrize("firms, workers, mix", [
-        (5, 4, None),
-        (4, 5, {"linear": 1.0, "quota": 1.0}),
+        (5, 4, None),  # the default family list
+        (4, 5, ("linear", "quota")),
     ])
     def test_scans_agree_and_hold_both_extremes(self, firms, workers, mix):
-        problem = reduce_to_two_agents(random_instance(0, firms, workers, family_mix=mix))
+        families = {} if mix is None else {"families": mix}
+        problem = reduce_to_two_agents(random_instance(0, firms, workers, **families))
         assert problem.size == ENUMERATION_CAP == BRUTE_FORCE_CAP == 20
         stable = enumerate_stable_via_ample(problem)
         assert stable == brute_force_stable(problem)
@@ -174,7 +175,7 @@ class TestRandomInstance:
         assert len(inst.workers()) == 3
 
     def test_quota_mix_produces_valid_instances(self):
-        inst = random_instance(2, 3, 3, density=1.0, family_mix={"quota": 1.0})
+        inst = random_instance(2, 3, 3, density=1.0, families=("quota",))
         assert any(isinstance(cf, Quota) for cf in inst.choices.values())
         assert brute_force_stable(reduce_to_two_agents(inst))
 
@@ -184,29 +185,16 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_instance(0, 1, 1, density=1.5)
         with pytest.raises(DomainError):
-            random_instance(0, 1, 1, family_mix={"table": 1.0})
+            random_instance(0, 1, 1, families=("table",))
+
+    def test_family_order_and_repeats_change_nothing(self):
+        for seed in range(20):
+            inst = random_instance(seed, 3, 3, families=("linear", "quota"))
+            assert random_instance(seed, 3, 3, families=("quota", "linear", "quota")) == inst
 
     def test_mix_naming_no_family(self):
-        with pytest.raises(DomainError, match="names no family"):
-            random_instance(0, 1, 1, family_mix={})
-
-    @pytest.mark.parametrize("mix", [
-        {"linear": 0.0},
-        {"linear": -1.0},
-        {"linear": float("nan")},
-        {"linear": float("inf")},
-        {"linear": 1.0, "quota": -1.0},
-        {"linear": 0.0, "quota": 0.0},
-    ], ids=["zero", "negative", "nan", "inf", "one-negative", "all-zero"])
-    @pytest.mark.parametrize("firms", [0, 2])
-    def test_bad_weights_are_refused_before_drawing(self, mix, firms):
-        # with no firms no agent draws a family, and the mix is still refused
-        with pytest.raises(DomainError, match="family_mix"):
-            random_instance(0, firms, 2, family_mix=mix)
-
-    def test_a_zero_weight_beside_a_positive_one(self):
-        inst = random_instance(0, 2, 2, family_mix={"linear": 0.0, "quota": 1.0})
-        assert all(isinstance(cf, Quota) for cf in inst.choices.values())
+        with pytest.raises(DomainError, match=r"must name linear, quota or both, got \[\]"):
+            random_instance(0, 1, 1, families=())
 
     @pytest.mark.parametrize("count, max_contracts", [(1, 0), (1, -3), (-1, 8)])
     def test_corpus_bounds(self, count, max_contracts):
