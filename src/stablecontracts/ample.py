@@ -6,7 +6,9 @@ set is trivially ample, the descent step B ↦ (B \\ W(B)) ∪ F(W(B)) keeps
 ampleness and shrinks B, and at the fixpoint W(B) = F(W(B)) the system
 W(B) is stable.  Scanning every ample B whose worker choice is such a
 fixpoint recovers every stable system, which is what the power-set
-enumerator does on the problem's cached choice tables, candidates first.
+enumerator does on the problem's cached choice tables, candidates first;
+those tables refuse a ground over 20 contracts
+(``contractsets.check_power_set``) before anything is built.
 """
 
 from __future__ import annotations
@@ -17,15 +19,9 @@ import numpy as np
 
 from .contractsets import Mask, canonical_sorted, check_subset, ids_of
 from .desirability import desirable_set
-from .errors import (
-    CapExceededError,
-    InternalInconsistencyError,
-    PreconditionError,
-)
+from .errors import InternalInconsistencyError, PreconditionError
 from .instance import TwoAgentProblem
 from .stability import is_stable
-
-ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -111,14 +107,9 @@ def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
     whenever some B is ample with W(B) = F(W(B)) = S.  It keeps the B with
     W(B) = F(W(B)) first, then reads D_F(S) off the firm table once per
     distinct S.  Matches the brute-force oracle exactly; output is
-    canonically sorted (cardinality, then ids).
+    canonically sorted (cardinality, then ids).  A ground over 20
+    contracts raises CapExceededError from ``problem.tables``.
     """
-    n = problem.size
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"ground has {n} contracts; power-set enumeration is capped at "
-            f"{ENUMERATION_CAP}"
-        )
     tf, wb = problem.tables  # wb[b] is W(B)
     b = np.flatnonzero(wb == tf[wb])
     s = wb[b]  # W(B) = F(W(B)) for each of these B
@@ -127,7 +118,7 @@ def enumerate_stable_via_ample(problem: TwoAgentProblem) -> list[Mask]:
     seen[s] = True
     distinct = np.flatnonzero(seen)
     df = np.zeros_like(wb)
-    for x in range(n):
+    for x in range(problem.size):
         df[distinct] |= tf[distinct | 1 << x] & 1 << x
     found = np.unique(s[(df[s] & ~b) == 0])
     return canonical_sorted(int(x) for x in found)

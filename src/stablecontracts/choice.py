@@ -62,7 +62,6 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .contractsets import (
-    POWER_SET_CAP,
     Mask,
     canonical_order,
     check_power_set,
@@ -315,8 +314,7 @@ class Table(_PowerSetMap, ChoiceFunction):
         # the one check of every table: its size, then the first menu, in
         # ascending mask order, that is missing or chooses outside itself
         k = len(ids)
-        if k > POWER_SET_CAP:
-            raise DomainError(f"table over {k} contracts is too large")
+        check_power_set(k)
         bits = sorted(ids)
         rank = [bits.index(i) for i in ids]
         choices = np.asarray(choices, dtype=np.int64)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import types
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -69,7 +70,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "contracts", tuple(self.contracts))
-        object.__setattr__(self, "choices", dict(self.choices))
+        object.__setattr__(self, "choices", types.MappingProxyType(dict(self.choices)))
         by_id: dict[str, Agent] = {}
         for a in self.agents:
             if a.id in by_id:

@@ -13,8 +13,8 @@ sets.  The per-side laws scan those arrays; L2A and LOB are read from the
 operator's ``validate_desirability_operator`` report (L2A by its
 one-contract rule, with a pair scan only for a witness).  The route laws
 walk the ample or modest sets through the library's own steps.  Witnesses
-are canonical-first.  Problems over ``LEMMA_SUITE_CAP`` (12) contracts are
-refused before any law.
+are canonical-first.  Problems over ``choice.EXHAUSTIVE_CAP`` (12)
+contracts, the cap of every witness scan, are refused before any law.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ample import ag_step, is_ample
-from .choice import first_state
+from .choice import EXHAUSTIVE_CAP, first_state
 from .contractsets import Mask, canonical_order, ids_of
 from .desirability import (
     ANTIMONOTONICITY,
@@ -38,8 +38,6 @@ from .errors import CapExceededError
 from .instance import TwoAgentProblem
 from .modest import ample_to_modest, is_modest, modest_to_ample, yang_step
 from .stability import is_acceptable, is_stable
-
-LEMMA_SUITE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,10 @@ LAWS: tuple[tuple[str, str, Callable[[_Tables], str | None]], ...] = (
 def run_lemma_suite(problems: Sequence[tuple[str, TwoAgentProblem]]) -> list[LawResult]:
     """Check every law on every problem; first witness wins per law."""
     for label, problem in problems:
-        if problem.size > LEMMA_SUITE_CAP:
+        if problem.size > EXHAUSTIVE_CAP:
             raise CapExceededError(
                 f"problem {label!r} has {problem.size} contracts; the lemma "
-                f"suite is capped at {LEMMA_SUITE_CAP}"
+                f"suite is capped at {EXHAUSTIVE_CAP}"
             )
     tabulated = [(label, _tabulate(problem)) for label, problem in problems]
     results = []

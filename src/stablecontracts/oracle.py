@@ -18,10 +18,8 @@ import numpy as np
 
 from .choice import ChoiceFunction, LinearOrder, Quota
 from .contractsets import Mask, canonical_sorted
-from .errors import CapExceededError, DomainError
+from .errors import DomainError
 from .instance import Agent, Contract, Instance, Side, TwoAgentProblem
-
-BRUTE_FORCE_CAP = 20
 
 _FAMILIES = ("linear", "quota")
 
@@ -31,14 +29,11 @@ def brute_force_stable(problem: TwoAgentProblem) -> list[Mask]:
 
     Only the acceptable S (F(S) = S = W(S)) are tested for a blocking
     e ∉ S, which both sides choose from S ∪ {e}.  Output order is canonical
-    (cardinality, then lexicographic ids) and is part of the interface.
+    (cardinality, then lexicographic ids) and is part of the interface.  A
+    ground over 20 contracts raises CapExceededError from
+    ``problem.tables``, the one guard the enumerator shares.
     """
     n = problem.size
-    if n > BRUTE_FORCE_CAP:
-        raise CapExceededError(
-            f"ground has {n} contracts; the brute-force scan is capped at "
-            f"{BRUTE_FORCE_CAP}"
-        )
     tf, tw = problem.tables
     s = np.flatnonzero((tf == tw) & (tf == np.arange(1 << n)))
     blocked = np.zeros(len(s), dtype=bool)
@@ -60,14 +55,18 @@ def random_instance(
     One potential contract per (firm, worker) pair, kept with probability
     ``density``.  Each agent draws a choice family uniformly from the
     distinct names in ``families`` ("linear", "quota"; repeats and their
-    order change nothing, and naming none is refused), a shuffled strict
-    order, and for quotas a size between 1 and its degree.  The result
-    always passes instance validation.
+    order change nothing; naming none, or passing a bare string, is
+    refused), a shuffled strict order, and for quotas a size between 1 and
+    its degree.  The result always passes instance validation.
     """
     if firms < 0 or workers < 0:
         raise DomainError("agent counts must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise DomainError("density must lie in [0, 1]")
+    if isinstance(families, str):
+        raise DomainError(
+            f"families must be a sequence of family names, got the string {families!r}"
+        )
     families = sorted(set(families))
     if not families or any(fam not in _FAMILIES for fam in families):
         raise DomainError(f"families must name linear, quota or both, got {families}")

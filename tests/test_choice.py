@@ -208,6 +208,11 @@ class TestTableArray:
         with pytest.raises(ValueError):
             table.table[0] = 1
 
+    def test_over_20_contracts_is_refused_before_any_array(self):
+        # choices that no array can hold: the cap must refuse first
+        with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
+            Table.from_rows(list(range(21)), [(1 << 21) - 1], object())
+
 
 @st.composite
 def aggregate(draw):

@@ -504,7 +504,8 @@ class TestMalformedSections:
         (list, "document root must be an object"),
         (_choices_as_a_list, "'choices' must be an object keyed by agent id"),
         (_table_payload_as_an_object, "agent 'f1': table payload must be a list"),
-        (_table_row_over_21_contracts, "agent 'f': table over 21 contracts is too large"),
+        (_table_row_over_21_contracts,
+         "agent 'f': ground has 21 contracts; power-set tables are capped at 20"),
         (lambda: _quota_document(["w1", "w2"]), _QUOTA_PAYLOAD),
         (lambda: _quota_document({"priority": ["w1", "w2"]}), _QUOTA_PAYLOAD),
         (lambda: _quota_document({"q": 1}), _QUOTA_PAYLOAD),

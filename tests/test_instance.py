@@ -9,6 +9,7 @@ from stablecontracts.errors import (
     DomainError,
     ParseError,
 )
+from stablecontracts.fileformat import document_from_instance, instance_from_document
 from stablecontracts.instance import (
     Agent,
     Contract,
@@ -97,6 +98,15 @@ class TestReduce:
 
 
 class TestInstanceValidation:
+    def test_choices_are_read_only(self):
+        inst = _with_isolated_worker()
+        with pytest.raises(TypeError):
+            inst.choices["w2"] = Table(0, {0: 0})
+        assert inst.choices["w2"] == LinearOrder(())
+        assert inst == _with_isolated_worker()
+        assert instance_from_document(document_from_instance(inst)) == inst
+        assert Instance(inst.agents, inst.contracts, inst.choices) == inst
+
     def test_duplicate_agent(self):
         with pytest.raises(DomainError, match="duplicate agent"):
             Instance(

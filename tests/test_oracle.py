@@ -1,9 +1,14 @@
 import pytest
 
 from conftest import m
-from stablecontracts.ample import ENUMERATION_CAP, ag_solve, enumerate_stable_via_ample
-from stablecontracts.choice import LinearOrder, Quota, Table
-from stablecontracts.contractsets import canonical_key, canonical_sorted, submasks
+from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
+from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table
+from stablecontracts.contractsets import (
+    POWER_SET_CAP,
+    canonical_key,
+    canonical_sorted,
+    submasks,
+)
 from stablecontracts.errors import CapExceededError, DomainError
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
@@ -16,7 +21,6 @@ from stablecontracts.instance import (
 )
 from stablecontracts.modest import yang_solve
 from stablecontracts.oracle import (
-    BRUTE_FORCE_CAP,
     brute_force_stable,
     random_corpus,
     random_instance,
@@ -136,9 +140,22 @@ class TestAgainstTheDefinition:
         assert self._agree(_one_contract()) == [m(0)]
 
 
+def _linear_and_quota_side(monkeypatch) -> Aggregate:
+    """A 21-contract side of a linear and a quota part, whose quota part
+    fails if it is ever tabulated."""
+    monkeypatch.setattr(Quota, "tabulate", lambda self: 1 / 0)
+    return Aggregate((LinearOrder(tuple(range(10))), Quota(2, tuple(range(10, 21)))))
+
+
+def _bare_linear_pair(monkeypatch) -> LinearOrder:
+    return LinearOrder(tuple(range(21)))
+
+
 class TestEnumerationCap:
-    """Both power-set scans at 20 contracts, the cap they share.  Seed 0
-    gives each shape two stable systems, so the extremes differ."""
+    """Both power-set scans at 20 contracts, the cap of the one guard they
+    share: ``problem.tables`` refuses a larger ground through
+    ``contractsets.check_power_set``.  Seed 0 gives each shape two stable
+    systems, so the extremes differ."""
 
     @pytest.mark.parametrize("firms, workers, mix", [
         (5, 4, None),  # the default family list
@@ -147,13 +164,23 @@ class TestEnumerationCap:
     def test_scans_agree_and_hold_both_extremes(self, firms, workers, mix):
         families = {} if mix is None else {"families": mix}
         problem = reduce_to_two_agents(random_instance(0, firms, workers, **families))
-        assert problem.size == ENUMERATION_CAP == BRUTE_FORCE_CAP == 20
+        assert problem.size == POWER_SET_CAP == 20
         stable = enumerate_stable_via_ample(problem)
         assert stable == brute_force_stable(problem)
         worker_optimal = ag_solve(problem).system
         firm_optimal = ag_solve(TwoAgentProblem(problem.worker, problem.firm)).system
         assert worker_optimal != firm_optimal
         assert {worker_optimal, firm_optimal} <= set(stable)
+
+    @pytest.mark.parametrize("side", [_linear_and_quota_side, _bare_linear_pair],
+                             ids=["aggregate", "linear-pair"])
+    @pytest.mark.parametrize("scan", [enumerate_stable_via_ample, brute_force_stable])
+    def test_21_contracts_refused_by_the_one_guard(self, scan, side, monkeypatch):
+        cf = side(monkeypatch)
+        problem = TwoAgentProblem(cf, cf)
+        with pytest.raises(CapExceededError,
+                           match="21 contracts.*power-set tables are capped at 20"):
+            scan(problem)
 
 
 class TestRandomInstance:
@@ -191,6 +218,10 @@ class TestRandomInstance:
         for seed in range(20):
             inst = random_instance(seed, 3, 3, families=("linear", "quota"))
             assert random_instance(seed, 3, 3, families=("quota", "linear", "quota")) == inst
+
+    def test_a_bare_string_is_no_family_list(self):
+        with pytest.raises(DomainError, match="sequence of family names, got the string 'quota'"):
+            random_instance(0, 1, 1, families="quota")
 
     def test_mix_naming_no_family(self):
         with pytest.raises(DomainError, match=r"must name linear, quota or both, got \[\]"):
