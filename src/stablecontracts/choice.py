@@ -13,13 +13,15 @@ q best contracts of a menu by priority, where a linear order is a quota
 of one.  The rule satisfies the axioms by theorem, and an ``Aggregate`` of
 such parts inherits them; ``plott_by_construction`` records that
 certificate per family.  A market side with many ranked parts answers for
-all of them at once: ``Aggregate`` lays their priorities end to end when
-it is built, and x is desirable when fewer than q held contracts rank
-above it in its agent's list, a running count over the whole side in one
-numpy pass; x is chosen when it is also held.  For every other family
-(``Table``) the axioms are an empirical property: ``validate_plott``
-checks all three exhaustively over the power set of the ground (never by
-sampling), and it can check certified families too.
+all of them at once: each ranked part keeps its priority packed as
+64-bit integers, ``Aggregate`` joins those end to end when it is built,
+and x is desirable when fewer than q held contracts rank above it in its
+agent's list, a running count over the whole side in one numpy pass, kept
+in the narrowest unsigned dtype that holds the largest part; x is chosen
+when it is also held.  One gather puts the answer back in bit order.  For
+every other family (``Table``) the axioms are an empirical property:
+``validate_plott`` checks all three exhaustively over the power set of the
+ground (never by sampling), and it can check certified families too.
 
 The power-set layout comes from ``contractsets``: ``local_table``
 tabulates a function over a ground's local masks, ``single_steps`` lists
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
@@ -83,7 +86,8 @@ EXHAUSTIVE_CAP = 12
 # A market side answers for its linear and quota agents in one numpy pass
 # once it has this many of them.  The pass costs about the same at any
 # side size, while one call per agent grows with the count; on degree-8
-# agents the pass is about 1.5 times cheaper than the calls from here on.
+# agents (one evaluate plus one desirable, 2 cores) the pass is about as
+# cheap as the calls at 8 agents and about 3.5 times cheaper at 32.
 _VECTOR_PARTS = 32
 
 # Table entries that are no choice: a menu no row lists, and a choice that
@@ -168,6 +172,9 @@ class _Ranked(ChoiceFunction):
         if g.bit_count() != len(self.priority):
             raise DomainError(f"{what} repeats a contract id")
         object.__setattr__(self, "ground", g)
+        # the priority packed as int64, which a large side's layout joins
+        packed = struct.pack(f"{len(self.priority)}q", *self.priority)
+        object.__setattr__(self, "_layout", packed)
 
     def _choose(self, menu: Mask) -> Mask:
         if menu.bit_count() <= self.quota:
@@ -346,30 +353,40 @@ _RANKED = (LinearOrder, Quota)
 
 class _RankedParts:
     """Ranked parts (linear and quota agents) with disjoint grounds,
-    answered in one numpy pass.  Their priorities are laid out once in
-    (part, rank) order as ``pos``, with each position's run start ``start``
-    and its part's ``quota``.  A contract is desirable from a state when
-    fewer than its quota of held contracts rank above it in its part: an
-    exclusive running count of the held contracts, restarted at each run.
+    answered in one numpy pass.  The packed priorities the parts keep are
+    joined once, in (part, rank) order, as ``pos``, with each position's
+    run start ``start``, its part's quota ``quota`` (at most the part's
+    size, which changes no answer), and ``index``, the position in that
+    layout of every bit of ``ground``.  A contract is desirable from a
+    state when fewer than its quota of held contracts rank above it in its
+    part: an exclusive running count of the held contracts, restarted at
+    each run.  The count is kept in the narrowest unsigned dtype that holds
+    the largest part's size, so it wraps over the whole layout, but a
+    difference inside one run is exact.  ``index`` reads the answer back
+    from layout order into bit order in one gather.
     """
 
-    def __init__(self, parts):
-        orders = [p.priority for p in parts]
-        sizes = np.fromiter(map(len, orders), dtype=np.intp, count=len(orders))
-        self.pos = np.fromiter(itertools.chain.from_iterable(orders), dtype=np.intp)
+    def __init__(self, parts, ground: Mask):
+        sizes = np.array([len(p.priority) for p in parts], dtype=np.intp)
+        self.count = np.min_scalar_type(sizes.max(initial=0))
+        quotas = np.minimum([p.quota for p in parts], sizes).astype(self.count)
+        self.pos = np.frombuffer(b"".join(p._layout for p in parts), dtype=np.int64)
         self.start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.quota = np.repeat([p.quota for p in parts], sizes)
-        self.ground = sum(p.ground for p in parts)  # disjoint: the union
-        self.nbytes = (self.ground.bit_length() + 7) // 8
+        self.quota = np.repeat(quotas, sizes)
+        self.ground = ground
+        self.nbytes = (ground.bit_length() + 7) // 8
+        self.index = np.zeros(8 * self.nbytes, dtype=np.intp)
+        self.index[self.pos] = np.arange(len(self.pos))
 
     def desirable(self, state: Mask) -> Mask:
         raw = (state & self.ground).to_bytes(self.nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         held = bits[self.pos]
-        ahead = np.add.accumulate(held, dtype=np.intp) - held
-        out = np.zeros(8 * self.nbytes, dtype=np.uint8)
-        out[self.pos] = ahead - ahead[self.start] < self.quota
-        return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
+        ahead = np.add.accumulate(held, dtype=self.count)
+        ahead -= held
+        ahead -= ahead[self.start]
+        out = np.packbits((ahead < self.quota)[self.index], bitorder="little")
+        return int.from_bytes(out.tobytes(), "little") & self.ground
 
 
 @dataclass(frozen=True)
@@ -385,11 +402,11 @@ class Aggregate(ChoiceFunction):
     side's table has one axis per run of adjacent local bits of one part,
     and each part's table, reshaped onto its axes, broadcasts over the rest.
 
-    A side with at least ``_VECTOR_PARTS`` linear and quota parts lays
-    them out at construction (``_passes``) and answers for all of them in
-    one numpy pass (``_RankedParts``): their desirable set, and their
-    choice as the held part of it.  Below that count, and for every other
-    part, each part answers for its slice with one call.
+    A side with at least ``_VECTOR_PARTS`` linear and quota parts joins
+    their packed priorities at construction (``_passes``) and answers for
+    all of them in one numpy pass (``_RankedParts``): their desirable set,
+    and their choice as the held part of it.  Below that count, and for
+    every other part, each part answers for its slice with one call.
 
     Plott by construction exactly when every part is: each axiom compares
     C on menus slice by slice, so it holds for the join when it holds for
@@ -413,7 +430,7 @@ class Aggregate(ChoiceFunction):
         passes = None, self.parts
         if len(ranked) >= _VECTOR_PARTS:
             rest = tuple(p for p in self.parts if type(p) not in _RANKED)
-            passes = _RankedParts(ranked), rest
+            passes = _RankedParts(ranked, g & ~sum(p.ground for p in rest)), rest
         object.__setattr__(self, "_passes", passes)
 
     @property

@@ -71,13 +71,16 @@ class Instance:
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "contracts", tuple(self.contracts))
         object.__setattr__(self, "choices", types.MappingProxyType(dict(self.choices)))
+        firm, worker = Side.FIRM, Side.WORKER
         by_id: dict[str, Agent] = {}
+        sides: dict[Side, list[str]] = {firm: [], worker: []}
         for a in self.agents:
             if a.id in by_id:
                 raise DomainError(f"duplicate agent id {a.id!r}")
             if not isinstance(a.side, Side):
                 raise DomainError(f"agent {a.id!r} has no declared side")
             by_id[a.id] = a
+            sides[a.side].append(a.id)
         adjacency: dict[str, Mask] = dict.fromkeys(by_id, 0)
         by_label: dict[str, Contract] = {}
         for pos, c in enumerate(self.contracts):
@@ -88,17 +91,21 @@ class Instance:
                 )
             if c.label in by_label:
                 raise DomainError(f"duplicate contract label {c.label!r}")
-            for end, side in ((c.firm, Side.FIRM), (c.worker, Side.WORKER)):
-                if end not in by_id or by_id[end].side is not side:
+            bit = 1 << pos
+            for end, side in ((c.firm, firm), (c.worker, worker)):
+                agent = by_id.get(end)
+                if agent is None or agent.side is not side:
                     raise DanglingReferenceError(
                         f"contract {c.label!r} names {end!r}, "
                         f"which is not a declared {side.value}"
                     )
-                adjacency[end] |= 1 << c.id
+                adjacency[end] |= bit
             by_label[c.label] = c
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_firms", tuple(sides[firm]))
+        object.__setattr__(self, "_workers", tuple(sides[worker]))
         _validate_choices(self)
 
     @property
@@ -116,10 +123,10 @@ class Instance:
             raise DomainError(f"unknown agent {agent_id!r}") from None
 
     def firms(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.agents if a.side is Side.FIRM)
+        return self._firms
 
     def workers(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.agents if a.side is Side.WORKER)
+        return self._workers
 
     def contract_by_label(self, label: str) -> Contract:
         try:
@@ -230,6 +237,6 @@ def reduce_to_two_agents(inst: Instance) -> TwoAgentProblem:
     partition the ground on each side, both aggregates inherit the
     rationality axioms from their parts.
     """
-    firm_parts = tuple(inst.choices[f] for f in inst.firms())
-    worker_parts = tuple(inst.choices[w] for w in inst.workers())
+    firm_parts = [inst.choices[f] for f in inst.firms()]
+    worker_parts = [inst.choices[w] for w in inst.workers()]
     return TwoAgentProblem(Aggregate(firm_parts), Aggregate(worker_parts))

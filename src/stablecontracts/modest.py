@@ -7,6 +7,14 @@ ascent step Q ↦ F(W(D_F(Q))) keeps modesty and never widens D_F, so the
 firm-desirability sets descend until they stabilize; at that point the
 iterate is a stable system.
 
+``yang_solve`` takes each ascent step in one D_F pass.  With
+X = W(D_F(Q)), the next iterate F(X) is X ∩ D_F(X), and its D_F is D_F(X)
+again, since D_F(F(X)) = D_F(X) for a path-independent F (the Löb
+identity).  So one pass gives both the iterate and the D_F that decides
+whether the ascent has stopped.  The shortcut rests on path independence,
+which every validated instance has; ``yang_step`` keeps the definitional
+form, and the solver's output is still verified by ``is_stable``.
+
 The two routes convert into each other: F(W(B)) of an ample B is modest,
 and D_F(Q) of a modest Q is ample.
 """
@@ -51,8 +59,11 @@ def yang_solve(problem: TwoAgentProblem, start: Mask = 0) -> SolveResult:
         raise PreconditionError(f"start set {ids_of(q)} is not modest")
     trace = [q]
     for _ in range(problem.size + 2):
-        nxt = problem.firm.evaluate(problem.worker.evaluate(d))
-        nxt_d = desirable_set(problem.firm, nxt)
+        # one D_F pass per step: F(X) = X ∩ D_F(X), and D_F(F(X)) = D_F(X)
+        # for a path-independent F
+        w = problem.worker.evaluate(d)
+        nxt_d = desirable_set(problem.firm, w)
+        nxt = w & nxt_d
         if nxt_d == d:
             if nxt != q:
                 trace.append(nxt)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -666,6 +667,17 @@ def _joined(parts, menu, answer):
     return out
 
 
+def _both_paths(parts):
+    """The side over ``parts`` with its ranked parts forced into one numpy
+    pass, then forced to answer one call each."""
+    sides = []
+    for limit in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(choice, "_VECTOR_PARTS", limit)
+            sides.append(Aggregate(parts))
+    return sides
+
+
 class TestVectorPass:
     """A side with ``_VECTOR_PARTS`` or more linear and quota agents answers
     for them in one numpy pass; it must answer as the per-part join."""
@@ -695,6 +707,50 @@ class TestVectorPass:
                     assert agg.evaluate(menu) == _joined(parts, menu, ChoiceFunction.evaluate)
                     want = _joined(parts, menu, lambda part, s: part.desirable(s))
                     assert agg.desirable(menu) == want == naive_desirable(agg, menu)
+
+    @pytest.mark.parametrize("size, quota", [
+        (255, 1), (255, 255), (255, 256), (256, 255), (256, 256), (300, 256), (300, 302),
+    ])
+    def test_wide_part(self, size, quota):
+        # one ranked part of ``size`` contracts beside 40 of degree 4: its
+        # count fits a byte up to 255 contracts, so there the count over the
+        # whole layout wraps, and a quota past the degree keeps all it holds
+        rng = random.Random(f"{size}/{quota}")
+        ids = rng.sample(range(3 * (size + 160)), size + 160)
+        wide = Quota(quota, ids[:size])
+        narrow = [
+            (Quota(2, chunk) if i % 2 else LinearOrder(chunk))
+            for i, chunk in enumerate(zip(*[iter(ids[size:])] * 4))
+        ]
+        parts = (*narrow[:20], wide, *narrow[20:])
+        vector, loop = _both_paths(parts)
+        assert vector._passes[0].count == (np.uint8 if size <= 255 else np.uint16)
+        assert loop._passes[0] is None
+        g, rest = vector.ground, vector.ground & ~wide.ground
+        # the wide part holding its best quota - 1, quota, quota + 1 and all
+        # of its contracts, beside every other contract or none
+        held = [mask_of(wide.priority[:k]) for k in (quota - 1, quota, quota + 1, size)]
+        menus = [0, g, *(g & rng.getrandbits(g.bit_length()) for _ in range(4))]
+        menus += [h | other for h in held for other in (0, rest)]
+        for menu in menus:
+            want = _joined(parts, menu, ChoiceFunction.evaluate)
+            assert vector.evaluate(menu) == loop.evaluate(menu) == want
+            want = _joined(parts, menu, lambda part, s: part.desirable(s))
+            assert vector.desirable(menu) == loop.desirable(menu) == want
+
+    @pytest.mark.parametrize("parts", [
+        (),
+        (Table(m(3, 5), {0: 0, m(3): m(3), m(5): m(5), m(3, 5): m(3)}),),
+        (LinearOrder(()), Quota(2, ()), Table(m(1), {0: 0, m(1): m(1)})),
+    ], ids=["empty", "table", "no-contract-ranked"])
+    def test_side_with_no_ranked_contract(self, parts):
+        vector, loop = _both_paths(parts)
+        assert len(vector._passes[0].pos) == 0 and loop._passes[0] is None
+        for menu in submasks(vector.ground):
+            want = _joined(parts, menu, ChoiceFunction.evaluate)
+            assert vector.evaluate(menu) == loop.evaluate(menu) == want
+            want = _joined(parts, menu, lambda part, s: part.desirable(s))
+            assert vector.desirable(menu) == loop.desirable(menu) == want
 
 
 class _Parity(ChoiceFunction):

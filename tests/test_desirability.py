@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import m, naive_desirable, naive_operator_witnesses, rule_verdicts
-from stablecontracts import desirability, fixtures
+from stablecontracts import choice, desirability, fixtures
 from stablecontracts.choice import (
     Aggregate,
     LinearOrder,
@@ -359,11 +359,11 @@ def test_lemma_suite_makes_no_pair_scan_on_valid_problems(monkeypatch):
 
 
 @st.composite
-def agent_choice(draw, ids):
+def agent_choice(draw, ids, families=("linear", "quota", "table")):
     """A linear order, a quota (possibly at or above the ground's size) or a
     table tabulating a drawn quota, over exactly the contracts ``ids``."""
     order = tuple(draw(st.permutations(ids)))
-    family = draw(st.sampled_from(("linear", "quota", "table")))
+    family = draw(st.sampled_from(families))
     if family == "linear":
         return LinearOrder(order)
     quota = Quota(draw(st.integers(min_value=1, max_value=len(ids) + 2)), order)
@@ -403,6 +403,32 @@ def any_choice(draw):
 def test_closed_forms_match_the_definition(cf):
     for state in submasks(cf.ground):
         assert desirable_set(cf, state) == naive_desirable(cf, state)
+
+
+@st.composite
+def wide_side(draw):
+    """A side of ``_VECTOR_PARTS`` to ``_VECTOR_PARTS + 3`` linear and quota
+    agents, so it answers them in one numpy pass, and up to two more agents
+    of any family; degrees up to 4 on a sparse ground."""
+    ranked = choice._VECTOR_PARTS + draw(st.integers(min_value=0, max_value=3))
+    others = draw(st.integers(min_value=0, max_value=2))
+    ids = iter(draw(st.permutations(range(5 * (ranked + others)))))
+    parts = []
+    for i in range(ranked + others):
+        chunk = [next(ids) for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+        families = ("linear", "quota") if i < ranked else ("linear", "quota", "table")
+        parts.append(draw(agent_choice(chunk, families)))
+    return Aggregate(tuple(draw(st.permutations(parts))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(any_choice(), wide_side()), st.data())
+def test_choosing_leaves_desirability_unchanged(cf, data):
+    # D(C(A)) = D(A), from the Löb identity: the ascent takes its next
+    # iterate and that iterate's D_F from one desirability pass
+    for _ in range(4):
+        menu = cf.ground & data.draw(st.integers(min_value=0, max_value=cf.ground))
+        assert cf.desirable(cf.evaluate(menu)) == cf.desirable(menu)
 
 
 def _quota_market():

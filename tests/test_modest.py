@@ -16,7 +16,7 @@ from stablecontracts.modest import (
     yang_solve,
     yang_step,
 )
-from stablecontracts.oracle import random_corpus
+from stablecontracts.oracle import random_corpus, random_instance
 from stablecontracts.stability import is_stable
 
 
@@ -70,6 +70,48 @@ class TestYangSolve:
             result = yang_solve(problem)
             assert result.steps <= problem.size + 1
             assert is_stable(problem, result.system)
+
+
+def _ascent_by_steps(problem, start):
+    """The ascent by its definition: iterate the public ``yang_step`` until
+    D_F of the iterate stops changing, as ``yang_solve`` documents."""
+    trace, q = [start], start
+    d = desirable_set(problem.firm, q)
+    for _ in range(problem.size + 2):
+        nxt = yang_step(problem, q)
+        nxt_d = desirable_set(problem.firm, nxt)
+        if nxt_d == d:
+            if nxt != q:
+                trace.append(nxt)
+            return tuple(trace)
+        trace.append(nxt)
+        q, d = nxt, nxt_d
+    raise AssertionError("the ascent did not stabilize")
+
+
+def _modest_starts(problem):
+    """The empty set and F(W(B)) for every ample B the descent visits."""
+    return [0] + [ample_to_modest(problem, b) for b in ag_solve(problem).trace]
+
+
+class TestAscentShortcut:
+    """``yang_solve`` takes the next iterate and its D_F from one D_F pass;
+    its trace must be the iteration of the definitional ``yang_step``."""
+
+    def test_corpus(self):
+        for inst in random_corpus(200, master_seed=83, max_contracts=12):
+            problem = reduce_to_two_agents(inst)
+            for start in _modest_starts(problem):
+                assert yang_solve(problem, start).trace == _ascent_by_steps(problem, start)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sides_in_one_numpy_pass(self, seed):
+        inst = random_instance(seed, 36, 36, density=0.4, families=("linear", "quota"))
+        problem = reduce_to_two_agents(inst)
+        assert problem.firm._passes[0] is not None
+        assert problem.worker._passes[0] is not None
+        for start in _modest_starts(problem):
+            assert yang_solve(problem, start).trace == _ascent_by_steps(problem, start)
 
 
 class TestLemma5and6:
