@@ -65,27 +65,32 @@ def ag_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResult
     reach other stable systems; a non-ample start is a precondition error.
     The fixpoint satisfies W(B) = F(W(B)) and the returned system W(B) is
     re-verified for stability, raising InternalInconsistencyError if that
-    ever fails (it would mean a bug, not bad input).
+    ever fails (it would mean a bug, not bad input).  Each step is
+    ``ag_step``'s, taken on the W(B) already at hand: the ample check's
+    for the first step, and the last step's W(B) is the system.
     """
     b = problem.ground if start is None else start
-    if not is_ample(problem, b):
+    check_subset(b, problem.ground)
+    wb = problem.worker.evaluate(b)
+    if desirable_set(problem.firm, wb) & ~b:
         raise PreconditionError(
             f"start set {ids_of(b)} is not ample; the descent invariant "
             f"would not hold"
         )
     trace = [b]
     for _ in range(problem.size + 1):
-        nxt = ag_step(problem, b)
+        nxt = (b & ~wb) | problem.firm.evaluate(wb)
         if nxt == b:
             break
         b = nxt
         trace.append(b)
+        wb = problem.worker.evaluate(b)
     else:
         raise InternalInconsistencyError(
             "descending iteration did not reach a fixpoint within the "
             "ground-set bound"
         )
-    system = problem.worker.evaluate(b)
+    system = wb
     if not is_stable(problem, system):
         raise InternalInconsistencyError(
             f"descent fixpoint produced an unstable system {ids_of(system)}"

@@ -30,7 +30,8 @@ sorts menus by cardinality, then lexicographically by contract ids.  A map
 stored in that layout (``_PowerSetMap``: the ground's ids and one
 read-only array) is a ``Table`` here and a ``DesirabilityOperator`` in
 ``desirability``; its ``tabulate`` returns the array as it is, and an
-``Aggregate`` broadcasts its parts' arrays, each onto its own axes.
+``Aggregate`` gathers each part's array onto its own axes above one
+contiguous block of the lowest bits and broadcasts it over the rest.
 
 Each axiom is decided by a one-contract version of itself, which a chain
 of single additions or removals turns back into the global form (Plott
@@ -42,7 +43,8 @@ without it:
   path independence   C(C(A)) = C(A), and C(S ∪ {x}) = C(C(S) ∪ {x})
                       for every S, with x in S or not
 
-Each rule is one numpy pass over all k·2^(k-1) steps of the 2^k table.
+Each rule is one numpy pass over all k·2^(k-1) steps of the 2^k table,
+on C(A) and C(A ∪ {x}) gathered once for all rules (``law_steps``).
 Only a law that fails runs its witness finder, a blocked numpy scan
 (``first_pair``) over pairs (A, B): A runs in canonical order, and for each
 A, B does too, and the first offending pair is the reported witness.
@@ -70,6 +72,7 @@ from .contractsets import (
     check_power_set,
     compress,
     expand,
+    expansion,
     ids_of,
     local_table,
     mask_of,
@@ -91,9 +94,14 @@ EXHAUSTIVE_CAP = 12
 _VECTOR_PARTS = 32
 
 # Table entries that are no choice: a menu no row lists, and a choice that
-# names a contract outside the table's ground (``Table.from_rows``)
-_MISSING = -1
-OUTSIDE = -2
+# names a contract outside the table's ground (``Table.from_rows``); as an
+# index, OUTSIDE is the last entry of an array
+_MISSING = -2
+OUTSIDE = -1
+
+# A market side's table keeps its lowest local bits, up to this many, as
+# one last axis in C order (``Aggregate.tabulate``)
+_LOW_BITS = 8
 
 CONSISTENCY = "consistency"
 SUBSTITUTABILITY = "substitutability"
@@ -285,7 +293,9 @@ class Table(_PowerSetMap, ChoiceFunction):
     read that array as it is, ``evaluate`` looks the menu up, and
     ``desirable`` compresses the state once and reads one entry per ground
     contract.  ``Table(ground, mapping)`` tabulates a menu-to-choice
-    mapping in contract ids; the document decoder uses ``from_rows``.
+    mapping in contract ids; the document decoder uses ``from_rows``, which
+    renumbers all menus and all choices to ascending ids by one gather
+    each, through a permutation built by doubling.
 
     The table must be total over the power set and each entry must satisfy
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
@@ -323,12 +333,13 @@ class Table(_PowerSetMap, ChoiceFunction):
         k = len(ids)
         check_power_set(k)
         bits = sorted(ids)
-        rank = [bits.index(i) for i in ids]
-        choices = np.asarray(choices, dtype=np.int64)
+        # renumber every local mask to ascending ids in one gather; OUTSIDE
+        # indexes the one sentinel entry past the masks, which keeps it
+        renumber = np.concatenate((expansion([bits.index(i) for i in ids]), [OUTSIDE]))
         table = np.full(1 << k, _MISSING, dtype=np.int64)
-        table[expand(np.asarray(menus, dtype=np.int64), rank)] = np.where(
-            choices < 0, choices, expand(choices, rank)
-        )
+        table[renumber[np.asarray(menus, dtype=np.int64)]] = renumber[
+            np.asarray(choices, dtype=np.int64)
+        ]
         bad = (table & ~np.arange(1 << k)) != 0
         if bad.any():
             first = int(bad.argmax())
@@ -398,9 +409,13 @@ class Aggregate(ChoiceFunction):
     Because the grounds are disjoint, x ∈ C(S ∪ {x}) exactly when x is
     chosen by its own part from that part's slice of S plus x, so
     ``desirable`` joins each part's ``desirable`` of its slice (the
-    side's D), and ``tabulate`` ORs the parts' own tables: in C order the
-    side's table has one axis per run of adjacent local bits of one part,
-    and each part's table, reshaped onto its axes, broadcasts over the rest.
+    side's D), and ``tabulate`` ORs the parts' own tables.  In C order the
+    side's table ends in one axis over its lowest ``_LOW_BITS`` local bits
+    (all of them on a smaller side), and above it has one axis per run of
+    adjacent higher bits of one part.  Each part's table is gathered onto
+    its own runs × that block through one low-index array, built by
+    doubling for all parts at once, and broadcasts over the other runs; so
+    every OR runs numpy's inner loop over the whole block.
 
     A side with at least ``_VECTOR_PARTS`` linear and quota parts joins
     their packed priorities at construction (``_passes``) and answers for
@@ -452,17 +467,31 @@ class Aggregate(ChoiceFunction):
         return out
 
     def tabulate(self) -> np.ndarray:
-        # runs of adjacent local bits of one part, highest bits first, are
-        # the axes of the table in C order
-        check_power_set(self.ground.bit_count())
+        # in C order the table's last axis is its lowest local bits, one
+        # block of 2^low menus, and above them each run of adjacent bits of
+        # one part, highest bits first, is an axis
+        n = self.ground.bit_count()
+        check_power_set(n)
         owner = [next(i for i, p in enumerate(self.parts) if p.ground >> b & 1)
                  for b in ids_of(self.ground)]
-        runs = [(i, len(list(g))) for i, g in itertools.groupby(reversed(owner))]
-        table = np.zeros((1,) * len(runs), dtype=np.int64)
+        low = min(n, _LOW_BITS)
+        runs = [(i, len(list(g))) for i, g in itertools.groupby(reversed(owner[low:]))]
+        # index[i, m]: part i's own local mask of its bits in the low mask
+        # m, built by doubling over the low bits for all parts at once;
+        # part i owns its held[i] lowest bits there
+        index = np.zeros((len(self.parts), 1 << low), dtype=np.intp)
+        held = [0] * len(self.parts)
+        for j, o in enumerate(owner[:low]):
+            index[o, 1 << j:2 << j] = 1 << held[o]
+            index[:, 1 << j:2 << j] += index[:, :1 << j]
+            held[o] += 1
+        table = np.zeros((1,) * (len(runs) + 1), dtype=np.int64)
         for i, part in enumerate(self.parts):
             local = [j for j, o in enumerate(owner) if o == i]
-            shape = [1 << size if o == i else 1 for o, size in runs]
-            table = table | expand(part.tabulate(), local).reshape(shape)
+            # the part's masks with none of its low bits, one per row
+            rows = np.arange(0, 1 << len(local), 1 << held[i])[:, None]
+            shape = [1 << size if o == i else 1 for o, size in runs] + [1 << low]
+            table = table | expand(part.tabulate(), local)[rows + index[i]].reshape(shape)
         table = table.reshape(-1)
         table.flags.writeable = False
         return table
@@ -537,14 +566,15 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
     """Run every law on ``subject.tabulate()``, the subject's map over the
     power set of its ground as an array over local masks.
 
-    Each law is a ``(name, holds, finder)`` row.  ``holds(arr, bit, a,
-    ab)`` decides the law from the ``single_steps`` arrays, with
-    elementwise operators over all steps at once.  Only when it fails does
-    ``finder(arr, order)`` scan for the first offending local masks in the
-    canonical order; a failing law whose finder finds none raises
-    InternalInconsistencyError.  Witnesses are reported in the ground's own
-    contract ids.  Raises CapExceededError, before tabulating, when the
-    ground exceeds ``EXHAUSTIVE_CAP`` contracts.
+    Each law is a ``(name, holds, finder)`` row.  ``holds(*law_steps(arr))``
+    decides the law from the ``single_steps`` arrays and the entries they
+    gather, gathered once per subject, with elementwise operators over all
+    steps at once.  Only when it fails does ``finder(arr, order)`` scan for
+    the first offending local masks in the canonical order; a failing law
+    whose finder finds none raises InternalInconsistencyError.  Witnesses
+    are reported in the ground's own contract ids.  Raises
+    CapExceededError, before tabulating, when the ground exceeds
+    ``EXHAUSTIVE_CAP`` contracts.
     """
     bits = ids_of(subject.ground)
     if len(bits) > EXHAUSTIVE_CAP:
@@ -553,10 +583,11 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
             f"capped at {EXHAUSTIVE_CAP}"
         )
     arr = subject.tabulate()
+    steps = law_steps(arr)
     checks = []
     for name, holds, finder in laws:
         witness = None
-        if not holds(arr, *single_steps(len(bits))):
+        if not holds(*steps):
             witness = finder(arr, canonical_order(len(bits)))
             if witness is None:
                 raise InternalInconsistencyError(
@@ -566,6 +597,15 @@ def check_laws(subject, laws, what: str) -> ValidationReport:
             witness = tuple(expand(w, bits) for w in witness)
         checks.append(AxiomCheck(name, witness is None, witness))
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
+
+
+def law_steps(arr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What a law row's rule reads, for the map ``arr`` over a power set:
+    ``(arr, bit, a, ca, cab)``, where every one-contract step (A, A ∪ {x})
+    of ``single_steps`` has its bit x, its mask A, and the entries
+    ``arr[A]`` and ``arr[A ∪ {x}]``, gathered once for every law."""
+    bit, a, ab = single_steps(len(arr).bit_length() - 1)
+    return arr, bit, a, arr[a], arr[ab]
 
 
 def first_pair(arr: np.ndarray, order: np.ndarray, bad) -> tuple[Mask, Mask] | None:
@@ -595,25 +635,23 @@ def first_state(bad: np.ndarray, order: np.ndarray) -> tuple[Mask] | None:
     return (int(order[hits.argmax()]),) if hits.any() else None
 
 
-def _consistent(arr, bit, a, ab):
+def _consistent(arr, bit, a, ca, cab):
     # C(A ∪ {x}) ⊆ A implies C(A) = C(A ∪ {x}): the axiom itself for the
     # pair (A ∪ {x}, A), so the rule needs no C(S) ⊆ S to be exact
-    cab = arr[ab]
-    return bool((((cab & ~a) != 0) | (arr[a] == cab)).all())
+    return bool((((cab & ~a) != 0) | (ca == cab)).all())
 
 
-def _substitutable(arr, bit, a, ab):
+def _substitutable(arr, bit, a, ca, cab):
     # C(A ∪ {x}) ∩ A ⊆ C(A)
-    return not (arr[ab] & a & ~arr[a]).any()
+    return not (cab & a & ~ca).any()
 
 
-def _path_independent(arr, bit, a, ab):
+def _path_independent(arr, bit, a, ca, cab):
     # idempotence, the induction base, then C(S ∪ {x}) = C(C(S) ∪ {x})
     # for S = A (x ∉ S) and S = A ∪ {x} (x ∈ S)
-    cab = arr[ab]
     return bool(
         (arr[arr] == arr).all()
-        and (arr[arr[a] | bit] == cab).all()
+        and (arr[ca | bit] == cab).all()
         and (arr[cab | bit] == cab).all()
     )
 

@@ -9,7 +9,9 @@ of a ground mask is enumerable without allocation.
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
-it back, on ints or elementwise on int64 arrays of local masks.
+it back, on ints or elementwise on int64 arrays of local masks.  On an
+array ``expand`` makes one gather through ``expansion``, the expansion of
+every local mask, built by doubling in one numpy call per bit.
 ``local_table`` tabulates a function over the 2^k local masks, for k up to
 ``POWER_SET_CAP``; ``canonical_order`` lists those masks in the canonical
 scan order of ``canonical_key``, and ``single_steps`` lists every
@@ -85,12 +87,26 @@ def submasks(ground: Mask) -> Iterator[Mask]:
 def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
     """Map a mask over local indices 0..k-1 to the contract ids ``bits``.
 
-    ``local`` is an int, or an int64 numpy array mapped elementwise, which
-    needs every id in ``bits`` below 63: arrays carry local masks only.
+    ``local`` is an int, mapped bit by bit, or an int64 numpy array of local
+    masks below 2^k, mapped elementwise in one gather through
+    ``expansion(bits)``, which needs every id in ``bits`` below 63: arrays
+    carry local masks only.
     """
+    if isinstance(local, np.ndarray):
+        return expansion(bits)[local]
     out = local & 0
     for i, b in enumerate(bits):
         out |= (local >> i & 1) << b
+    return out
+
+
+def expansion(bits: list[int]) -> np.ndarray:
+    """``expand(local, bits)`` for every local mask over k = len(bits) bits,
+    indexed by the mask: 2^k int64 entries built by doubling, one numpy
+    call per bit.  Every id must be below 63."""
+    out = np.zeros(1 << len(bits), dtype=np.int64)
+    for i, b in enumerate(bits):
+        np.bitwise_or(out[:1 << i], 1 << b, out=out[1 << i:2 << i])
     return out
 
 

@@ -135,9 +135,9 @@ def _lob_breaks(arr):
     return arr != arr[np.arange(len(arr)) & arr]
 
 
-def _antimonotone(arr, bit, a, ab):
+def _antimonotone(arr, bit, a, da, dab):
     # D(A ∪ {x}) ⊆ D(A)
-    return not (arr[ab] & ~arr[a]).any()
+    return not (dab & ~da).any()
 
 
 def _antimonotonicity_pair(arr, order):

@@ -152,17 +152,19 @@ def _resolve_labels(
 ) -> list[int]:
     if not isinstance(labels, list):
         raise _malformed(agent_id, "expected a list of contract ids")
-    out = []
-    for label in labels:
-        if not isinstance(label, str):
-            raise _malformed(agent_id, f"contract id {label!r} is not a string")
-        if label not in index_by_label:
-            raise ParseError(
-                "dangling-reference",
-                f"agent {agent_id!r} references unknown contract {label!r}",
-            )
-        out.append(index_by_label[label])
-    return out
+    try:
+        return [index_by_label[label] for label in labels]
+    except (KeyError, TypeError):
+        # a lookup failed: name the first bad entry
+        for label in labels:
+            if not isinstance(label, str):
+                raise _malformed(agent_id, f"contract id {label!r} is not a string")
+            if label not in index_by_label:
+                raise ParseError(
+                    "dangling-reference",
+                    f"agent {agent_id!r} references unknown contract {label!r}",
+                )
+        raise
 
 
 def _parse_choice(

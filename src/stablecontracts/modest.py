@@ -55,13 +55,14 @@ def yang_solve(problem: TwoAgentProblem, start: Mask = 0) -> SolveResult:
     q = start
     check_subset(q, problem.ground)
     d = desirable_set(problem.firm, q)
-    if q & ~problem.worker.evaluate(d):
+    # the modesty check's W(D_F(Q)) is the first step's
+    w = problem.worker.evaluate(d)
+    if q & ~w:
         raise PreconditionError(f"start set {ids_of(q)} is not modest")
     trace = [q]
     for _ in range(problem.size + 2):
         # one D_F pass per step: F(X) = X ∩ D_F(X), and D_F(F(X)) = D_F(X)
         # for a path-independent F
-        w = problem.worker.evaluate(d)
         nxt_d = desirable_set(problem.firm, w)
         nxt = w & nxt_d
         if nxt_d == d:
@@ -71,6 +72,7 @@ def yang_solve(problem: TwoAgentProblem, start: Mask = 0) -> SolveResult:
             break
         trace.append(nxt)
         q, d = nxt, nxt_d
+        w = problem.worker.evaluate(d)
     else:
         raise InternalInconsistencyError(
             "ascending iteration did not stabilize within the ground-set bound"

@@ -6,9 +6,9 @@ from stablecontracts.contractsets import (
     ids_of,
     local_table,
     mask_of,
-    single_steps,
     submasks,
 )
+from stablecontracts.choice import law_steps
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -122,6 +122,5 @@ def naive_operator_witnesses(op) -> dict[str, tuple[int, ...] | None]:
 def rule_verdicts(laws, fn, ground) -> dict[str, bool]:
     """Whether each law row's one-contract rule holds on the table of
     ``fn`` over ``ground``, without the witness scan."""
-    bits = ids_of(ground)
-    arr = local_table(fn, bits)
-    return {name: holds(arr, *single_steps(len(bits))) for name, holds, _ in laws}
+    steps = law_steps(local_table(fn, ids_of(ground)))
+    return {name: holds(*steps) for name, holds, _ in laws}

@@ -10,9 +10,11 @@ from stablecontracts.ample import (
     enumerate_stable_via_ample,
     is_ample,
 )
+from stablecontracts import choice
 from stablecontracts.choice import LinearOrder, Quota
 from stablecontracts.classical import gale_shapley
 from stablecontracts.contractsets import submasks
+from stablecontracts.desirability import desirable_set
 from stablecontracts.errors import CapExceededError, PreconditionError
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
@@ -263,3 +265,70 @@ class TestLargeMarket:
         assert is_stable_multi(inst, system)
         if "quota" not in mix:
             assert gale_shapley(inst) == system
+
+
+def _descent_by_steps(problem):
+    """The descent as the public steps take it: the ample check, then
+    ``ag_step`` until it stops, W of the fixpoint and the stability check."""
+    b = problem.ground
+    assert is_ample(problem, b)
+    trace = [b]
+    while (nxt := ag_step(problem, b)) != b:
+        b = nxt
+        trace.append(b)
+    system = problem.worker.evaluate(b)
+    assert is_stable(problem, system)
+    return system, tuple(trace)
+
+
+def _ascent_with_its_own_check(problem):
+    """The one-pass ascent from the empty set with a modesty check that
+    computes W(D_F(Q)) apart from the first step."""
+    q = 0
+    d = desirable_set(problem.firm, q)
+    assert q & ~problem.worker.evaluate(d) == 0
+    trace = [q]
+    while True:
+        w = problem.worker.evaluate(d)
+        nxt_d = desirable_set(problem.firm, w)
+        nxt = w & nxt_d
+        if nxt_d == d:
+            if nxt != q:
+                trace.append(nxt)
+            break
+        trace.append(nxt)
+        q, d = nxt, nxt_d
+    assert is_stable(problem, nxt)
+    return nxt, tuple(trace)
+
+
+class TestSideEvaluations:
+    """The solvers compute no side evaluation twice: ``ag_solve`` takes its
+    first step on the ample check's W(B) and returns its last step's W(B),
+    and ``yang_solve`` takes its first step on the modesty check's
+    W(D_F(Q)).  On sides of 32 or more ranked agents every evaluation is
+    one call of the one-pass kernel."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_fewer_than_the_public_steps(self, seed, monkeypatch):
+        inst = random_instance(seed, 40, 40, density=0.25, families=("linear", "quota"))
+        problem = reduce_to_two_agents(inst)
+        assert problem.firm._passes[0] is not None
+        assert problem.worker._passes[0] is not None
+        calls = []
+        kernel = choice._RankedParts.desirable
+        monkeypatch.setattr(choice._RankedParts, "desirable",
+                            lambda self, state: calls.append(state) or kernel(self, state))
+
+        def counted(solve):
+            calls.clear()
+            out = solve(problem)
+            return out, len(calls)
+
+        (ag, ag_calls), (ag_ref, ag_ref_calls) = counted(ag_solve), counted(_descent_by_steps)
+        (yang, yang_calls), (yang_ref, yang_ref_calls) = (
+            counted(yang_solve), counted(_ascent_with_its_own_check))
+        assert (ag.system, ag.trace) == ag_ref
+        assert (yang.system, yang.trace) == yang_ref
+        assert ag.steps > 0
+        assert (ag_ref_calls - ag_calls, yang_ref_calls - yang_calls) == (2, 1)

@@ -29,6 +29,8 @@ from stablecontracts.choice import (
 )
 from stablecontracts.contractsets import (
     canonical_order,
+    compress,
+    expand,
     ids_of,
     mask_of,
     submasks,
@@ -174,6 +176,43 @@ def table_mapping(draw):
                  for a in submasks(ground)}
 
 
+@st.composite
+def table_rows(draw):
+    """``from_rows`` arguments over 0 to 5 sparse ids in any order: rows in
+    any order, some menus left out, some choices outside the menu or
+    ``OUTSIDE``."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=200), max_size=5, unique=True))
+    full = (1 << len(ids)) - 1
+    menus, choices = [], []
+    for a in draw(st.permutations(range(full + 1))):
+        kind = draw(st.sampled_from(["sub"] * 12 + ["any", "outside", "missing"]))
+        if kind != "missing":
+            menus.append(a)
+            choices.append({"sub": a & draw(st.integers(0, full)),
+                            "any": draw(st.integers(0, full)),
+                            "outside": choice.OUTSIDE}[kind])
+    return ids, menus, choices
+
+
+def _naive_from_rows(ids, menus, choices):
+    """The array ``from_rows`` builds, entry by entry in ascending ids, or
+    the text of its first fault in ascending mask order."""
+    bits = sorted(ids)
+
+    def ascending(local):
+        return sum(1 << bits.index(b) for i, b in enumerate(ids) if local >> i & 1)
+
+    rows = {ascending(a): None if c == choice.OUTSIDE else ascending(c)
+            for a, c in zip(menus, choices)}
+    for a in range(1 << len(ids)):
+        menu = [bits[i] for i in ids_of(a)]
+        if a not in rows:
+            return f"table is not total: menu {menu} is missing"
+        if rows[a] is None or rows[a] & ~a:
+            return f"table entry for menu {menu} chooses outside it"
+    return [rows[a] for a in range(1 << len(ids))]
+
+
 class TestTableArray:
     @settings(max_examples=150, deadline=None)
     @given(table_mapping())
@@ -203,6 +242,21 @@ class TestTableArray:
         table = Table.from_rows(order, [local(a) for a, _ in rows],
                                 [local(c) for _, c in rows])
         assert table == Table(mask_of(ids), mapping)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_rows())
+    @example(([], [0], [choice.OUTSIDE]))
+    @example(([], [], []))
+    @example(([], [0], [0]))
+    @example(([7], [1, 0], [choice.OUTSIDE, 0]))
+    def test_rows_build_the_array_or_name_the_first_fault(self, rows):
+        # at k = 0 the one menu is the full one, which OUTSIDE must not
+        # alias: the error names it as choosing outside itself
+        try:
+            got = Table.from_rows(*rows).table.tolist()
+        except DomainError as exc:
+            got = str(exc)
+        assert got == _naive_from_rows(*rows)
 
     def test_read_only(self):
         table = Table(m(0), {0: 0, m(0): m(0)})
@@ -292,6 +346,50 @@ class TestAggregate:
         assert agg.tabulate().tolist() == expected
         assert validate_plott(agg).passed
         assert calls == []
+
+    @pytest.mark.parametrize("n, shape", [
+        (n, shape) for n in (0, 1, 7, 8, 9, 16, 20)
+        for shape in ("interleaved", "straddling", "one part")
+        if (n, shape) != (20, "one part")  # a 2^20 part tabulates menu by menu
+    ])
+    def test_low_block_tabulates_as_it_evaluates(self, n, shape):
+        # the lowest choice._LOW_BITS local bits are one block; parts own
+        # shuffled bits, runs across the block's edge, or the whole side
+        rng = random.Random(n)
+        ids = [3 * i + 1 for i in range(n)]
+        if shape == "interleaved":
+            rng.shuffle(ids)
+        low = choice._LOW_BITS
+        if shape == "interleaved":
+            cuts = sorted(rng.sample(range(1, n), min(n - 1, 4))) if n else []
+        elif shape == "straddling":
+            cuts = [c for c in (low - 1, low + 2) if c < n]
+        else:
+            cuts = []
+        parts = []
+        for i, j in zip([0, *cuts], [*cuts, n]):
+            chunk = tuple(ids[i:j])
+            quota = Quota(2, chunk)
+            if len(parts) % 3 == 1 and len(chunk) <= 5:
+                ground = mask_of(chunk)
+                parts.append(Table(ground, {a: quota.evaluate(a) for a in submasks(ground)}))
+            elif len(parts) % 3 == 2:
+                parts.append(LinearOrder(chunk))
+            else:
+                parts.append(quota)
+        agg = Aggregate(tuple(parts))
+        table = agg.tabulate()
+        assert len(table) == 1 << n
+        # every menu up to 16 contracts; at 20, every menu of the low block
+        # under a sample of high masks
+        menus = range(1 << n)
+        if n > 16:
+            menus = [h << low | x for h in rng.sample(range(1 << n - low), 24)
+                     for x in range(1 << low)]
+        bits = sorted(ids)
+        assert [int(table[a]) for a in menus] == [
+            compress(agg.evaluate(expand(a, bits)), bits) for a in menus
+        ]
 
     def test_side_over_20_contracts_is_refused_before_its_parts(self, monkeypatch):
         agg = Aggregate(tuple(LinearOrder((e,)) for e in range(21)))

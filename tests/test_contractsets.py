@@ -7,8 +7,10 @@ from stablecontracts.contractsets import (
     canonical_key,
     canonical_sorted,
     check_subset,
+    POWER_SET_CAP,
     compress,
     expand,
+    expansion,
     full_mask,
     ids_of,
     is_subset,
@@ -99,6 +101,41 @@ def test_arrays_agree_with_ints_on_dense_grounds(case):
     assert expand(np.array(locals_, dtype=np.int64), bits).tolist() == [
         expand(x, bits) for x in locals_
     ]
+
+
+@given(
+    st.integers(0, POWER_SET_CAP).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(0, 62), min_size=k, max_size=k, unique=True).map(sorted),
+            st.lists(st.integers(0, (1 << k) - 1), max_size=50),
+        )
+    )
+)
+def test_array_expand_is_the_int_path(case):
+    # one gather through the expansion, entry by entry as the int path
+    bits, locals_ = case
+    arr = np.array(locals_, dtype=np.int64)
+    out = expand(arr, bits)
+    assert out.dtype == np.int64
+    assert out.tolist() == [expand(x, bits) for x in locals_]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 12, POWER_SET_CAP])
+def test_expansion_holds_every_local_mask(k):
+    bits = [62 - 3 * i for i in range(k)][::-1]
+    table = expansion(bits)
+    assert table.dtype == np.int64 and len(table) == 1 << k
+    # every mask at k <= 12, then every power of two and its neighbours
+    locals_ = range(1 << k) if k <= 12 else sorted(
+        {x for i in range(k + 1) for x in ((1 << i) - 1, 1 << i, (1 << i) + 1)
+         if x < 1 << k})
+    assert [int(table[x]) for x in locals_] == [expand(x, bits) for x in locals_]
+
+
+def test_array_expand_over_no_bits():
+    assert expand(np.zeros(3, dtype=np.int64), []).tolist() == [0, 0, 0]
+    assert expand(np.zeros(0, dtype=np.int64), []).tolist() == []
+    assert expansion([]).tolist() == [0]
 
 
 @pytest.mark.parametrize("bits", [[3, 9, 40], [64, 70, 100, 130], [0, 5, 63, 64, 200]])

@@ -267,6 +267,24 @@ class TestParseErrors:
             instance_from_document(doc)
         assert err.value.code == "dangling-reference"
 
+    @pytest.mark.parametrize("family", ["linear", "quota", "table"])
+    @pytest.mark.parametrize("labels, code, text", [
+        ([7], "malformed", "agent 'f': contract id 7 is not a string"),
+        ([["e"]], "malformed", "agent 'f': contract id ['e'] is not a string"),
+        (["ghost"], "dangling-reference", "agent 'f' references unknown contract 'ghost'"),
+        (["e", None], "malformed", "agent 'f': contract id None is not a string"),
+        (["e", "ghost", 7], "dangling-reference",
+         "agent 'f' references unknown contract 'ghost'"),
+    ], ids=["number", "unhashable", "unknown", "after-a-good-one", "first-of-two"])
+    def test_payload_label_faults_name_the_first_bad_entry(self, family, labels, code, text):
+        payload = {"linear": labels, "quota": {"q": 1, "priority": labels},
+                   "table": [{"menu": labels, "choice": []}]}[family]
+        doc = _fault(f=[])
+        doc["choices"]["f"] = {"family": family, "payload": payload}
+        with pytest.raises(ParseError) as err:
+            instance_from_document(doc)
+        assert (err.value.code, str(err.value)) == (code, text)
+
     def test_partial_table(self):
         doc = {
             "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import m
+from conftest import m, naive_dense_table
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
 from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table
 from stablecontracts.contractsets import (
@@ -106,10 +106,13 @@ def _one_contract() -> Instance:
 
 class TestAgainstTheDefinition:
     """Both power-set scans list exactly the systems that the multi-agent
-    definition calls stable, checked mask by mask."""
+    definition calls stable, checked mask by mask, and both sides' tables
+    are their choices menu by menu."""
 
     def _agree(self, inst):
         problem = reduce_to_two_agents(inst)
+        assert [t.tolist() for t in problem.tables] == [
+            naive_dense_table(problem.firm), naive_dense_table(problem.worker)]
         stable = stable_by_definition(inst)
         assert brute_force_stable(problem) == stable
         assert enumerate_stable_via_ample(problem) == stable
