@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stablecontracts import reduce_to_two_agents
@@ -8,17 +10,43 @@ from stablecontracts.contractsets import (
     mask_of,
     submasks,
 )
-from stablecontracts.choice import law_steps
+from stablecontracts.choice import Table, law_steps
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
     two_parallel_contracts,
 )
+from stablecontracts.instance import TwoAgentProblem
+from stablecontracts.oracle import random_instance
 
 
 def m(*ids: int) -> int:
     """Shorthand: mask of the given contract ids."""
     return mask_of(ids)
+
+
+def as_table(cf) -> Table:
+    """``cf`` written out menu by menu as a table over its own ground."""
+    return Table(cf.ground, {a: cf.evaluate(a) for a in submasks(cf.ground)})
+
+
+def swapped(problem: TwoAgentProblem) -> TwoAgentProblem:
+    """``problem`` with the sides' roles exchanged: ``ag_solve`` on it
+    reaches the firm-optimal stable system."""
+    return TwoAgentProblem(problem.worker, problem.firm)
+
+
+def classical_corpus(count: int, seed: int) -> list:
+    """``count`` linear-order markets of 1-6 firms and 1-6 workers at
+    density 0.5, 0.75 or 1, all drawn from one master seed."""
+    master = random.Random(seed)
+    out = []
+    for _ in range(count):
+        firms = master.randint(1, 6)
+        workers = master.randint(1, 6)
+        density = master.choice((0.5, 0.75, 1.0))
+        out.append(random_instance(master.randrange(2**32), firms, workers, density))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import classical_corpus
 from stablecontracts import cli
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
 from stablecontracts.choice import validate_plott
@@ -21,7 +22,7 @@ from stablecontracts.fileformat import instance_from_document
 from stablecontracts.fixtures import bad_table_documents, marriage_2x2
 from stablecontracts.instance import reduce_to_two_agents
 from stablecontracts.modest import yang_solve
-from stablecontracts.oracle import brute_force_stable, random_corpus, random_instance
+from stablecontracts.oracle import brute_force_stable, random_corpus
 from stablecontracts.stability import (
     blocking_contracts,
     is_acceptable,
@@ -130,19 +131,10 @@ def test_criterion_4_enumeration_completeness(existence_runs):
     )
 
 
-def _classical_corpus():
-    master = random.Random(2028)
-    for _ in range(CLASSICAL_CORPUS_SIZE):
-        firms = master.randint(1, 6)
-        workers = master.randint(1, 6)
-        density = master.choice((0.5, 0.75, 1.0))
-        yield random_instance(master.randrange(2**32), firms, workers, density)
-
-
 def test_criterion_5_classical_agreement():
     ok = True
     order_rng = random.Random(20285)
-    for inst in _classical_corpus():
+    for inst in classical_corpus(CLASSICAL_CORPUS_SIZE, 2028):
         problem = reduce_to_two_agents(inst)
         if gale_shapley(inst) != ag_solve(problem).system:
             ok = False

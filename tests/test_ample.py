@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import m
+from conftest import m, swapped
 from stablecontracts.ample import (
     ag_solve,
     ag_step,
@@ -181,7 +181,7 @@ class TestLatticeExtremes:
 
     def test_swapped_sides_reach_the_firm_optimal_system(self, markets):
         for problem, stable in markets:
-            firm_optimal = ag_solve(TwoAgentProblem(problem.worker, problem.firm)).system
+            firm_optimal = ag_solve(swapped(problem)).system
             assert is_stable(problem, firm_optimal)
             for s in stable:
                 assert problem.firm.evaluate(firm_optimal | s) == firm_optimal
@@ -191,11 +191,10 @@ class TestLatticeExtremes:
             worker_optimal = ag_solve(problem).system
             for s in stable:
                 assert problem.worker.evaluate(worker_optimal | s) == worker_optimal
-            swapped = TwoAgentProblem(problem.worker, problem.firm)
-            assert ag_solve(swapped).system != worker_optimal
+            assert ag_solve(swapped(problem)).system != worker_optimal
 
     def test_marriage_2x2_extremes(self, p3):
-        assert ag_solve(TwoAgentProblem(p3.worker, p3.firm)).system == m(0, 3)
+        assert ag_solve(swapped(p3)).system == m(0, 3)
         assert ag_solve(p3).system == m(1, 2)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import m
+from conftest import classical_corpus, m
 from stablecontracts.ample import ag_solve
 from stablecontracts.classical import (
     gale_shapley,
@@ -22,17 +22,6 @@ from stablecontracts.instance import (
 )
 from stablecontracts.oracle import random_corpus, random_instance
 from stablecontracts.stability import is_stable_multi
-
-
-def _classical_corpus(count, master_seed):
-    master = random.Random(master_seed)
-    out = []
-    for _ in range(count):
-        firms = master.randint(1, 6)
-        workers = master.randint(1, 6)
-        density = master.choice((0.5, 0.75, 1.0))
-        out.append(random_instance(master.randrange(2**32), firms, workers, density))
-    return out
 
 
 def _multigraph_market(seed):
@@ -75,13 +64,13 @@ class TestGaleShapley:
             gale_shapley(inst)
 
     def test_outputs_stable_on_corpus(self):
-        for inst in _classical_corpus(100, master_seed=101):
+        for inst in classical_corpus(100, 101):
             matching = gale_shapley(inst)
             assert is_matching(inst, matching)
             assert is_stable_multi(inst, matching)
 
     def test_agrees_with_descending_route(self):
-        for inst in _classical_corpus(60, master_seed=107):
+        for inst in classical_corpus(60, 107):
             problem = reduce_to_two_agents(inst)
             assert gale_shapley(inst) == ag_solve(problem).system
 
@@ -106,7 +95,7 @@ class TestSotomayorInsertion:
 
     def test_stable_for_every_order_small_markets(self):
         checked = 0
-        for inst in _classical_corpus(40, master_seed=109):
+        for inst in classical_corpus(40, 109):
             workers = inst.workers()
             if len(workers) > 4:
                 continue
@@ -120,7 +109,7 @@ class TestSotomayorInsertion:
 
     def test_stable_for_sampled_orders_larger_markets(self):
         rng = random.Random(7)
-        for inst in _classical_corpus(20, master_seed=113):
+        for inst in classical_corpus(20, 113):
             workers = list(inst.workers())
             if len(workers) <= 4:
                 continue

@@ -1,42 +1,78 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import as_table
 from stablecontracts import choice, cli, instance
 from stablecontracts.choice import Table
 from stablecontracts.contractsets import ids_of
-from stablecontracts.fileformat import document_from_instance
+from stablecontracts.fileformat import document_from_instance, instance_from_document
 from stablecontracts.fixtures import (
     bad_table_documents,
     marriage_2x2,
     poset_table_instance,
     two_parallel_contracts,
 )
+from stablecontracts.instance import Instance
 from stablecontracts.lemmas import LawResult
+
+
+def _file(tmp_path, name: str, doc) -> str:
+    """The path of ``tmp_path / name`` holding ``doc``: a text as it is, or
+    any other value as JSON."""
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture()
 def i3_file(tmp_path):
-    path = tmp_path / "i3.json"
-    path.write_text(json.dumps(document_from_instance(marriage_2x2())))
-    return str(path)
+    return _file(tmp_path, "i3.json", document_from_instance(marriage_2x2()))
 
 
 @pytest.fixture()
 def i1_file(tmp_path):
-    path = tmp_path / "i1.json"
-    path.write_text(json.dumps(document_from_instance(two_parallel_contracts())))
-    return str(path)
+    return _file(tmp_path, "i1.json", document_from_instance(two_parallel_contracts()))
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _generate(capsys, tmp_path, name: str, *flags: str) -> str:
+    """The path of ``tmp_path / name`` holding the document ``generate``
+    writes with ``flags``."""
+    code, out, err = run(capsys, "generate", *flags)
+    assert (code, err) == (0, "")
+    return _file(tmp_path, name, out)
+
+
+def _assert_stable(capsys, path: str, system: str) -> None:
+    """``check``, which reads the agents' own choices, finds the printed
+    ``system`` (such as ``{e1, e2}``) stable in ``path``."""
+    labels = system.strip("{}").replace(",", "").split()
+    code, out, err = run(capsys, "check", path, *labels)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nstable = true\n")
+
+
+def _assert_solvers_agree(capsys, path: str, algorithms) -> None:
+    """Every solver in ``algorithms`` prints the same ``S = `` line on
+    ``path``, and ``check`` confirms that system."""
+    lines = set()
+    for algorithm in algorithms:
+        code, out, err = run(capsys, "solve", "--algorithm", algorithm, path)
+        assert (code, err) == (0, "")
+        lines.add(out.splitlines()[0])
+    assert len(lines) == 1, lines
+    _assert_stable(capsys, path, lines.pop().removeprefix("S = "))
 
 
 def test_parser_is_reused_without_leaking_state(capsys, i3_file):
@@ -128,9 +164,8 @@ class TestSolve:
         from stablecontracts.oracle import random_instance
 
         inst = random_instance(2, 2, 2, families=("quota",))
-        path = tmp_path / "quota.json"
-        path.write_text(json.dumps(document_from_instance(inst)))
-        code, _, err = run(capsys, "solve", "--algorithm", "gs", str(path))
+        path = _file(tmp_path, "quota.json", document_from_instance(inst))
+        code, _, err = run(capsys, "solve", "--algorithm", "gs", path)
         assert code == 1
         assert "linear orders" in err
 
@@ -138,6 +173,33 @@ class TestSolve:
         first = run(capsys, "solve", "--algorithm", "ample", "--trace", i3_file)
         second = run(capsys, "solve", "--algorithm", "ample", "--trace", i3_file)
         assert first == second
+
+    @pytest.mark.parametrize("families, algorithms", [
+        ("linear", ("ample", "modest", "gs", "sotomayor")),
+        ("linear,quota", ("ample", "modest")),
+    ], ids=["linear", "linear-quota"])
+    def test_solvers_agree_on_40_agents_a_side(self, capsys, tmp_path, families,
+                                               algorithms):
+        # 415 contracts: the ample route answers in the one-pass evaluation,
+        # the classical solvers agent by agent
+        path = _generate(capsys, tmp_path, "wide.json", "--seed", "5", "--firms", "40",
+                         "--workers", "40", "--density", "0.25", "--families", families)
+        _assert_solvers_agree(capsys, path, algorithms)
+
+    @pytest.mark.parametrize("variant, algorithms", [
+        ("quota", ("ample", "modest")),
+        ("linear", ("ample", "modest", "gs")),
+    ], ids=["quota", "linear"])
+    def test_solvers_agree_past_255_contracts_an_agent(self, capsys, tmp_path, variant,
+                                                      algorithms):
+        path = _file(tmp_path, "past255.json", _past_255_document(variant))
+        _assert_solvers_agree(capsys, path, algorithms)
+
+    def test_table_agent_past_id_63(self, capsys, tmp_path):
+        path = _file(tmp_path, "past63.json", _behind_64_contracts(POSET))
+        code, out, err = run(capsys, "solve", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("S = {")
 
 
 class TestEnumerate:
@@ -176,6 +238,15 @@ class TestEnumerate:
         assert code == 3
         assert "disagrees" in err
 
+    def test_refuses_a_market_past_20_contracts(self, capsys, tmp_path):
+        for path, size in (
+            (_generate(capsys, tmp_path, "over20.json", "--seed", "2", "--firms", "3",
+                       "--workers", "7"), 21),
+            (_file(tmp_path, "past63.json", _behind_64_contracts(POSET)), 67),
+        ):
+            assert run(capsys, "enumerate", path) == (1, "", (
+                f"error: ground has {size} contracts; power-set tables are capped at 20\n"))
+
 
 class TestCheck:
     def test_stable_set(self, capsys, i3_file):
@@ -195,6 +266,26 @@ class TestCheck:
         code, _, err = run(capsys, "check", i3_file, "e99")
         assert code == 1
         assert "unknown contract label" in err
+
+    def test_confirms_every_listed_system(self, capsys, tmp_path):
+        # 20 contracts with every other agent a table of its own choice:
+        # enumerate reads one table per side, check the agents' own choices
+        code, out, _ = run(capsys, "generate", "--seed", "9", "--firms", "4",
+                           "--workers", "5", "--families", "linear,quota")
+        assert code == 0
+        inst = instance_from_document(json.loads(out))
+        assert inst.size == 20
+        choices = dict(inst.choices)
+        for agent in inst.agents[::2]:
+            choices[agent.id] = as_table(choices[agent.id])
+        doc = document_from_instance(Instance(inst.agents, inst.contracts, choices))
+        path = _file(tmp_path, "tables.json", doc)
+        code, out, _ = run(capsys, "enumerate", path)
+        assert code == 0
+        systems = out.splitlines()[1:]
+        assert len(systems) >= 2
+        for system in systems:
+            _assert_stable(capsys, path, system)
 
 
 WORKERS_13 = [f"w{i}" for i in range(13)]
@@ -229,6 +320,38 @@ def _behind_64_contracts(doc: dict) -> dict:
             "g": {"family": "linear", "payload": [f"g-{v}" for v in filler]},
             **{v: {"family": "linear", "payload": [f"g-{v}"]} for v in filler},
         },
+    }
+
+
+POSET = document_from_instance(poset_table_instance())
+
+
+def _past_255_document(variant: str) -> dict:
+    """40 firms and 300 workers: f0 holds a contract with every worker and
+    each other firm with 8 drawn ones, so the firm side's one-pass count is
+    wider than a byte, and the worker side's byte-wide count wraps over its
+    layout.  Every agent ranks its contracts in a drawn linear order;
+    variant "quota" gives f0 a quota of 256 over its order instead."""
+    rng = random.Random(19)
+    firms = [f"f{i}" for i in range(40)]
+    workers = [f"w{j}" for j in range(300)]
+    pairs = [("f0", w) for w in workers]
+    pairs += [(f, w) for f in firms[1:] for w in rng.sample(workers, 8)]
+    contracts = [{"id": f"c{n}", "firm": f, "worker": w} for n, (f, w) in enumerate(pairs)]
+    orders = {a: [] for a in firms + workers}
+    for c in contracts:
+        orders[c["firm"]].append(c["id"])
+        orders[c["worker"]].append(c["id"])
+    for labels in orders.values():
+        rng.shuffle(labels)
+    choices = {a: {"family": "linear", "payload": o} for a, o in orders.items()}
+    if variant == "quota":
+        choices["f0"] = {"family": "quota", "payload": {"q": 256, "priority": orders["f0"]}}
+    return {
+        "agents": [{"id": f, "side": "firm"} for f in firms]
+        + [{"id": w, "side": "worker"} for w in workers],
+        "contracts": contracts,
+        "choices": choices,
     }
 
 
@@ -336,10 +459,9 @@ class TestTableFirstFault:
         doc = _poset_with(edit)
         if shift:
             doc = _behind_64_contracts(doc)
-        path = tmp_path / "faults.json"
-        path.write_text(json.dumps(doc))
+        path = _file(tmp_path, "faults.json", doc)
         for command in ("validate", "solve", "enumerate"):
-            assert run(capsys, command, str(path)) == (
+            assert run(capsys, command, path) == (
                 1, "", f"error {message.format(x1=shift)}\n"
             )
 
@@ -353,9 +475,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("name", ["consistency", "substitutability", "both"])
     def test_bad_tables_fail_with_witness(self, capsys, tmp_path, name):
-        path = tmp_path / f"bad_{name}.json"
-        path.write_text(json.dumps(bad_table_documents()[name]))
-        code, out, err = run(capsys, "validate", str(path))
+        path = _file(tmp_path, f"bad_{name}.json", bad_table_documents()[name])
+        code, out, err = run(capsys, "validate", path)
         assert code == 1
         assert "failed at" in out
         assert "axiom-violation" in err
@@ -369,9 +490,8 @@ class TestValidate:
         doc = document_from_instance(marriage_2x2())
         worker = next(a["id"] for a in doc["agents"] if a["side"] == "worker")
         doc["choices"][worker] = {"family": "linear", "payload": []}
-        path = tmp_path / "mismatch.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate", str(path))
+        path = _file(tmp_path, "mismatch.json", doc)
+        code, out, err = run(capsys, "validate", path)
         assert code == 1
         # the firms, listed before the worker at fault, passed their checks
         assert out == "agent f1: ok\nagent f2: ok\n"
@@ -386,34 +506,31 @@ class TestValidate:
             }
             for menu in range(1 << 13)
         ]
-        path = tmp_path / "over_cap.json"
-        path.write_text(json.dumps(_star_document({"family": "table", "payload": table})))
-        code, out, err = run(capsys, "validate", str(path))
+        doc = _star_document({"family": "table", "payload": table})
+        path = _file(tmp_path, "over_cap.json", doc)
+        code, out, err = run(capsys, "validate", path)
         assert code == 1
         assert out == "".join(f"agent {w}: ok\n" for w in WORKERS_13)
         assert "[malformed]" in err and "capped at 12" in err and "agent 'f'" in err
 
     def test_linear_agent_over_the_old_cap_validates(self, capsys, tmp_path):
-        path = tmp_path / "linear_13.json"
-        path.write_text(
-            json.dumps(_star_document({"family": "linear", "payload": WORKERS_13}))
-        )
-        code, out, err = run(capsys, "validate", str(path))
+        doc = _star_document({"family": "linear", "payload": WORKERS_13})
+        path = _file(tmp_path, "linear_13.json", doc)
+        code, out, err = run(capsys, "validate", path)
         assert code == 0
         assert out == "".join(f"agent {a}: ok\n" for a in WORKERS_13 + ["f"]) + "valid\n"
         assert err == ""
 
     @pytest.mark.parametrize(
         "doc",
-        [document_from_instance(poset_table_instance()), bad_table_documents()["consistency"]],
+        [POSET, bad_table_documents()["consistency"]],
     )
     def test_table_agent_past_id_63(self, capsys, tmp_path, doc):
         # the table's menus and choices hold ids past int64's bits
         reports = []
         for name, d in (("plain", doc), ("shifted", _behind_64_contracts(doc))):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(d))
-            reports.append(run(capsys, "validate", str(path)))
+            path = _file(tmp_path, f"{name}.json", d)
+            reports.append(run(capsys, "validate", path))
         (code, out, err), (shifted_code, shifted_out, shifted_err) = reports
         assert (shifted_code, shifted_err) == (code, err)
         filler = "agent g: ok\n" + "".join(f"agent v{j}: ok\n" for j in range(64))
@@ -434,26 +551,24 @@ class TestValidate:
         monkeypatch.setattr(instance, "validate_plott", counting)
         for name, doc, code, tables in (
             ("i3", document_from_instance(marriage_2x2()), 0, 0),
-            ("poset", document_from_instance(poset_table_instance()), 0, 1),
+            ("poset", POSET, 0, 1),
             ("consistency", bad_table_documents()["consistency"], 1, 1),
         ):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
+            path = _file(tmp_path, f"{name}.json", doc)
             calls.clear()
-            assert run(capsys, "validate", str(path))[0] == code
+            assert run(capsys, "validate", path)[0] == code
             assert len(calls) == tables
             assert all(isinstance(cf, Table) for cf in calls)
 
     def test_false_path_independence_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         # a path-independence rule that fails a valid table contradicts
         # the other two axioms: the self-check stops the load
-        path = tmp_path / "poset.json"
-        path.write_text(json.dumps(document_from_instance(poset_table_instance())))
+        path = _file(tmp_path, "poset.json", POSET)
         cons, subst, (name, _, finder) = choice._PLOTT_LAWS
         monkeypatch.setattr(choice, "_PLOTT_LAWS", (
             cons, subst, (name, lambda arr, *steps: False, finder),
         ))
-        code, out, err = run(capsys, "solve", str(path))
+        code, out, err = run(capsys, "solve", path)
         assert code == 3
         assert out == ""
         assert err.startswith("internal inconsistency: ")
@@ -464,13 +579,12 @@ class TestValidate:
         doc = bad_table_documents()["consistency"]
         doc["agents"].reverse()
         doc["choices"][doc["agents"][0]["id"]]["payload"] = []
-        path = tmp_path / "two_faults.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate", str(path))
+        path = _file(tmp_path, "two_faults.json", doc)
+        code, out, err = run(capsys, "validate", path)
         assert code == 1
         assert out == ""
         assert "[malformed]" in err
-        assert run(capsys, "solve", str(path)) == (code, "", err)
+        assert run(capsys, "solve", path) == (code, "", err)
 
 
 def _choices_as_a_list():
@@ -513,33 +627,25 @@ class TestMalformedSections:
             "quota-no-q", "quota-no-priority"])
     def test_exits_1_with_the_malformed_line(self, capsys, tmp_path, command, make,
                                              message):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(make()))
-        assert run(capsys, command, str(path)) == (1, "", f"error [malformed]: {message}\n")
+        path = _file(tmp_path, "doc.json", make())
+        assert run(capsys, command, path) == (1, "", f"error [malformed]: {message}\n")
 
 
 class TestGenerate:
     def test_round_trips_through_validate(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "generate", "--seed", "3", "--firms", "2", "--workers", "3",
-            "--families", "linear,quota",
-        )
-        assert code == 0
-        path = tmp_path / "generated.json"
-        path.write_text(out)
-        code, out2, _ = run(capsys, "validate", str(path))
+        path = _generate(capsys, tmp_path, "generated.json", "--seed", "3", "--firms", "2",
+                         "--workers", "3", "--families", "linear,quota")
+        code, out2, _ = run(capsys, "validate", path)
         assert code == 0
 
     def test_complete_market_past_the_old_cap(self, capsys, tmp_path):
         # every agent has 13 contracts, one more than a table may have
-        code, out, err = run(capsys, "generate", "--firms", "13", "--workers", "13")
-        assert (code, err) == (0, "")
-        path = tmp_path / "complete_13.json"
-        path.write_text(out)
-        code, out, _ = run(capsys, "validate", str(path))
+        path = _generate(capsys, tmp_path, "complete_13.json", "--firms", "13",
+                         "--workers", "13")
+        code, out, _ = run(capsys, "validate", path)
         assert code == 0
         assert out.count(": ok") == 26 and out.endswith("valid\n")
-        code, out, _ = run(capsys, "solve", str(path))
+        code, out, _ = run(capsys, "solve", path)
         assert code == 0
         assert out.startswith("S = {")
 
@@ -564,6 +670,11 @@ class TestLemmas:
         assert lines[0].startswith("problems = ")
         assert lines[-1] == "overall = pass"
         assert sum(1 for line in lines if line.endswith("pass")) >= 12
+
+    def test_corpus_up_to_the_witness_cap_passes(self, capsys):
+        code, out, _ = run(capsys, "lemmas", "--problems", "5", "--max-contracts", "12")
+        assert code == 0
+        assert out.endswith("\noverall = pass\n")
 
     def test_includes_extra_files(self, capsys, i1_file):
         code, out, _ = run(capsys, "lemmas", "--problems", "0", i1_file)
@@ -595,11 +706,9 @@ class TestLemmas:
         assert err == "internal inconsistency: the lemma suite found a violated law\n"
 
     def test_refuses_a_problem_over_the_cap(self, capsys, tmp_path):
-        path = tmp_path / "linear_13.json"
-        path.write_text(
-            json.dumps(_star_document({"family": "linear", "payload": WORKERS_13}))
-        )
-        code, out, err = run(capsys, "lemmas", "--problems", "0", str(path))
+        doc = _star_document({"family": "linear", "payload": WORKERS_13})
+        path = _file(tmp_path, "linear_13.json", doc)
+        code, out, err = run(capsys, "lemmas", "--problems", "0", path)
         assert code == 1
         assert out == ""
         assert "capped at 12" in err
@@ -649,9 +758,8 @@ def test_closed_stdout_is_a_coded_error(i3_file, unbuffered):
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_after_a_failure_report(tmp_path, unbuffered):
     # validate prints the failing agent, then exits with the coded error
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad_table_documents()["consistency"]))
-    proc = _closed_pipe_run(["validate", str(path)], unbuffered)
+    path = _file(tmp_path, "bad.json", bad_table_documents()["consistency"])
+    proc = _closed_pipe_run(["validate", path], unbuffered)
     assert proc.returncode == 1
     lines = proc.stderr.decode().splitlines()
     assert lines[-1] == "error [io]: standard output was closed"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import m, naive_desirable, naive_operator_witnesses, rule_verdicts
+from conftest import as_table, m, naive_desirable, naive_operator_witnesses, rule_verdicts
 from stablecontracts import choice, desirability, fixtures
 from stablecontracts.choice import (
     Aggregate,
@@ -282,44 +282,10 @@ def test_from_choice_always_valid_small_grounds(size, data):
 
 
 @st.composite
-def random_operator(draw):
-    """An arbitrary map, or a choice function's operator with at most one
-    state remapped, over a dense or sparse ground of at most 4 contracts."""
-    ids = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=4,
-                        unique=True))
-    ground = mask_of(ids)
-    if draw(st.booleans()):
-        table = {
-            a: draw(st.integers(min_value=0, max_value=ground)) & ground
-            for a in submasks(ground)
-        }
-        return DesirabilityOperator(ground, table)
-    order = tuple(draw(st.permutations(ids)))
-    cf = LinearOrder(order) if not ids or draw(st.booleans()) else Quota(
-        draw(st.integers(min_value=1, max_value=len(ids))), order
-    )
-    table = {a: desirable_set(cf, a) for a in submasks(ground)}
-    if draw(st.booleans()):
-        state = draw(st.sampled_from(sorted(table)))
-        table[state] = draw(st.integers(min_value=0, max_value=ground)) & ground
-    return DesirabilityOperator(ground, table)
-
-
-@settings(max_examples=200, deadline=None)
-@given(random_operator())
-def test_operator_validator_agrees_with_naive_oracle(op):
-    report = validate_desirability_operator(op)
-    witnesses = naive_operator_witnesses(op)
-    assert {c.axiom: c.witness for c in report.checks} == witnesses
-    assert {c.axiom: c.passed for c in report.checks} == {
-        axiom: w is None for axiom, w in witnesses.items()
-    }
-
-
-@st.composite
 def operator_up_to_six(draw):
-    """An arbitrary map, or a linear order's or quota's operator with one
-    to three states remapped, over 0 to 6 dense or sparse contract ids."""
+    """An arbitrary map, or a linear order's or quota's operator with up to
+    three states remapped (none leaves it valid), over 0 to 6 dense or
+    sparse contract ids."""
     ids = draw(st.lists(st.integers(min_value=0, max_value=9), max_size=6, unique=True))
     ground = mask_of(ids)
 
@@ -333,19 +299,19 @@ def operator_up_to_six(draw):
         draw(st.integers(min_value=1, max_value=len(ids))), order
     )
     table = {a: desirable_set(cf, a) for a in submasks(ground)}
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
         table[draw(st.sampled_from(sorted(table)))] = any_state()
     return DesirabilityOperator(ground, table)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(operator_up_to_six())
 def test_one_contract_rules_agree_with_the_global_scan(op):
     witnesses = naive_operator_witnesses(op)
-    assert rule_verdicts(desirability._OPERATOR_LAWS, op.map, op.ground) == {
-        axiom: w is None for axiom, w in witnesses.items()
-    }
+    verdicts = {axiom: w is None for axiom, w in witnesses.items()}
+    assert rule_verdicts(desirability._OPERATOR_LAWS, op.map, op.ground) == verdicts
     report = validate_desirability_operator(op)
+    assert {c.axiom: c.passed for c in report.checks} == verdicts
     assert {c.axiom: c.witness for c in report.checks} == witnesses
 
 
@@ -369,7 +335,7 @@ def agent_choice(draw, ids, families=("linear", "quota", "table")):
     quota = Quota(draw(st.integers(min_value=1, max_value=len(ids) + 2)), order)
     if family == "quota":
         return quota
-    return Table(quota.ground, {a: quota.evaluate(a) for a in submasks(quota.ground)})
+    return as_table(quota)
 
 
 @st.composite

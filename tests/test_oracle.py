@@ -1,14 +1,9 @@
 import pytest
 
-from conftest import m, naive_dense_table
+from conftest import as_table, m, naive_dense_table, swapped
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
-from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table
-from stablecontracts.contractsets import (
-    POWER_SET_CAP,
-    canonical_key,
-    canonical_sorted,
-    submasks,
-)
+from stablecontracts.choice import Aggregate, LinearOrder, Quota
+from stablecontracts.contractsets import POWER_SET_CAP, canonical_key, canonical_sorted
 from stablecontracts.errors import CapExceededError, DomainError
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
@@ -79,8 +74,7 @@ def latin_square_market(k: int, variant: str) -> Instance:
         choices[f"w{j}"] = LinearOrder(tuple((j + r + 1) % k * k + j for r in range(k)))
     if variant == "table":
         for agent in ("f0", "w0"):
-            cf = choices[agent]
-            choices[agent] = Table(cf.ground, {a: cf.evaluate(a) for a in submasks(cf.ground)})
+            choices[agent] = as_table(choices[agent])
     return Instance(tuple(firms + workers), tuple(contracts), choices)
 
 
@@ -171,7 +165,7 @@ class TestEnumerationCap:
         stable = enumerate_stable_via_ample(problem)
         assert stable == brute_force_stable(problem)
         worker_optimal = ag_solve(problem).system
-        firm_optimal = ag_solve(TwoAgentProblem(problem.worker, problem.firm)).system
+        firm_optimal = ag_solve(swapped(problem)).system
         assert worker_optimal != firm_optimal
         assert {worker_optimal, firm_optimal} <= set(stable)
 
