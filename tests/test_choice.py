@@ -596,9 +596,32 @@ def table_up_to_six(draw):
     return Table(ground, entries)
 
 
+@st.composite
+def random_table(draw):
+    # dense or sparse grounds, so witnesses are also checked after expansion
+    ids = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                        max_size=4, unique=True))
+    ground = mask_of(ids)
+    entries = {}
+    for menu in submasks(ground):
+        # pick an arbitrary subset of the menu
+        entries[menu] = menu & draw(st.integers(min_value=0, max_value=ground))
+    return Table(ground, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_table())
+def test_validator_agrees_with_naive_oracle(cf):
+    _assert_rules_agree_with_the_global_scan(cf)
+
+
 @settings(max_examples=200, deadline=None)
 @given(table_up_to_six())
 def test_one_contract_rules_agree_with_the_global_scan(cf):
+    _assert_rules_agree_with_the_global_scan(cf)
+
+
+def _assert_rules_agree_with_the_global_scan(cf):
     witnesses = naive_axiom_witnesses(cf)
     verdicts = {axiom: w is None for axiom, w in witnesses.items()}
     assert rule_verdicts(choice._PLOTT_LAWS, cf.evaluate, cf.ground) == verdicts

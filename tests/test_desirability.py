@@ -304,9 +304,43 @@ def operator_up_to_six(draw):
     return DesirabilityOperator(ground, table)
 
 
+@st.composite
+def random_operator(draw):
+    """An arbitrary map, or a choice function's operator with at most one
+    state remapped, over a dense or sparse ground of at most 4 contracts."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=4,
+                        unique=True))
+    ground = mask_of(ids)
+    if draw(st.booleans()):
+        table = {
+            a: draw(st.integers(min_value=0, max_value=ground)) & ground
+            for a in submasks(ground)
+        }
+        return DesirabilityOperator(ground, table)
+    order = tuple(draw(st.permutations(ids)))
+    cf = LinearOrder(order) if not ids or draw(st.booleans()) else Quota(
+        draw(st.integers(min_value=1, max_value=len(ids))), order
+    )
+    table = {a: desirable_set(cf, a) for a in submasks(ground)}
+    if draw(st.booleans()):
+        state = draw(st.sampled_from(sorted(table)))
+        table[state] = draw(st.integers(min_value=0, max_value=ground)) & ground
+    return DesirabilityOperator(ground, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_operator())
+def test_operator_validator_agrees_with_naive_oracle(op):
+    _assert_rules_agree_with_the_global_scan(op)
+
+
 @settings(max_examples=200, deadline=None)
 @given(operator_up_to_six())
 def test_one_contract_rules_agree_with_the_global_scan(op):
+    _assert_rules_agree_with_the_global_scan(op)
+
+
+def _assert_rules_agree_with_the_global_scan(op):
     witnesses = naive_operator_witnesses(op)
     verdicts = {axiom: w is None for axiom, w in witnesses.items()}
     assert rule_verdicts(desirability._OPERATOR_LAWS, op.map, op.ground) == verdicts
