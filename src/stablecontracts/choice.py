@@ -12,16 +12,20 @@ which together are equivalent to path independence:
 q best contracts of a menu by priority, where a linear order is a quota
 of one.  The rule satisfies the axioms by theorem, and an ``Aggregate`` of
 such parts inherits them; ``plott_by_construction`` records that
-certificate per family.  A market side with many ranked parts answers for
-all of them at once: each ranked part keeps its priority packed as
-64-bit integers, ``Aggregate`` joins those end to end when it is built,
-and x is desirable when fewer than q held contracts rank above it in its
-agent's list, a running count over the whole side in one numpy pass, kept
-in the narrowest unsigned dtype that holds the largest part; x is chosen
-when it is also held.  One gather puts the answer back in bit order.  For
-every other family (``Table``) the axioms are an empirical property:
-``validate_plott`` checks all three exhaustively over the power set of the
-ground (never by sampling), and it can check certified families too.
+certificate per family.  A ranked part tabulates its power set from its
+priority by doubling, one numpy step per contract, best first.  A market
+side with many ranked parts answers for all of them at once: each ranked
+part keeps its priority packed as 64-bit integers beside the run record
+of its shape (size and quota, one record shared by every part of that
+shape), ``Aggregate`` joins both end to end in its one pass over the
+parts, and x is desirable when fewer than q held contracts rank above it
+in its agent's list, a running count over the whole side in one numpy
+pass, kept in the narrowest unsigned dtype that holds the largest part; x
+is chosen when it is also held.  One gather puts the answer back in bit
+order.  For every other family (``Table``) the axioms are an empirical
+property: ``validate_plott`` checks all three exhaustively over the power
+set of the ground (never by sampling), and it can check certified
+families too.
 
 The power-set layout comes from ``contractsets``: ``local_table``
 tabulates a function over a ground's local masks, ``single_steps`` lists
@@ -59,6 +63,7 @@ mean the checks themselves are broken.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -88,9 +93,11 @@ EXHAUSTIVE_CAP = 12
 
 # A market side answers for its linear and quota agents in one numpy pass
 # once it has this many of them.  The pass costs about the same at any
-# side size, while one call per agent grows with the count; on degree-8
-# agents (one evaluate plus one desirable, 2 cores) the pass is about as
-# cheap as the calls at 8 agents and about 3.5 times cheaper at 32.
+# side size, while one call per agent grows with the count.  Built cold and
+# then solved by ``ag_solve`` (degree-8 agents, 3/4 of them quotas, median
+# of 80-100 runs on 2 cores), the side costs 2.0 times as much with the
+# pass as with the calls at 8 agents a side, 1.2-1.3 at 16, 1.0-1.1 at 24
+# and 0.8 at 28 and 32.
 _VECTOR_PARTS = 32
 
 # Table entries that are no choice: a menu no row lists, and a choice that
@@ -102,6 +109,12 @@ OUTSIDE = -1
 # A market side's table keeps its lowest local bits, up to this many, as
 # one last axis in C order (``Aggregate.tabulate``)
 _LOW_BITS = 8
+
+# A linear or quota agent over this many contracts or more tabulates from
+# its priority in numpy passes; below, one evaluate per menu is cheaper
+# (best of 3 on 2 cores, per menu against numpy: 14 against 17 µs at 4
+# contracts, 50 against 25 at 6)
+_RANKED_TABLE_BITS = 5
 
 CONSISTENCY = "consistency"
 SUBSTITUTABILITY = "substitutability"
@@ -177,12 +190,39 @@ class _Ranked(ChoiceFunction):
 
     def _set_ground(self, what: str) -> None:
         g = mask_of(self.priority)
-        if g.bit_count() != len(self.priority):
+        size = len(self.priority)
+        if g.bit_count() != size:
             raise DomainError(f"{what} repeats a contract id")
         object.__setattr__(self, "ground", g)
-        # the priority packed as int64, which a large side's layout joins
-        packed = struct.pack(f"{len(self.priority)}q", *self.priority)
-        object.__setattr__(self, "_layout", packed)
+        # the priority packed as int64 and the run record of its shape,
+        # which a large side's layout joins
+        packed = struct.pack(f"{size}q", *self.priority)
+        object.__setattr__(self, "_layout", (packed, _run(size, self.quota)))
+
+    def tabulate(self) -> np.ndarray:
+        # doubling over the priority, best first: menu[M] is the local mask
+        # of the rank mask M (bit j for the j-th best contract) and held[M]
+        # its size.  C keeps the j-th best of a menu exactly when fewer than
+        # quota better ones are in it, so each upper half keeps its whole
+        # menu except where the lower half is full, and there keeps the
+        # lower half's choice
+        k = len(self.priority)
+        if k < _RANKED_TABLE_BITS:
+            return super().tabulate()
+        check_power_set(k)
+        local = {b: i for i, b in enumerate(ids_of(self.ground))}
+        menu = expansion([local[e] for e in self.priority])
+        keep = menu.copy()
+        held = np.zeros(len(menu), dtype=np.uint8)
+        for j in range(k):
+            lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
+            np.add(held[lo], 1, out=held[hi])
+            if j >= self.quota:
+                np.copyto(keep[hi], keep[lo], where=held[lo] >= self.quota)
+        table = np.empty_like(menu)
+        table[menu] = keep
+        table.flags.writeable = False
+        return table
 
     def _choose(self, menu: Mask) -> Mask:
         if menu.bit_count() <= self.quota:
@@ -362,32 +402,47 @@ class Table(_PowerSetMap, ChoiceFunction):
 _RANKED = (LinearOrder, Quota)
 
 
+@functools.lru_cache(maxsize=None)
+def _run(size: int, quota: int) -> bytes:
+    """A ranked part's run in a side's one-pass layout, by the part's shape
+    alone: for each of its ``size`` positions its rank in the part and the
+    part's quota capped at ``size``, as int64 pairs.  Built once per shape
+    in a process and kept by every part of that shape."""
+    quota = min(quota, size)
+    return struct.pack(f"{2 * size}q", *itertools.chain(*((r, quota) for r in range(size))))
+
+
 class _RankedParts:
     """Ranked parts (linear and quota agents) with disjoint grounds,
-    answered in one numpy pass.  The packed priorities the parts keep are
-    joined once, in (part, rank) order, as ``pos``, with each position's
-    run start ``start``, its part's quota ``quota`` (at most the part's
-    size, which changes no answer), and ``index``, the position in that
-    layout of every bit of ``ground``.  A contract is desirable from a
-    state when fewer than its quota of held contracts rank above it in its
-    part: an exclusive running count of the held contracts, restarted at
-    each run.  The count is kept in the narrowest unsigned dtype that holds
-    the largest part's size, so it wraps over the whole layout, but a
-    difference inside one run is exact.  ``index`` reads the answer back
-    from layout order into bit order in one gather.
+    answered in one numpy pass.  It is built from what the parts keep,
+    their packed priorities and the run records of their shapes
+    (``_run``), which the side collects in its one pass, with a few
+    C-level numpy calls and no loop over the parts: the priorities joined
+    in (part, rank) order are ``pos``; the joined records give each
+    position's run start ``start`` (its position less its rank) and its
+    part's quota ``quota`` (at most the part's size, which changes no
+    answer); and ``index`` is the position in that layout of every bit of
+    ``ground``.  A contract is desirable from a state when fewer than its
+    quota of held contracts rank above it in its part: an exclusive
+    running count of the held contracts, restarted at each run.  The count
+    is kept in the narrowest unsigned dtype that holds the largest part's
+    size, so it wraps over the whole layout, but a difference inside one
+    run is exact.  ``index`` reads the answer back from layout order into
+    bit order in one gather.
     """
 
-    def __init__(self, parts, ground: Mask):
-        sizes = np.array([len(p.priority) for p in parts], dtype=np.intp)
-        self.count = np.min_scalar_type(sizes.max(initial=0))
-        quotas = np.minimum([p.quota for p in parts], sizes).astype(self.count)
-        self.pos = np.frombuffer(b"".join(p._layout for p in parts), dtype=np.int64)
-        self.start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.quota = np.repeat(quotas, sizes)
+    def __init__(self, priorities, runs, ground: Mask):
+        # the widest part's size: a packed priority has 8 bytes a contract
+        self.count = np.min_scalar_type(max(map(len, priorities), default=0) // 8)
+        self.pos = np.frombuffer(b"".join(priorities), dtype=np.int64)
+        run = np.frombuffer(b"".join(runs), dtype=np.int64).reshape(-1, 2)
+        order = np.arange(len(self.pos), dtype=np.intp)
+        self.start = order - run[:, 0]
+        self.quota = run[:, 1].astype(self.count)
         self.ground = ground
         self.nbytes = (ground.bit_length() + 7) // 8
         self.index = np.zeros(8 * self.nbytes, dtype=np.intp)
-        self.index[self.pos] = np.arange(len(self.pos))
+        self.index[self.pos] = order
 
     def desirable(self, state: Mask) -> Mask:
         raw = (state & self.ground).to_bytes(self.nbytes, "little")
@@ -417,11 +472,14 @@ class Aggregate(ChoiceFunction):
     doubling for all parts at once, and broadcasts over the other runs; so
     every OR runs numpy's inner loop over the whole block.
 
-    A side with at least ``_VECTOR_PARTS`` linear and quota parts joins
-    their packed priorities at construction (``_passes``) and answers for
-    all of them in one numpy pass (``_RankedParts``): their desirable set,
-    and their choice as the held part of it.  Below that count, and for
-    every other part, each part answers for its slice with one call.
+    Construction is one pass over the parts: it checks that their grounds
+    are disjoint, splits the linear and quota parts from the rest, and
+    collects the packed priorities and run records (``_run``) the ranked
+    parts keep.  A side with at least ``_VECTOR_PARTS`` ranked parts joins
+    those into one layout (``_passes``) and answers for all of them in one
+    numpy pass (``_RankedParts``): their desirable set, and their choice
+    as the held part of it.  Below that count, and for every other part,
+    each part answers for its slice with one call.
 
     Plott by construction exactly when every part is: each axiom compares
     C on menus slice by slice, so it holds for the join when it holds for
@@ -432,20 +490,30 @@ class Aggregate(ChoiceFunction):
     ground: Mask = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        g = 0
-        for part in self.parts:
-            if g & part.ground:
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        # one pass over the parts: their grounds must be disjoint, and the
+        # ranked ones give their packed priorities and run records
+        g = ranked = 0
+        priorities, runs, rest = [], [], []
+        for part in parts:
+            own = part.ground
+            if g & own:
                 raise DomainError("aggregate parts must have disjoint grounds")
-            g |= part.ground
+            g |= own
+            if type(part) in _RANKED:
+                ranked |= own
+                packed, run = part._layout
+                priorities.append(packed)
+                runs.append(run)
+            else:
+                rest.append(part)
         object.__setattr__(self, "ground", g)
         # the ranked parts laid out for one pass, or None below
         # _VECTOR_PARTS of them, and the parts answered one call each
-        ranked = [p for p in self.parts if type(p) in _RANKED]
-        passes = None, self.parts
-        if len(ranked) >= _VECTOR_PARTS:
-            rest = tuple(p for p in self.parts if type(p) not in _RANKED)
-            passes = _RankedParts(ranked, g & ~sum(p.ground for p in rest)), rest
+        passes = None, parts
+        if len(priorities) >= _VECTOR_PARTS:
+            passes = _RankedParts(priorities, runs, ranked), tuple(rest)
         object.__setattr__(self, "_passes", passes)
 
     @property

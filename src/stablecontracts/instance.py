@@ -107,6 +107,11 @@ class Instance:
         object.__setattr__(self, "_firms", tuple(sides[firm]))
         object.__setattr__(self, "_workers", tuple(sides[worker]))
         _validate_choices(self)
+        # each side's choice functions in declaration order, which
+        # reduce_to_two_agents aggregates
+        choices = self.choices
+        object.__setattr__(self, "_firm_choices", tuple(choices[f] for f in self._firms))
+        object.__setattr__(self, "_worker_choices", tuple(choices[w] for w in self._workers))
 
     @property
     def size(self) -> int:
@@ -235,8 +240,8 @@ def reduce_to_two_agents(inst: Instance) -> TwoAgentProblem:
     The aggregate firm choice evaluates each firm on its slice of the menu
     and joins the results; likewise for workers.  Because adjacency masks
     partition the ground on each side, both aggregates inherit the
-    rationality axioms from their parts.
+    rationality axioms from their parts.  Each side is built afresh from
+    the instance's choice functions of that side, kept in declaration
+    order; nothing of the result is kept on the instance.
     """
-    firm_parts = [inst.choices[f] for f in inst.firms()]
-    worker_parts = [inst.choices[w] for w in inst.workers()]
-    return TwoAgentProblem(Aggregate(firm_parts), Aggregate(worker_parts))
+    return TwoAgentProblem(Aggregate(inst._firm_choices), Aggregate(inst._worker_choices))

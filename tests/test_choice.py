@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from stablecontracts.contractsets import (
     compress,
     expand,
     ids_of,
+    local_table,
     mask_of,
     submasks,
 )
@@ -43,8 +45,12 @@ from stablecontracts.errors import (
     InternalInconsistencyError,
     PreconditionError,
 )
-from stablecontracts.fileformat import document_from_instance, instance_from_document
-from stablecontracts.instance import Agent, Contract, Instance, Side
+from stablecontracts.fileformat import (
+    document_from_instance,
+    instance_from_document,
+    parse_instance,
+)
+from stablecontracts.instance import Agent, Contract, Instance, Side, reduce_to_two_agents
 
 
 class TestLinearOrder:
@@ -147,6 +153,26 @@ class TestLinearOrderIsQuotaOfOne:
         for solver in (gale_shapley, sotomayor_insert_solve):
             with pytest.raises(PreconditionError, match="'w' has a Quota choice function"):
                 solver(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=140), max_size=10, unique=True),
+       st.integers(min_value=1, max_value=12))
+@example([], 1)
+@example([70, 3, 130, 64, 0, 99, 5, 63, 12, 140], 10)
+@example([70, 3, 130, 64, 0, 99, 5, 63, 12, 140], 12)
+@example([9, 80, 2, 71, 66], 5)
+def test_ranked_tabulates_as_it_evaluates(order, quota):
+    # from its priority, without a call per menu, once past the small
+    # shapes that evaluate menu by menu; quotas reach past the size
+    for cf in (LinearOrder(order), Quota(quota, order)):
+        want = local_table(cf.evaluate, ids_of(cf.ground)).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            if len(order) >= choice._RANKED_TABLE_BITS:
+                patch.setattr(type(cf), "_choose", lambda self, menu: 1 / 0)
+            table = cf.tabulate()
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == want
 
 
 class TestTable:
@@ -351,7 +377,6 @@ class TestAggregate:
     @pytest.mark.parametrize("n, shape", [
         (n, shape) for n in (0, 1, 7, 8, 9, 16, 20)
         for shape in ("interleaved", "straddling", "one part")
-        if (n, shape) != (20, "one part")  # a 2^20 part tabulates menu by menu
     ])
     def test_low_block_tabulates_as_it_evaluates(self, n, shape):
         # the lowest choice._LOW_BITS local bits are one block; parts own
@@ -776,6 +801,54 @@ def _both_paths(parts):
     return sides
 
 
+def _wide_document() -> dict:
+    """41 firms and 300 workers.  f0 holds 256 contracts under a quota of 3,
+    f1-f37 hold 8 drawn contracts each under linear orders and quotas of 2
+    (of 2^16 for f2), and the table firms f38-f40 hold one contract with
+    each of the table workers w0 and w1 and one drawn; every other worker
+    ranks its contracts in a drawn linear order (or has none), but w2
+    keeps its best 256."""
+    rng = random.Random(22)
+    firms = [f"f{i}" for i in range(41)]
+    workers = [f"w{j}" for j in range(300)]
+    pairs = [("f0", w) for w in workers[2:258]]
+    pairs += [(f, w) for f in firms[1:38] for w in rng.sample(workers[2:], 8)]
+    pairs += [(f, w) for f in firms[38:] for w in workers[:2] + rng.sample(workers[2:], 1)]
+    contracts = [{"id": f"c{n}", "firm": f, "worker": w} for n, (f, w) in enumerate(pairs)]
+    orders = {a: [] for a in firms + workers}
+    for c in contracts:
+        orders[c["firm"]].append(c["id"])
+        orders[c["worker"]].append(c["id"])
+    for labels in orders.values():
+        rng.shuffle(labels)
+
+    def table(order, q):
+        rows = []
+        for size in range(len(order) + 1):
+            for menu in itertools.combinations(order, size):
+                rows.append({"menu": list(menu),
+                             "choice": [c for c in order if c in menu][:q]})
+        return {"family": "table", "payload": rows}
+
+    choices = {a: {"family": "linear", "payload": o} for a, o in orders.items()}
+    choices["f0"] = {"family": "quota", "payload": {"q": 3, "priority": orders["f0"]}}
+    for f in firms[1:38:2]:
+        choices[f] = {"family": "quota", "payload": {"q": 2, "priority": orders[f]}}
+    # quotas past what each side's count dtype holds keep all they hold
+    choices["f2"] = {"family": "quota", "payload": {"q": 1 << 16, "priority": orders["f2"]}}
+    choices["w2"] = {"family": "quota", "payload": {"q": 256, "priority": orders["w2"]}}
+    for f in firms[38:]:
+        choices[f] = table(orders[f], 2)
+    for w in workers[:2]:
+        choices[w] = table(orders[w], 1)
+    return {
+        "agents": [{"id": f, "side": "firm"} for f in firms]
+        + [{"id": w, "side": "worker"} for w in workers],
+        "contracts": contracts,
+        "choices": choices,
+    }
+
+
 class TestVectorPass:
     """A side with ``_VECTOR_PARTS`` or more linear and quota agents answers
     for them in one numpy pass; it must answer as the per-part join."""
@@ -835,6 +908,31 @@ class TestVectorPass:
             assert vector.evaluate(menu) == loop.evaluate(menu) == want
             want = _joined(parts, menu, lambda part, s: part.desirable(s))
             assert vector.desirable(menu) == loop.desirable(menu) == want
+
+    def test_parsed_document_answers_as_its_agents(self, tmp_path):
+        # the benchmark's path: a document parsed, then reduced.  The firm
+        # side has a quota firm of 256 contracts and three table firms beside
+        # 38 ranked ones, and the worker side two table workers beside 298
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_wide_document()))
+        inst = parse_instance(str(path))
+        problem = reduce_to_two_agents(inst)
+        wide = inst.choices["f0"]
+        for side, names, tables, count in (
+            (problem.firm, inst.firms(), 3, np.uint16),
+            (problem.worker, inst.workers(), 2, np.uint8),
+        ):
+            parts = tuple(inst.choices[a] for a in names)
+            ranked, rest = side._passes
+            assert ranked.count == count
+            assert rest == tuple(p for p in parts if type(p) is Table) and len(rest) == tables
+            g, rng = side.ground, random.Random(len(names))
+            held = [mask_of(wide.priority[:k]) for k in (2, 3, 4, 256)]
+            menus = [0, g, *held, *(g & rng.getrandbits(g.bit_length()) for _ in range(6))]
+            for menu in menus:
+                assert side.evaluate(menu) == _joined(parts, menu, ChoiceFunction.evaluate)
+                want = _joined(parts, menu, lambda part, s: part.desirable(s))
+                assert side.desirable(menu) == want
 
     @pytest.mark.parametrize("parts", [
         (),
