@@ -110,12 +110,6 @@ OUTSIDE = -1
 # one last axis in C order (``Aggregate.tabulate``)
 _LOW_BITS = 8
 
-# A linear or quota agent over this many contracts or more tabulates from
-# its priority in numpy passes; below, one evaluate per menu is cheaper
-# (best of 3 on 2 cores, per menu against numpy: 14 against 17 µs at 4
-# contracts, 50 against 25 at 6)
-_RANKED_TABLE_BITS = 5
-
 CONSISTENCY = "consistency"
 SUBSTITUTABILITY = "substitutability"
 PATH_INDEPENDENCE = "path-independence"
@@ -197,28 +191,30 @@ class _Ranked(ChoiceFunction):
         # the priority packed as int64 and the run record of its shape,
         # which a large side's layout joins
         packed = struct.pack(f"{size}q", *self.priority)
-        object.__setattr__(self, "_layout", (packed, _run(size, self.quota)))
+        object.__setattr__(self, "_layout", (packed, _run(size, min(self.quota, size))))
 
     def tabulate(self) -> np.ndarray:
         # doubling over the priority, best first: menu[M] is the local mask
-        # of the rank mask M (bit j for the j-th best contract) and held[M]
-        # its size.  C keeps the j-th best of a menu exactly when fewer than
-        # quota better ones are in it, so each upper half keeps its whole
-        # menu except where the lower half is full, and there keeps the
-        # lower half's choice
-        k = len(self.priority)
-        if k < _RANKED_TABLE_BITS:
+        # of the rank mask M (bit j for the j-th best contract), and held[M]
+        # its size, needed only below the top bit.  C keeps the j-th best of
+        # a menu exactly when fewer than quota better ones are in it, so
+        # each upper half keeps its whole menu except where the lower half
+        # is full, and there keeps the lower half's choice.  That is the
+        # ranked rule's own table, so a subclass, which may choose
+        # otherwise, evaluates menu by menu
+        if type(self) not in _RANKED:
             return super().tabulate()
+        k = len(self.priority)
         check_power_set(k)
         local = {b: i for i, b in enumerate(ids_of(self.ground))}
         menu = expansion([local[e] for e in self.priority])
+        held = np.zeros(len(menu) >> 1, dtype=np.uint8)
+        for j in range(k - 1):
+            np.add(held[:1 << j], 1, out=held[1 << j:2 << j])
+        full = held >= self.quota
         keep = menu.copy()
-        held = np.zeros(len(menu), dtype=np.uint8)
-        for j in range(k):
-            lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
-            np.add(held[lo], 1, out=held[hi])
-            if j >= self.quota:
-                np.copyto(keep[hi], keep[lo], where=held[lo] >= self.quota)
+        for j in range(self.quota, k):
+            np.copyto(keep[1 << j:2 << j], keep[:1 << j], where=full[:1 << j])
         table = np.empty_like(menu)
         table[menu] = keep
         table.flags.writeable = False
@@ -406,9 +402,9 @@ _RANKED = (LinearOrder, Quota)
 def _run(size: int, quota: int) -> bytes:
     """A ranked part's run in a side's one-pass layout, by the part's shape
     alone: for each of its ``size`` positions its rank in the part and the
-    part's quota capped at ``size``, as int64 pairs.  Built once per shape
-    in a process and kept by every part of that shape."""
-    quota = min(quota, size)
+    part's ``quota``, which the caller caps at ``size``, as int64 pairs.
+    Built once per shape in a process and kept by every part of that
+    shape; the cap keeps one key per shape that gives a different run."""
     return struct.pack(f"{2 * size}q", *itertools.chain(*((r, quota) for r in range(size))))
 
 

@@ -163,13 +163,11 @@ class TestLinearOrderIsQuotaOfOne:
 @example([70, 3, 130, 64, 0, 99, 5, 63, 12, 140], 12)
 @example([9, 80, 2, 71, 66], 5)
 def test_ranked_tabulates_as_it_evaluates(order, quota):
-    # from its priority, without a call per menu, once past the small
-    # shapes that evaluate menu by menu; quotas reach past the size
+    # from its priority, without a call per menu; quotas reach past the size
     for cf in (LinearOrder(order), Quota(quota, order)):
         want = local_table(cf.evaluate, ids_of(cf.ground)).tolist()
         with pytest.MonkeyPatch.context() as patch:
-            if len(order) >= choice._RANKED_TABLE_BITS:
-                patch.setattr(type(cf), "_choose", lambda self, menu: 1 / 0)
+            patch.setattr(type(cf), "_choose", lambda self, menu: 1 / 0)
             table = cf.tabulate()
         assert table.dtype == np.int64 and not table.flags.writeable
         assert table.tolist() == want
@@ -592,6 +590,16 @@ class TestPlottByConstruction:
 
         assert not Complements(1, (0, 1)).plott_by_construction
         assert not validate_plott(Complements(1, (0, 1))).passed
+
+    def test_subclasses_do_not_inherit_the_ranked_table(self):
+        # the scan reads the subclass's own choice, at any size
+        class Complements(Quota):
+            def _choose(self, menu):
+                return menu if menu == self.ground else 0
+
+        cf = Complements(1, (3, 0, 5, 1, 4, 2))
+        assert cf.tabulate().tolist() == local_table(cf.evaluate, ids_of(cf.ground)).tolist()
+        assert not validate_plott(cf).passed
 
 
 @settings(max_examples=100, deadline=None)
