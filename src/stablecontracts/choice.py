@@ -12,8 +12,8 @@ which together are equivalent to path independence:
 q best contracts of a menu by priority, where a linear order is a quota
 of one.  The rule satisfies the axioms by theorem, and an ``Aggregate`` of
 such parts inherits them; ``plott_by_construction`` records that
-certificate per family.  A ranked part tabulates its power set from its
-priority by doubling, one numpy step per contract, best first.  A market
+certificate per family.  A ranked part, like every family but a table,
+tabulates its power set with one ``evaluate`` per menu.  A market
 side with many ranked parts answers for all of them at once: each ranked
 part keeps its priority packed as 64-bit integers beside the run record
 of its shape (size and quota, one record shared by every part of that
@@ -177,6 +177,9 @@ class _Ranked(ChoiceFunction):
     (Aizerman & Malishevski 1981).  With a quota of one it is a linear
     order, whose best element of A ∪ B is the best of max(A) ∪ B (Plott
     1973).
+
+    Its power-set table is ``ChoiceFunction.tabulate``'s, one ``evaluate``
+    per menu, as for every family that stores no table.
     """
 
     quota: int
@@ -192,33 +195,6 @@ class _Ranked(ChoiceFunction):
         # which a large side's layout joins
         packed = struct.pack(f"{size}q", *self.priority)
         object.__setattr__(self, "_layout", (packed, _run(size, min(self.quota, size))))
-
-    def tabulate(self) -> np.ndarray:
-        # doubling over the priority, best first: menu[M] is the local mask
-        # of the rank mask M (bit j for the j-th best contract), and held[M]
-        # its size, needed only below the top bit.  C keeps the j-th best of
-        # a menu exactly when fewer than quota better ones are in it, so
-        # each upper half keeps its whole menu except where the lower half
-        # is full, and there keeps the lower half's choice.  That is the
-        # ranked rule's own table, so a subclass, which may choose
-        # otherwise, evaluates menu by menu
-        if type(self) not in _RANKED:
-            return super().tabulate()
-        k = len(self.priority)
-        check_power_set(k)
-        local = {b: i for i, b in enumerate(ids_of(self.ground))}
-        menu = expansion([local[e] for e in self.priority])
-        held = np.zeros(len(menu) >> 1, dtype=np.uint8)
-        for j in range(k - 1):
-            np.add(held[:1 << j], 1, out=held[1 << j:2 << j])
-        full = held >= self.quota
-        keep = menu.copy()
-        for j in range(self.quota, k):
-            np.copyto(keep[1 << j:2 << j], keep[:1 << j], where=full[:1 << j])
-        table = np.empty_like(menu)
-        table[menu] = keep
-        table.flags.writeable = False
-        return table
 
     def _choose(self, menu: Mask) -> Mask:
         if menu.bit_count() <= self.quota:

@@ -153,34 +153,39 @@ def _cmd_solve(args) -> int:
             "--start and --trace apply only to the ample and modest algorithms"
         )
     inst = parse_instance(args.instance)
+    trace, steps = (), None
     if classical:
         solver = gale_shapley if args.algorithm == "gs" else sotomayor_insert_solve
         system = solver(inst)
-        # the stability definition itself, which reads no D_f
-        if not is_stable_multi(inst, system):
-            raise InternalInconsistencyError(
-                f"the {args.algorithm} solver returned an unstable system"
-            )
-        print(f"S = {format_set(inst, system)}")
-        return 0
-
-    problem = reduce_to_two_agents(inst)
-    start = None
-    if args.start is not None:
-        labels = [x for x in args.start.split(",") if x]
-        start = parse_set(inst, labels)
-    if args.algorithm == "ample":
-        result = ag_solve(problem, start)
-        prefix = "B"
     else:
-        result = yang_solve(problem, 0 if start is None else start)
-        prefix = "Q"
-    if args.trace:
-        for i, step in enumerate(result.trace):
-            print(f"{prefix}[{i}] = {format_set(inst, step)}")
-    print(f"S = {format_set(inst, result.system)}")
-    print(f"steps = {result.steps}")
+        problem = reduce_to_two_agents(inst)
+        start = None
+        if args.start is not None:
+            labels = [x for x in args.start.split(",") if x]
+            start = parse_set(inst, labels)
+        if args.algorithm == "ample":
+            result = ag_solve(problem, start)
+            prefix = "B"
+        else:
+            result = yang_solve(problem, 0 if start is None else start)
+            prefix = "Q"
+        system, steps = result.system, result.steps
+        if args.trace:
+            trace = result.trace
+    _confirm_stable(inst, system, f"the {args.algorithm} solver returned an unstable system")
+    for i, step in enumerate(trace):
+        print(f"{prefix}[{i}] = {format_set(inst, step)}")
+    print(f"S = {format_set(inst, system)}")
+    if steps is not None:
+        print(f"steps = {steps}")
     return 0
+
+
+def _confirm_stable(inst, system, message: str) -> None:
+    # the stability definition itself, agent by agent through the agents'
+    # own choices, so it reads neither D_f nor a side's one-pass evaluation
+    if not is_stable_multi(inst, system):
+        raise InternalInconsistencyError(message)
 
 
 def _cmd_enumerate(args) -> int:
@@ -192,6 +197,8 @@ def _cmd_enumerate(args) -> int:
         raise InternalInconsistencyError(
             "ample-route enumeration disagrees with the brute-force oracle"
         )
+    for system in oracle:
+        _confirm_stable(inst, system, "the enumeration listed an unstable system")
     print(f"count = {len(oracle)}")
     for system in oracle:
         print(format_set(inst, system))

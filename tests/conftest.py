@@ -10,7 +10,7 @@ from stablecontracts.contractsets import (
     mask_of,
     submasks,
 )
-from stablecontracts.choice import Table, law_steps
+from stablecontracts.choice import ChoiceFunction, Quota, Table, law_steps
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -28,6 +28,27 @@ def m(*ids: int) -> int:
 def as_table(cf) -> Table:
     """``cf`` written out menu by menu as a table over its own ground."""
     return Table(cf.ground, {a: cf.evaluate(a) for a in submasks(cf.ground)})
+
+
+class Complement(ChoiceFunction):
+    """Chooses the ground outside the menu and desires the ground outside
+    the state: a firm no descent or ascent settles on, since each step
+    swings between the whole ground and the empty set."""
+
+    def __init__(self, ground: int):
+        self.ground = ground
+
+    def _choose(self, menu: int) -> int:
+        return self.ground & ~menu
+
+    def desirable(self, state: int) -> int:
+        return self.ground & ~state
+
+
+def unsettled_problem() -> TwoAgentProblem:
+    """A ``Complement`` firm against a worker who keeps every menu whole,
+    over two contracts."""
+    return TwoAgentProblem(Complement(m(0, 1)), Quota(2, (0, 1)))
 
 
 def swapped(problem: TwoAgentProblem) -> TwoAgentProblem:

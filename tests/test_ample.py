@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from conftest import m, swapped
+from conftest import m, swapped, unsettled_problem
 from stablecontracts.ample import (
     ag_solve,
     ag_step,
@@ -10,12 +11,16 @@ from stablecontracts.ample import (
     enumerate_stable_via_ample,
     is_ample,
 )
-from stablecontracts import choice
+from stablecontracts import ample, choice
 from stablecontracts.choice import LinearOrder, Quota
 from stablecontracts.classical import gale_shapley
-from stablecontracts.contractsets import submasks
+from stablecontracts.contractsets import ids_of, submasks
 from stablecontracts.desirability import desirable_set
-from stablecontracts.errors import CapExceededError, PreconditionError
+from stablecontracts.errors import (
+    CapExceededError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
     Agent,
@@ -103,6 +108,21 @@ class TestAgSolve:
         )
         result = ag_solve(problem)
         assert result.steps <= problem.size
+
+    def test_descent_that_never_settles_is_internal(self):
+        with pytest.raises(InternalInconsistencyError, match=(
+            "^descending iteration did not reach a fixpoint within the "
+            "ground-set bound$"
+        )):
+            ag_solve(unsettled_problem())
+
+    def test_unstable_fixpoint_is_internal(self, p3, monkeypatch):
+        system = ag_solve(p3).system
+        monkeypatch.setattr(ample, "is_stable", lambda problem, s: False)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+            f"descent fixpoint produced an unstable system {ids_of(system)}"
+        )):
+            ag_solve(p3)
 
 
 class TestEnumerate:

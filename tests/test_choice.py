@@ -34,7 +34,6 @@ from stablecontracts.contractsets import (
     compress,
     expand,
     ids_of,
-    local_table,
     mask_of,
     submasks,
 )
@@ -153,24 +152,6 @@ class TestLinearOrderIsQuotaOfOne:
         for solver in (gale_shapley, sotomayor_insert_solve):
             with pytest.raises(PreconditionError, match="'w' has a Quota choice function"):
                 solver(inst)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=140), max_size=10, unique=True),
-       st.integers(min_value=1, max_value=12))
-@example([], 1)
-@example([70, 3, 130, 64, 0, 99, 5, 63, 12, 140], 10)
-@example([70, 3, 130, 64, 0, 99, 5, 63, 12, 140], 12)
-@example([9, 80, 2, 71, 66], 5)
-def test_ranked_tabulates_as_it_evaluates(order, quota):
-    # from its priority, without a call per menu; quotas reach past the size
-    for cf in (LinearOrder(order), Quota(quota, order)):
-        want = local_table(cf.evaluate, ids_of(cf.ground)).tolist()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(type(cf), "_choose", lambda self, menu: 1 / 0)
-            table = cf.tabulate()
-        assert table.dtype == np.int64 and not table.flags.writeable
-        assert table.tolist() == want
 
 
 class TestTable:
@@ -328,6 +309,12 @@ class TestAggregate:
     @example(Aggregate(()))
     @example(Aggregate((LinearOrder(()),)))
     @example(Aggregate((LinearOrder((70, 2)), Quota(1, (64, 0)), LinearOrder((1,)))))
+    # one ranked part past id 63, with quotas up to and past its size
+    @example(Aggregate((Quota(1, ()),)))
+    @example(Aggregate((LinearOrder((70, 3, 130, 64, 0, 99, 5, 63, 12, 140)),)))
+    @example(Aggregate((Quota(10, (70, 3, 130, 64, 0, 99, 5, 63, 12, 140)),)))
+    @example(Aggregate((Quota(12, (70, 3, 130, 64, 0, 99, 5, 63, 12, 140)),)))
+    @example(Aggregate((Quota(5, (9, 80, 2, 71, 66)),)))
     def test_tabulates_as_it_evaluates(self, agg):
         table = agg.tabulate()
         assert table.dtype == np.int64
@@ -426,6 +413,13 @@ class TestValidatePlott:
         report = validate_plott(LinearOrder((2, 0, 1)))
         assert report.passed
         assert [c.passed for c in report.checks] == [True, True, True]
+
+    def test_report_lookups(self):
+        report = validate_plott(LinearOrder((2, 0, 1)))
+        assert report.first_failure() is None
+        assert report.check(PATH_INDEPENDENCE) is report.checks[2]
+        with pytest.raises(KeyError, match="no such axiom"):
+            report.check("no such axiom")
 
     def test_identity_table_passes(self):
         cf = Table(m(0, 1), {menu: menu for menu in submasks(m(0, 1))})
@@ -584,22 +578,16 @@ class TestPlottByConstruction:
             LinearOrder((0,)).plott_by_construction = False
 
     def test_subclasses_do_not_inherit_the_certificate(self):
+        # nor the ranked rule's table: the scan reads the subclass's own
+        # choice, at any size
         class Complements(Quota):
             def _choose(self, menu):
                 return menu if menu == self.ground else 0
 
-        assert not Complements(1, (0, 1)).plott_by_construction
-        assert not validate_plott(Complements(1, (0, 1))).passed
-
-    def test_subclasses_do_not_inherit_the_ranked_table(self):
-        # the scan reads the subclass's own choice, at any size
-        class Complements(Quota):
-            def _choose(self, menu):
-                return menu if menu == self.ground else 0
-
-        cf = Complements(1, (3, 0, 5, 1, 4, 2))
-        assert cf.tabulate().tolist() == local_table(cf.evaluate, ids_of(cf.ground)).tolist()
-        assert not validate_plott(cf).passed
+        for cf in (Complements(1, (0, 1)), Complements(1, (3, 0, 5, 1, 4, 2))):
+            assert not cf.plott_by_construction
+            assert cf.tabulate().tolist() == naive_local_table(cf.evaluate, ids_of(cf.ground))
+            assert not validate_plott(cf).passed
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,11 @@ from stablecontracts.classical import (
     sotomayor_insert_solve,
 )
 from stablecontracts.choice import LinearOrder
-from stablecontracts.errors import DomainError, PreconditionError
+from stablecontracts.errors import (
+    DomainError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
 from stablecontracts.instance import (
     Agent,
     Contract,
@@ -48,6 +52,29 @@ def _empty_instance():
     return Instance(agents, (), {"f1": LinearOrder(()), "w1": LinearOrder(())})
 
 
+class _Stubborn(LinearOrder):
+    """Offers its best contract even once it is rejected, outside the
+    menu."""
+
+    def _choose(self, menu):
+        return 1 << self.order[0]
+
+
+class _Fickle(LinearOrder):
+    """Desires every contract whatever it holds."""
+
+    def desirable(self, state):
+        return self.ground
+
+
+def _one_firm_two_workers(firm, worker) -> Instance:
+    """Firm f, contracts 0 with w1 and 1 with w2, f ranking 0 first."""
+    agents = (Agent("f", Side.FIRM), Agent("w1", Side.WORKER), Agent("w2", Side.WORKER))
+    contracts = (Contract(0, "a", "f", "w1"), Contract(1, "b", "f", "w2"))
+    return Instance(agents, contracts, {"f": firm((0, 1)), "w1": worker((0,)),
+                                        "w2": worker((1,))})
+
+
 class TestGaleShapley:
     def test_marriage_2x2_worker_optimal(self, i3):
         assert gale_shapley(i3) == m(1, 2)
@@ -68,6 +95,14 @@ class TestGaleShapley:
             matching = gale_shapley(inst)
             assert is_matching(inst, matching)
             assert is_stable_multi(inst, matching)
+
+    def test_offers_that_never_settle_are_internal(self):
+        # w2 offers contract 1 again after every rejection
+        inst = _one_firm_two_workers(LinearOrder, _Stubborn)
+        with pytest.raises(InternalInconsistencyError, match=(
+            "^deferred acceptance did not terminate within the proposal bound$"
+        )):
+            gale_shapley(inst)
 
     def test_agrees_with_descending_route(self):
         for inst in classical_corpus(60, 107):
@@ -92,6 +127,15 @@ class TestSotomayorInsertion:
     def test_bad_insertion_order(self, i3):
         with pytest.raises(DomainError, match="permutation"):
             sotomayor_insert_solve(i3, ("w1", "w1"))
+
+    def test_repair_chain_that_never_stops_is_internal(self):
+        # the firm takes each entering worker, so w1 and w2 displace each
+        # other for ever
+        inst = _one_firm_two_workers(_Fickle, LinearOrder)
+        with pytest.raises(InternalInconsistencyError, match=(
+            "^repair chain exceeded the ground-set bound$"
+        )):
+            sotomayor_insert_solve(inst)
 
     def test_stable_for_every_order_small_markets(self):
         checked = 0

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import as_table
@@ -160,6 +161,28 @@ class TestSolve:
         assert err == (f"internal inconsistency: the {algorithm} solver returned "
                        f"an unstable system\n")
 
+    @pytest.mark.parametrize("algorithm", ["ample", "modest"])
+    def test_ample_and_modest_output_is_checked_for_stability(self, capsys, monkeypatch,
+                                                              tmp_path, algorithm):
+        # the document solves cleanly; then a one-pass count one byte wide
+        # wraps f0's quota of 256 over its 300 contracts, the solvers settle
+        # on a system that the agents' own choices reject, and not even the
+        # trace is printed
+        path = _file(tmp_path, "past255.json", _past_255_document("quota"))
+        assert run(capsys, "solve", "--algorithm", algorithm, path)[::2] == (0, "")
+        build = choice._RankedParts.__init__
+
+        def narrow(self, *args):
+            build(self, *args)
+            self.count = np.dtype(np.uint8)
+            self.quota = self.quota.astype(np.uint8)
+
+        monkeypatch.setattr(choice._RankedParts, "__init__", narrow)
+        code, out, err = run(capsys, "solve", "--algorithm", algorithm, "--trace", path)
+        assert (code, out) == (3, "")
+        assert err == (f"internal inconsistency: the {algorithm} solver returned "
+                       f"an unstable system\n")
+
     def test_gs_on_quota_instance_is_domain_error(self, capsys, tmp_path):
         from stablecontracts.oracle import random_instance
 
@@ -213,6 +236,15 @@ class TestEnumerate:
         assert code == 0
         assert out == "count = 2\n{e1}\n{e2}\n"
 
+    def test_listed_systems_are_checked_for_stability(self, capsys, monkeypatch,
+                                                      i3_file):
+        # both scans agree on the empty set, which every contract blocks
+        for scan in ("enumerate_stable_via_ample", "brute_force_stable"):
+            monkeypatch.setattr(cli, scan, lambda problem: [0])
+        code, out, err = run(capsys, "enumerate", i3_file)
+        assert (code, out) == (3, "")
+        assert err == "internal inconsistency: the enumeration listed an unstable system\n"
+
     def test_tabulates_each_side_once(self, capsys, monkeypatch):
         # the enumerator and the oracle share one table per side
         original = choice.dense_table
@@ -255,6 +287,18 @@ class TestCheck:
         assert out == (
             "S = {e11, e22}\nacceptable = true\nblocking = {}\nstable = true\n"
         )
+
+    @pytest.mark.parametrize("name, message", [
+        ("is_stable", "the stability characterizations disagree on this set"),
+        ("is_stable_multi", "two-agent and multi-agent stability disagree on this set"),
+    ])
+    def test_disagreeing_verdicts_exit_3(self, capsys, monkeypatch, i3_file, name,
+                                         message):
+        # the stable {e11, e22} called unstable by one of the checks
+        monkeypatch.setattr(cli, name, lambda *args: False)
+        code, out, err = run(capsys, "check", i3_file, "e11", "e22")
+        assert (code, out) == (3, "")
+        assert err == f"internal inconsistency: {message}\n"
 
     def test_empty_set_blocked_by_everything(self, capsys, i3_file):
         code, out, _ = run(capsys, "check", i3_file)

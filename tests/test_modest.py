@@ -1,12 +1,14 @@
+import re
 import warnings
 
 import pytest
 
-from conftest import m
+from conftest import m, unsettled_problem
 from stablecontracts.ample import ag_solve, is_ample
-from stablecontracts.contractsets import submasks
+from stablecontracts import modest
+from stablecontracts.contractsets import ids_of, submasks
 from stablecontracts.desirability import desirable_set
-from stablecontracts.errors import PreconditionError
+from stablecontracts.errors import InternalInconsistencyError, PreconditionError
 from stablecontracts.instance import reduce_to_two_agents
 from stablecontracts.modest import (
     ample_to_modest,
@@ -70,6 +72,20 @@ class TestYangSolve:
             result = yang_solve(problem)
             assert result.steps <= problem.size + 1
             assert is_stable(problem, result.system)
+
+    def test_ascent_that_never_settles_is_internal(self):
+        with pytest.raises(InternalInconsistencyError, match=(
+            "^ascending iteration did not stabilize within the ground-set bound$"
+        )):
+            yang_solve(unsettled_problem())
+
+    def test_unstable_fixpoint_is_internal(self, p3, monkeypatch):
+        system = yang_solve(p3).system
+        monkeypatch.setattr(modest, "is_stable", lambda problem, s: False)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+            f"ascent fixpoint produced an unstable system {ids_of(system)}"
+        )):
+            yang_solve(p3)
 
 
 def _ascent_by_steps(problem, start):
@@ -145,6 +161,13 @@ class TestModestFromStable:
     def test_unstable_rejected(self, p3):
         with pytest.raises(PreconditionError):
             modest_from_stable(p3, m(0, 1))
+
+    def test_stable_system_that_is_not_modest_is_internal(self, p3, monkeypatch):
+        monkeypatch.setattr(modest, "is_modest", lambda problem, s: False)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+            f"stable system {ids_of(m(0, 3))} failed the modesty check"
+        )):
+            modest_from_stable(p3, m(0, 3))
 
 
 class TestDuality:
