@@ -30,8 +30,7 @@ from .fileformat import (
     build_instance,
     document_from_instance,
     format_set,
-    load_document,
-    parse_components,
+    load_components,
     parse_instance,
     parse_set,
 )
@@ -228,7 +227,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    agents, contracts, choices = parse_components(load_document(args.instance))
+    agents, contracts, choices = load_components(args.instance)
     try:
         inst = build_instance(agents, contracts, choices)
     except ParseError as exc:

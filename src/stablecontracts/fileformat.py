@@ -28,10 +28,25 @@ A table payload is decoded in bulk into ``Table``'s array (see
 ``_parse_table``).  Its faults are reported as a label-by-label reading
 reports them: row faults in document order, then the first menu, in
 ascending mask order, that is missing or chooses outside itself.
+
+A document file is decoded with the cyclic garbage collector paused
+(``load_components``, which ``parse_instance`` and the CLI's ``validate``
+read through): reading, ``json.loads`` and ``parse_components``.  A table
+agent alone lists 2^k menus, so one document can hold thousands of lists
+and dicts; decoded with the collector running, the still-live document is
+promoted into the older generations, and later allocations then pay for
+full-heap collections.  The pause is safe: decoded JSON holds no reference
+cycles, so no garbage waits for it.  The document is released before the
+collector's previous state is restored, and that state is restored after a
+failure too: the collector is re-enabled only if it was enabled.  The pause
+is process-wide: a collection another thread would start waits until the
+decode ends.  ``instance_from_document`` is not paused, since its caller
+owns the document.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Any
 
@@ -45,7 +60,22 @@ _KNOWN_FAMILIES = ("linear", "quota", "table")
 
 def parse_instance(path: str) -> Instance:
     """Load and fully validate an instance document from a file."""
-    return instance_from_document(load_document(path))
+    return build_instance(*load_components(path))
+
+
+def load_components(
+    path: str,
+) -> tuple[list[Agent], list[Contract], dict[str, ChoiceFunction]]:
+    """Read, decode and parse a document file into ``parse_components``'
+    pieces with the cyclic garbage collector paused; the decoded document
+    is released before the collector's previous state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_components(load_document(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_document(path: str) -> Any:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 from pathlib import Path
@@ -16,6 +17,7 @@ from stablecontracts.fileformat import (
     document_from_instance,
     format_set,
     instance_from_document,
+    load_components,
     parse_instance,
     parse_set,
 )
@@ -331,6 +333,111 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             instance_from_document(doc)
         assert err.value.code == "axiom-violation"
+
+
+# one file each: a valid market, then each way a document fails to load
+# while the collector is paused (reading, decoding, parsing) and after it
+# resumes (an axiom violation), with the code it is reported under
+LOADS = {
+    "valid": (_fault(), None),
+    "io": (None, "io"),
+    "non-utf8": (b"\xff\xfe{}", "malformed"),
+    "invalid-json": (b"{not json", "malformed"),
+    "too-deep": (b"[" * 200000, "malformed"),
+    "missing-section": ({"agents": [], "contracts": []}, "malformed"),
+    "axiom-violation": (bad_table_documents()["consistency"], "axiom-violation"),
+}
+
+
+def _load_file(tmp_path, name):
+    content, code = LOADS[name]
+    path = tmp_path / "load.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    return str(path), code
+
+
+def _containers(node):
+    """The lists and dicts of a decoded JSON tree, the root included."""
+    if isinstance(node, dict):
+        return 1 + sum(map(_containers, node.values()))
+    if isinstance(node, list):
+        return 1 + sum(map(_containers, node))
+    return 0
+
+
+def _wide_table_document(k):
+    """A firm choosing by a table over ``k`` parallel contracts with one
+    worker (it keeps every menu): 2^k rows of three containers each."""
+    labels = [f"e{j}" for j in range(k)]
+    rows = []
+    for mask in range(1 << k):
+        menu = [x for j, x in enumerate(labels) if mask >> j & 1]
+        rows.append({"menu": menu, "choice": menu})
+    return {
+        "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
+        "contracts": [{"id": x, "firm": "f", "worker": "w"} for x in labels],
+        "choices": {
+            "f": {"family": "table", "payload": rows},
+            "w": {"family": "linear", "payload": labels},
+        },
+    }
+
+
+class TestCollectorPause:
+    """Decoding pauses the cyclic garbage collector and leaves it as it was."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("name", LOADS)
+    def test_parse_instance_restores_the_collector(self, tmp_path, collector, name):
+        path, code = _load_file(tmp_path, name)
+        if code is None:
+            assert parse_instance(path).size == 1
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_instance(path)
+            assert err.value.code == code
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("name", LOADS)
+    def test_validate_restores_the_collector(self, capsys, tmp_path, collector, name):
+        path, code = _load_file(tmp_path, name)
+        assert cli.main(["validate", path]) == (0 if code is None else 1)
+        out, err = capsys.readouterr()
+        if code is None:
+            assert out.splitlines()[-1] == "valid"
+        else:
+            assert err.startswith(f"error [{code}]: ")
+        assert gc.isenabled() is collector
+
+    def test_decoding_starts_no_collection(self, tmp_path):
+        path = _write(tmp_path, _wide_table_document(10))
+        assert _containers(json.loads(Path(path).read_text())) > 2000
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            agents, contracts, choices = load_components(path)
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was else gc.disable)()
+        assert starts == []
+        assert len(contracts) == 10 and sorted(choices) == ["f", "w"]
 
 
 class TestSetText:

@@ -1,10 +1,13 @@
 """Golden CLI reports: byte-exact stdout of every report-producing command
-on six fixed documents.
+on six fixed documents: ``solve`` (each algorithm the document admits),
+``enumerate``, ``check``, ``validate`` and ``lemmas``.
 
 ``tests/golden/`` holds the input documents (the three fixtures, two
 ``stablecontracts generate`` documents of at most 12 contracts and the
-empty market) and one ``<case>.out`` file per command below.  A report
-may change only on purpose; after such a change, rewrite the files with
+empty market) and one ``<case>.out`` file per command below.  Every
+document has a ``validate`` report; the empty market has no ``solve`` or
+``check`` case.  A report may change only on purpose; after such a change,
+rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -75,6 +78,8 @@ def _cases() -> dict[str, list[str]]:
                 "solve", "--algorithm", algorithm, _doc(name)
             ]
     cases["empty.enumerate"] = ["enumerate", _doc("empty")]
+    for name in (*FIXTURES, *GENERATED, "empty"):
+        cases[f"{name}.validate"] = ["validate", _doc(name)]
     cases["lemmas"] = ["lemmas", "--problems", "5", *map(_doc, GENERATED)]
     return cases
 
