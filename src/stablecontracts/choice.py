@@ -8,12 +8,13 @@ which together are equivalent to path independence:
   substitutability    if A ⊆ B then C(B) ∩ A ⊆ C(A)
   path independence   C(A ∪ B) = C(C(A) ∪ B)
 
-``LinearOrder`` and ``Quota`` are one ranked rule (``_Ranked``): keep the
-q best contracts of a menu by priority, where a linear order is a quota
-of one.  The rule satisfies the axioms by theorem, and an ``Aggregate`` of
-such parts inherits them; ``plott_by_construction`` records that
-certificate per family.  A ranked part, like every family but a table,
-tabulates its power set with one ``evaluate`` per menu.  A market
+A market agent chooses by one of three families, the three a document can
+describe: ``LinearOrder``, ``Quota`` and ``Table``.  The first two are one
+ranked rule (``_Ranked``, listed in ``RANKED``): keep the q best contracts
+of a menu by priority, where a linear order is a quota of one.  The rule
+satisfies the axioms by theorem, and an ``Aggregate`` of such parts
+inherits them.  A ranked part, like every family but a table, tabulates
+its power set with one ``evaluate`` per menu.  A market
 side with many ranked parts answers for all of them at once: each ranked
 part keeps its priority packed as 64-bit integers beside the run record
 of its shape (size and quota, one record shared by every part of that
@@ -22,10 +23,9 @@ parts, and x is desirable when fewer than q held contracts rank above it
 in its agent's list, a running count over the whole side in one numpy
 pass, kept in the narrowest unsigned dtype that holds the largest part; x
 is chosen when it is also held.  One gather puts the answer back in bit
-order.  For every other family (``Table``) the axioms are an empirical
-property: ``validate_plott`` checks all three exhaustively over the power
-set of the ground (never by sampling), and it can check certified
-families too.
+order.  For a ``Table`` the axioms are an empirical property:
+``validate_plott`` checks all three exhaustively over the power set of the
+ground (never by sampling), and it checks any choice function the same way.
 
 The power-set layout comes from ``contractsets``: ``local_table``
 tabulates a function over a ground's local masks, ``single_steps`` lists
@@ -117,22 +117,10 @@ PATH_INDEPENDENCE = "path-independence"
 
 class ChoiceFunction(abc.ABC):
     """Base class for all families.  Subclasses set ``ground``, choose, and
-    give desirability its family's form.
-
-    ``plott_by_construction`` is True for a family whose choices satisfy
-    the Plott axioms by theorem, so instances skip the exhaustive scan for
-    it.  The certificate covers one ``_choose``, so a subclass does not
-    inherit it: a subclass is uncertified unless it sets the attribute in
-    its own body.
-    """
+    give desirability its family's form.  An ``Instance`` holds agents of
+    the three document families only, each of its exact type."""
 
     ground: Mask
-    plott_by_construction: ClassVar[bool] = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "plott_by_construction" not in cls.__dict__:
-            cls.plott_by_construction = False
 
     def evaluate(self, menu: Mask) -> Mask:
         """C(menu).  The menu must lie inside the ground set."""
@@ -170,9 +158,10 @@ class _Ranked(ChoiceFunction):
     contract held, or the whole ground when fewer are held: x is desirable
     exactly when fewer than ``quota`` held contracts rank above it.
 
-    Plott by construction: x ∈ C(A) exactly when fewer than ``quota``
-    members of A rank above x.  Shrinking a menu that contains x only
-    removes rivals, so the rule is substitutable; and when C(A) ⊆ B ⊆ A
+    Path independent by theorem, so an ``Instance`` skips the scan for an
+    agent of exactly a ranked family: x ∈ C(A) exactly when fewer than
+    ``quota`` members of A rank above x.  Shrinking a menu that contains x
+    only removes rivals, so it is substitutable; and when C(A) ⊆ B ⊆ A
     the top ``quota`` of B are those of A, so it is consistent
     (Aizerman & Malishevski 1981).  With a quota of one it is a linear
     order, whose best element of A ∪ B is the best of max(A) ∪ B (Plott
@@ -238,7 +227,6 @@ class LinearOrder(_Ranked):
     order: tuple[int, ...]
     ground: Mask = field(init=False)
     quota: ClassVar[int] = 1
-    plott_by_construction: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
@@ -249,15 +237,16 @@ class LinearOrder(_Ranked):
 @dataclass(frozen=True)
 class Quota(_Ranked):
     """Keep the top ``quota`` elements of the menu by a strict priority
-    (the ranked rule); ``quota`` must be at least 1."""
+    (the ranked rule); ``quota`` must be an int, not a bool, of at least 1."""
 
     quota: int
     priority: tuple[int, ...]
     ground: Mask = field(init=False)
-    plott_by_construction: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "priority", tuple(self.priority))
+        if not isinstance(self.quota, int) or isinstance(self.quota, bool):
+            raise DomainError(f"quota must be an integer, got {self.quota!r}")
         if self.quota < 1:
             raise DomainError(f"quota must be at least 1, got {self.quota}")
         self._set_ground("quota priority")
@@ -311,10 +300,9 @@ class Table(_PowerSetMap, ChoiceFunction):
 
     The table must be total over the power set and each entry must satisfy
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
-    question answered by ``validate_plott``, so a table is never Plott by
-    construction: instances scan every table agent and reject non-Plott
-    tables at load time, but free-standing tables may be built invalid on
-    purpose to exercise the validator.
+    question answered by ``validate_plott``: an ``Instance`` scans every
+    table agent and rejects non-Plott tables at load time, but free-standing
+    tables may be built invalid on purpose to exercise the validator.
     """
 
     def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
@@ -371,7 +359,8 @@ class Table(_PowerSetMap, ChoiceFunction):
         return expand(local, self.bits)
 
 
-_RANKED = (LinearOrder, Quota)
+# The ranked families, by exact type: a subclass may choose otherwise
+RANKED = (LinearOrder, Quota)
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,9 +442,8 @@ class Aggregate(ChoiceFunction):
     as the held part of it.  Below that count, and for every other part,
     each part answers for its slice with one call.
 
-    Plott by construction exactly when every part is: each axiom compares
-    C on menus slice by slice, so it holds for the join when it holds for
-    every part.
+    Each axiom compares C on menus slice by slice, so it holds for the
+    join when it holds for every part.
     """
 
     parts: tuple[ChoiceFunction, ...]
@@ -473,7 +461,7 @@ class Aggregate(ChoiceFunction):
             if g & own:
                 raise DomainError("aggregate parts must have disjoint grounds")
             g |= own
-            if type(part) in _RANKED:
+            if type(part) in RANKED:
                 ranked |= own
                 packed, run = part._layout
                 priorities.append(packed)
@@ -487,10 +475,6 @@ class Aggregate(ChoiceFunction):
         if len(priorities) >= _VECTOR_PARTS:
             passes = _RankedParts(priorities, runs, ranked), tuple(rest)
         object.__setattr__(self, "_passes", passes)
-
-    @property
-    def plott_by_construction(self) -> bool:
-        return all(part.plott_by_construction for part in self.parts)
 
     def _choose(self, menu: Mask) -> Mask:
         ranked, rest = self._passes
@@ -584,7 +568,8 @@ def dense_table(cf: ChoiceFunction) -> np.ndarray:
 
 
 def validate_plott(cf: ChoiceFunction) -> ValidationReport:
-    """Exhaustively check consistency, substitutability and path independence.
+    """Exhaustively check consistency, substitutability and path independence
+    of any choice function; an ``Instance`` runs it on every table agent.
 
     Each axiom is decided by its one-contract rule, O(k·2^k) on a ground of
     k contracts; only a failing axiom runs the 4^k scan that names its

@@ -269,7 +269,8 @@ def _parse_table(agent_id: str, payload: Any, index_by_label: dict[str, int]) ->
 
 
 def document_from_instance(inst: Instance) -> dict:
-    """Serialize an instance back to its document form (exact round trip)."""
+    """Serialize an instance back to its document form (exact round trip),
+    which every instance has: each agent is of a document family."""
     labels = [c.label for c in inst.contracts]
 
     def name(ids: list[int]) -> list[str]:
@@ -285,17 +286,13 @@ def document_from_instance(inst: Instance) -> dict:
                 "family": "quota",
                 "payload": {"q": cf.quota, "priority": name(list(cf.priority))},
             }
-        elif isinstance(cf, Table):
+        else:
             local = [labels[i] for i in cf.bits]
             choices[agent.id] = {"family": "table", "payload": [
                 {"menu": [local[i] for i in ids_of(int(a))],
                  "choice": [local[i] for i in ids_of(int(cf.table[a]))]}
                 for a in canonical_order(len(cf.bits))
             ]}
-        else:
-            raise DomainError(
-                f"choice family {type(cf).__name__} has no document form"
-            )
     return {
         "agents": [{"id": a.id, "side": a.side.value} for a in inst.agents],
         "contracts": [

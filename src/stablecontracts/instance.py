@@ -9,11 +9,11 @@ along for file round trips and display.
 Validation is mandatory and happens at construction; Instance is the only
 place that checks this structure, unique ids and labels included (a name
 pointing at nothing raises DanglingReferenceError, any other fault
-DomainError).  Algorithms
-downstream assume every per-agent choice function is path independent.
-Families that are Plott by construction (linear orders, quotas) carry that
-as a theorem; every other agent, such as a table, must pass the exhaustive
-axiom check, which is capped at 12 contracts.
+DomainError).  Algorithms downstream assume every per-agent choice
+function is path independent.  Each agent is exactly a linear order or
+quota, path independent by theorem, or a table, which must pass the
+exhaustive axiom check (capped at 12 contracts); any other type,
+subclasses included, is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .choice import Aggregate, ChoiceFunction, dense_table, validate_plott
+from .choice import RANKED, Aggregate, ChoiceFunction, Table, dense_table, validate_plott
 from .contractsets import Mask, check_subset, full_mask, ids_of
 from .errors import (
     CapExceededError,
@@ -145,8 +145,9 @@ class Instance:
 
 def _validate_choices(inst: Instance) -> None:
     """Check that each agent has one choice function over exactly its
-    adjacent contracts, and that it is path independent: certified by its
-    family, or else proven by the exhaustive ``validate_plott`` scan.
+    adjacent contracts, of exactly one of the three document families, and
+    that it is path independent: a linear order or quota by theorem, a
+    table by the exhaustive ``validate_plott`` scan.
 
     Agents are checked one at a time in declaration order; a fault in one
     agent's check carries that agent's ``agent_id``."""
@@ -174,8 +175,13 @@ def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: Mask) -> None:
             f"{ids_of(cf.ground)} but its adjacent contracts are "
             f"{ids_of(adjacent)}"
         )
-    if cf.plott_by_construction:
+    if type(cf) in RANKED:
         return
+    if type(cf) is not Table:
+        raise DomainError(
+            f"choice function of agent {agent_id!r} has type {type(cf).__name__}, "
+            f"not LinearOrder, Quota or Table"
+        )
     try:
         report = validate_plott(cf)
     except CapExceededError as exc:
@@ -192,7 +198,9 @@ def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: Mask) -> None:
 
 @dataclass(frozen=True)
 class TwoAgentProblem:
-    """One aggregate Firm and one aggregate Worker over a dense ground set."""
+    """One aggregate Firm and one aggregate Worker over a dense ground set.
+    It trusts its sides' axioms; ``reduce_to_two_agents`` of an ``Instance``
+    is the validated way in."""
 
     firm: ChoiceFunction
     worker: ChoiceFunction

@@ -274,7 +274,7 @@ class TestLargeMarket:
     @pytest.mark.parametrize("mix", [("linear", "quota"), ("linear",)])
     def test_random_200x200_past_the_table_cap(self, mix):
         # agents of degree well above 12 build because linear and quota
-        # agents are certified, not scanned
+        # agents are path independent by theorem, not scanned
         inst = random_instance(11, 200, 200, density=0.1, families=mix)
         assert inst.size > 3500
         assert max(contracts_of(inst, a.id).bit_count() for a in inst.agents) > 12

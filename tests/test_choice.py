@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -84,6 +83,12 @@ class TestQuota:
     def test_quota_must_be_positive(self):
         with pytest.raises(DomainError):
             Quota(0, (0,))
+
+    @pytest.mark.parametrize("quota", [1.5, "2", True], ids=["float", "str", "bool"])
+    def test_quota_must_be_an_integer(self, quota):
+        # the parser's rule: an int that is not a bool
+        with pytest.raises(DomainError, match=r"^quota must be an integer, got "):
+            Quota(quota, (0, 1))
 
 
 def _top(priority, menu, quota):
@@ -549,54 +554,26 @@ _CERTIFIED_SHAPES = (
 
 @pytest.mark.parametrize("k, quota", _CERTIFIED_SHAPES)
 def test_certified_shapes_pass_the_exhaustive_scan(k, quota):
-    # the proof behind ``plott_by_construction``, up to the scan's cap
+    # the theorem, up to the scan's cap, that lets an instance skip the
+    # scan for an agent of exactly a ranked family
     order = tuple(range(k))
     cf = LinearOrder(order) if quota is None else Quota(quota, order)
-    assert cf.plott_by_construction
     assert validate_plott(cf).passed
 
 
-class TestPlottByConstruction:
-    def test_ordered_families_and_their_aggregates_are_certified(self):
-        linear, quota = LinearOrder((0, 1)), Quota(1, (3, 2))
-        assert linear.plott_by_construction
-        assert quota.plott_by_construction
-        assert Aggregate((linear, quota)).plott_by_construction
+class _Complements(Quota):
+    """A quota subclass that chooses its whole ground or nothing."""
 
-    def test_tables_are_not_certified(self):
-        table = Table(m(4), {0: 0, m(4): m(4)})
-        assert not table.plott_by_construction
-        assert not Aggregate((LinearOrder((0, 1)), table)).plott_by_construction
+    def _choose(self, menu):
+        return menu if menu == self.ground else 0
 
-    def test_is_a_class_fact_not_a_field(self):
-        assert LinearOrder.plott_by_construction and Quota.plott_by_construction
-        assert not Table.plott_by_construction
-        for family in (LinearOrder, Quota, Table, Aggregate):
-            names = {f.name for f in dataclasses.fields(family)}
-            assert "plott_by_construction" not in names
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            LinearOrder((0,)).plott_by_construction = False
 
-    def test_subclasses_do_not_inherit_the_certificate(self):
-        class Complements(Quota):
-            def _choose(self, menu):
-                return menu if menu == self.ground else 0
-
-        cf = Complements(1, (0, 1))
-        assert not cf.plott_by_construction
-        assert cf.tabulate().tolist() == naive_local_table(cf.evaluate, ids_of(cf.ground))
-        assert not validate_plott(cf).passed
-
-    def test_subclasses_do_not_inherit_the_ranked_table(self):
-        # the scan reads the subclass's own choice, at any size
-        class Complements(Quota):
-            def _choose(self, menu):
-                return menu if menu == self.ground else 0
-
-        cf = Complements(1, (3, 0, 5, 1, 4, 2))
-        assert not cf.plott_by_construction
-        assert cf.tabulate().tolist() == naive_local_table(cf.evaluate, ids_of(cf.ground))
-        assert not validate_plott(cf).passed
+@pytest.mark.parametrize("order", [(0, 1), (3, 0, 5, 1, 4, 2)], ids=["k2", "k6"])
+def test_the_scan_reads_a_subclass_s_own_choice(order):
+    # a free-standing subclass tabulates its own choice, at any size
+    cf = _Complements(1, order)
+    assert cf.tabulate().tolist() == naive_local_table(cf.evaluate, ids_of(cf.ground))
+    assert not validate_plott(cf).passed
 
 
 @settings(max_examples=100, deadline=None)
@@ -866,10 +843,19 @@ class TestVectorPass:
         ranked, rest = Aggregate((table, *at))._passes
         assert ranked is not None and rest == (table,)
 
+    def test_a_subclass_part_answers_for_itself(self):
+        # the pass reads a ranked part's priority, not its choice, so only
+        # parts of exactly a ranked family join it
+        odd = _Complements(1, (100, 101))
+        parts = tuple(LinearOrder((i,)) for i in range(choice._VECTOR_PARTS)) + (odd,)
+        side = Aggregate(parts)
+        assert side._passes[0] is not None and side._passes[1] == (odd,)
+        assert side.evaluate(m(100, 101)) == m(100, 101)
+
     @settings(max_examples=150, deadline=None)
     @given(ranked_side(), st.data())
     def test_agrees_with_the_per_part_join(self, parts, data):
-        ranked = sum(type(p) in (LinearOrder, Quota) for p in parts)
+        ranked = sum(type(p) in choice.RANKED for p in parts)
         # the constant as it is, then each path forced on the same parts
         for limit in (choice._VECTOR_PARTS, 0, 10**9):
             with pytest.MonkeyPatch.context() as patch:

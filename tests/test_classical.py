@@ -52,27 +52,20 @@ def _empty_instance():
     return Instance(agents, (), {"f1": LinearOrder(()), "w1": LinearOrder(())})
 
 
-class _Stubborn(LinearOrder):
-    """Offers its best contract even once it is rejected, outside the
-    menu."""
-
-    def _choose(self, menu):
-        return 1 << self.order[0]
-
-
-class _Fickle(LinearOrder):
-    """Desires every contract whatever it holds."""
-
-    def desirable(self, state):
-        return self.ground
-
-
-def _one_firm_two_workers(firm, worker) -> Instance:
+def _one_firm_two_workers() -> Instance:
     """Firm f, contracts 0 with w1 and 1 with w2, f ranking 0 first."""
     agents = (Agent("f", Side.FIRM), Agent("w1", Side.WORKER), Agent("w2", Side.WORKER))
     contracts = (Contract(0, "a", "f", "w1"), Contract(1, "b", "f", "w2"))
-    return Instance(agents, contracts, {"f": firm((0, 1)), "w1": worker((0,)),
-                                        "w2": worker((1,))})
+    return Instance(agents, contracts, {"f": LinearOrder((0, 1)), "w1": LinearOrder((0,)),
+                                        "w2": LinearOrder((1,))})
+
+
+def _inject(inst: Instance, agent_id: str, name: str, method) -> Instance:
+    """Replace one method of an agent's loaded choice function: a fault no
+    agent that loads can have, which only a solver's own bound can stop."""
+    cf = inst.choices[agent_id]
+    object.__setattr__(cf, name, method.__get__(cf))
+    return inst
 
 
 class TestGaleShapley:
@@ -97,8 +90,8 @@ class TestGaleShapley:
             assert is_stable_multi(inst, matching)
 
     def test_offers_that_never_settle_are_internal(self):
-        # w2 offers contract 1 again after every rejection
-        inst = _one_firm_two_workers(LinearOrder, _Stubborn)
+        # w2 offers contract 1 again after every rejection, outside its menu
+        inst = _inject(_one_firm_two_workers(), "w2", "_choose", lambda self, menu: m(1))
         with pytest.raises(InternalInconsistencyError, match=(
             "^deferred acceptance did not terminate within the proposal bound$"
         )):
@@ -129,9 +122,9 @@ class TestSotomayorInsertion:
             sotomayor_insert_solve(i3, ("w1", "w1"))
 
     def test_repair_chain_that_never_stops_is_internal(self):
-        # the firm takes each entering worker, so w1 and w2 displace each
-        # other for ever
-        inst = _one_firm_two_workers(_Fickle, LinearOrder)
+        # the firm desires every contract whatever it holds, so it takes
+        # each entering worker, and w1 and w2 displace each other for ever
+        inst = _inject(_one_firm_two_workers(), "f", "desirable", lambda self, state: self.ground)
         with pytest.raises(InternalInconsistencyError, match=(
             "^repair chain exceeded the ground-set bound$"
         )):

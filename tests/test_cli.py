@@ -584,7 +584,7 @@ class TestValidate:
             assert shifted_out == out and "failed at" in out
 
     def test_scans_each_agent_once(self, capsys, tmp_path, monkeypatch):
-        # each table agent, that is: linear and quota agents are certified
+        # each table agent, that is: linear and quota agents skip the scan
         calls = []
         original = instance.validate_plott
 

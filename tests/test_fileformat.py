@@ -137,29 +137,16 @@ def table_document(draw):
     }
 
 
-@settings(max_examples=100, deadline=None)
-@given(table_document())
-def test_table_documents_round_trip(doc):
-    inst = instance_from_document(doc)
-    again = document_from_instance(inst)
-    reparsed = instance_from_document(again)
-    assert reparsed == inst
-    assert json.dumps(document_from_instance(reparsed)) == json.dumps(again)
-    # the serialized rows are the document's rows in canonical order
-    rows = again["choices"]["f"]["payload"]
-    assert sorted(map(json.dumps, rows)) == sorted(
-        json.dumps({"menu": sorted(r["menu"], key=_declared(doc)), "choice":
-                    sorted(r["choice"], key=_declared(doc))})
-        for r in doc["choices"]["f"]["payload"]
-    )
-
-
 def _declared(doc):
     position = {c["id"]: i for i, c in enumerate(doc["contracts"])}
     return position.__getitem__
 
 
 class TestRoundTrip:
+    """Every family round-trips: linear and quota agents in the fixture and
+    corpus documents, table agents in the poset fixture and the table
+    documents."""
+
     def test_fixture_documents(self, i1, i3, poset):
         for inst in (i1, i3, poset):
             doc = document_from_instance(inst)
@@ -172,13 +159,30 @@ class TestRoundTrip:
             assert again == inst
             assert document_from_instance(again) == doc
 
+    @settings(max_examples=100, deadline=None)
+    @given(table_document())
+    def test_table_documents_round_trip(self, doc):
+        inst = instance_from_document(doc)
+        again = document_from_instance(inst)
+        reparsed = instance_from_document(again)
+        assert reparsed == inst
+        assert json.dumps(document_from_instance(reparsed)) == json.dumps(again)
+        # the serialized rows are the document's rows in canonical order
+        rows = again["choices"]["f"]["payload"]
+        assert sorted(map(json.dumps, rows)) == sorted(
+            json.dumps({"menu": sorted(r["menu"], key=_declared(doc)), "choice":
+                        sorted(r["choice"], key=_declared(doc))})
+            for r in doc["choices"]["f"]["payload"]
+        )
+
     def test_aggregate_agent_has_no_document_form(self):
+        # so no instance holds one: every instance that loads has a form
         agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
-        inst = Instance(agents, (Contract(0, "e", "f", "w"),), {
-            "f": Aggregate((LinearOrder((0,)),)), "w": LinearOrder((0,)),
-        })
-        with pytest.raises(DomainError, match="family Aggregate has no document form"):
-            document_from_instance(inst)
+        with pytest.raises(DomainError, match="'f' has type Aggregate,") as err:
+            Instance(agents, (Contract(0, "e", "f", "w"),), {
+                "f": Aggregate((LinearOrder((0,)),)), "w": LinearOrder((0,)),
+            })
+        assert err.value.agent_id == "f"
 
     def test_parse_from_file(self, tmp_path, i3):
         path = _write(tmp_path, document_from_instance(i3))
@@ -301,7 +305,8 @@ class TestParseErrors:
         assert err.value.code == "malformed"
 
     def test_quota_payload_shape(self):
-        for q in ("one", True):
+        # the parser's own check and message, before Quota's
+        for q in ("one", True, 1.5):
             doc = {
                 "agents": [{"id": "f", "side": "firm"}, {"id": "w", "side": "worker"}],
                 "contracts": [{"id": "e", "firm": "f", "worker": "w"}],
@@ -310,7 +315,7 @@ class TestParseErrors:
                     "w": {"family": "linear", "payload": ["e"]},
                 },
             }
-            with pytest.raises(ParseError) as err:
+            with pytest.raises(ParseError, match="quota 'q' must be an integer$") as err:
                 instance_from_document(doc)
             assert err.value.code == "malformed"
 

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import m
-from stablecontracts.choice import LinearOrder, Quota, Table, validate_plott
+from stablecontracts import instance
+from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table, validate_plott
 from stablecontracts.contractsets import submasks
 from stablecontracts.errors import (
     ChoiceValidationError,
@@ -172,34 +173,18 @@ class TestInstanceValidation:
         assert err.value.agent_id == "f1"
         assert not err.value.report.check("substitutability").passed
 
-    def test_uncertified_subclass_is_scanned_at_load(self):
-        # a quota subclass choosing complements is no quota: it gets the
-        # exhaustive scan, which rejects it
+    def test_subclass_agent_is_refused_at_load(self, monkeypatch):
+        # a quota subclass choosing complements is no quota, and no
+        # document can describe it: it is refused before any scan
         class Complements(Quota):
             def _choose(self, menu):
                 return menu if menu == self.ground else 0
 
-        agents = (
-            Agent("f1", Side.FIRM),
-            Agent("w1", Side.WORKER),
-            Agent("w2", Side.WORKER),
-        )
-        contracts = (
-            Contract(0, "e1", "f1", "w1"),
-            Contract(1, "e2", "f1", "w2"),
-        )
-        with pytest.raises(ChoiceValidationError) as err:
-            Instance(
-                agents,
-                contracts,
-                {
-                    "f1": Complements(2, (0, 1)),
-                    "w1": LinearOrder((0,)),
-                    "w2": LinearOrder((1,)),
-                },
-            )
+        monkeypatch.setattr(instance, "validate_plott", None)
+        with pytest.raises(DomainError, match="'f1' has type Complements,") as err:
+            _one_firm(Complements(2, (0, 1)))
+        assert type(err.value) is DomainError
         assert err.value.agent_id == "f1"
-        assert not err.value.report.check("substitutability").passed
 
     @pytest.mark.parametrize(
         "firm, worker, extra",
@@ -232,6 +217,85 @@ class TestInstanceValidation:
                 contracts,
                 {"f1": LinearOrder((0, 1)), "w1": LinearOrder((0, 1))},
             )
+
+
+def _one_firm(firm, w1=LinearOrder((0,))) -> Instance:
+    """Firm f1 choosing by ``firm`` over e1 (with w1) and e2 (with w2)."""
+    agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER), Agent("w2", Side.WORKER))
+    contracts = (Contract(0, "e1", "f1", "w1"), Contract(1, "e2", "f1", "w2"))
+    return Instance(agents, contracts, {"f1": firm, "w1": w1, "w2": LinearOrder((1,))})
+
+
+# the first of e1, e2 in each menu, as a table
+_FIRST = {0: 0, m(0): m(0), m(1): m(1), m(0, 1): m(0)}
+
+
+class _LastOfItsOrder(LinearOrder):
+    """The last contract of its order in the menu: path independent, since
+    it is the reversed order, but its inherited ``desirable`` is the
+    order's own."""
+
+    def _choose(self, menu):
+        return next((1 << e for e in reversed(self.order) if menu >> e & 1), 0)
+
+
+class TestAgentFamilies:
+    """An agent is exactly a linear order, a quota or a table: the ranked
+    two load without a scan, a table is scanned, any other type is
+    refused."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        calls = []
+        original = instance.validate_plott
+
+        def counting(cf):
+            calls.append(cf)
+            return original(cf)
+
+        monkeypatch.setattr(instance, "validate_plott", counting)
+        return calls
+
+    def test_ranked_agents_load_without_a_scan(self, scanned):
+        _one_firm(LinearOrder((1, 0)))
+        _one_firm(Quota(1, (0, 1)), w1=Quota(2, (0,)))
+        random_corpus(20, master_seed=3, max_contracts=8, families=("linear", "quota"))
+        assert scanned == []
+
+    def test_each_table_agent_is_scanned_once(self, scanned):
+        firm, worker = Table(m(0, 1), _FIRST), Table(m(0), {0: 0, m(0): m(0)})
+        _one_firm(firm, w1=worker)
+        assert [id(cf) for cf in scanned] == [id(firm), id(worker)]
+
+    @pytest.mark.parametrize("cf", [
+        type("MyLinearOrder", (LinearOrder,), {})((0, 1)),
+        type("MyQuota", (Quota,), {})(1, (0, 1)),
+        type("MyTable", (Table,), {})(m(0, 1), _FIRST),
+        Aggregate((LinearOrder((0,)), LinearOrder((1,)))),
+    ], ids=["linear", "quota", "table", "aggregate"])
+    def test_any_other_type_is_refused(self, scanned, cf):
+        # each chooses as a linear order does, and is still refused
+        with pytest.raises(DomainError) as err:
+            _one_firm(cf)
+        assert type(err.value) is DomainError
+        assert err.value.agent_id == "f1"
+        assert str(err.value) == (
+            f"choice function of agent 'f1' has type {type(cf).__name__}, "
+            f"not LinearOrder, Quota or Table"
+        )
+        assert scanned == []
+
+    def test_path_independent_subclass_is_refused(self):
+        # it passes the scan, but D({e1}) = {e1} by its inherited form
+        # while the definition gives {e1, e2}, as C({e1, e2}) = {e2}: a
+        # solver would stop on the contradiction, and a document would
+        # write it as the order that chooses e1
+        last = _LastOfItsOrder((0, 1))
+        assert validate_plott(last).passed
+        assert last.evaluate(m(0, 1)) == m(1) and last.desirable(m(0)) == m(0)
+        with pytest.raises(DomainError, match="'f1' has type _LastOfItsOrder,") as err:
+            _one_firm(last)
+        assert err.value.agent_id == "f1"
 
 
 class TestTwoAgentProblem:
