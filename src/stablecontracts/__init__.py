@@ -38,9 +38,7 @@ from .contractsets import (
     canonical_sorted,
     full_mask,
     ids_of,
-    is_subset,
     mask_of,
-    submasks,
 )
 from .desirability import (
     DesirabilityOperator,
@@ -74,7 +72,6 @@ from .instance import (
     TwoAgentProblem,
     contracts_of,
     reduce_to_two_agents,
-    restrict,
 )
 from .lemmas import LawResult, run_lemma_suite
 from .modest import (

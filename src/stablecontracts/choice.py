@@ -76,6 +76,7 @@ from .contractsets import (
     canonical_order,
     check_power_set,
     compress,
+    contract_ids,
     expand,
     expansion,
     ids_of,
@@ -152,11 +153,12 @@ class ChoiceFunction(abc.ABC):
 class _Ranked(ChoiceFunction):
     """Keep the ``quota`` best contracts of a menu by a strict ``priority``.
 
-    ``priority`` lists contract ids best-first over the whole ground set;
-    menus of at most ``quota`` contracts are kept whole.  ``desirable(state)``
-    is the prefix of the priority up to and including the ``quota``-th
-    contract held, or the whole ground when fewer are held: x is desirable
-    exactly when fewer than ``quota`` held contracts rank above it.
+    ``priority`` lists contract ids best-first over the whole ground set,
+    kept as ``contractsets.contract_ids`` reads them; menus of at most
+    ``quota`` contracts are kept whole.  ``desirable(state)`` is the prefix
+    of the priority up to and including the ``quota``-th contract held, or
+    the whole ground when fewer are held: x is desirable exactly when fewer
+    than ``quota`` held contracts rank above it.
 
     Path independent by theorem, so an ``Instance`` skips the scan for an
     agent of exactly a ranked family: x ∈ C(A) exactly when fewer than
@@ -175,14 +177,15 @@ class _Ranked(ChoiceFunction):
     priority: tuple[int, ...]
 
     def _set_ground(self, what: str) -> None:
-        g = mask_of(self.priority)
-        size = len(self.priority)
+        priority, g = contract_ids(self.priority)
+        size = len(priority)
         if g.bit_count() != size:
             raise DomainError(f"{what} repeats a contract id")
+        object.__setattr__(self, "priority", priority)
         object.__setattr__(self, "ground", g)
         # the priority packed as int64 and the run record of its shape,
         # which a large side's layout joins
-        packed = struct.pack(f"{size}q", *self.priority)
+        packed = struct.pack(f"{size}q", *priority)
         object.__setattr__(self, "_layout", (packed, _run(size, min(self.quota, size))))
 
     def _choose(self, menu: Mask) -> Mask:
@@ -229,9 +232,9 @@ class LinearOrder(_Ranked):
     quota: ClassVar[int] = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "priority", self.order)
         self._set_ground("linear order")
+        object.__setattr__(self, "order", self.priority)
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,6 @@ class Quota(_Ranked):
     ground: Mask = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "priority", tuple(self.priority))
         if not isinstance(self.quota, int) or isinstance(self.quota, bool):
             raise DomainError(f"quota must be an integer, got {self.quota!r}")
         if self.quota < 1:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .choice import LinearOrder
 from .contractsets import Mask, check_subset, ids_of
 from .errors import DomainError, InternalInconsistencyError, PreconditionError
-from .instance import Instance, contracts_of
+from .instance import Instance
 from .stability import keeps_slices, multi_blocking
 
 
@@ -58,7 +58,7 @@ def is_matching(inst: Instance, s: Mask) -> bool:
     """At most one contract per agent."""
     check_subset(s, inst.ground)
     for agent in inst.agents:
-        if (s & contracts_of(inst, agent.id)).bit_count() > 1:
+        if (s & inst.choices[agent.id].ground).bit_count() > 1:
             return False
     return True
 
@@ -135,6 +135,6 @@ def is_quasi_stable(inst: Instance, matching: Mask) -> bool:
     if not is_matching(inst, matching):
         raise DomainError(f"{ids_of(matching)} is not a matching")
     return keeps_slices(inst, matching) and not any(
-        matching & contracts_of(inst, contract.worker)
+        matching & inst.choices[contract.worker].ground
         for contract in multi_blocking(inst, matching)
     )

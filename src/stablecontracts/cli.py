@@ -166,7 +166,7 @@ def _cmd_solve(args) -> int:
             result = ag_solve(problem, start)
             prefix = "B"
         else:
-            result = yang_solve(problem, 0 if start is None else start)
+            result = yang_solve(problem, start)
             prefix = "Q"
         system, steps = result.system, result.steps
         if args.trace:

@@ -3,8 +3,9 @@ layout of power sets.
 
 Every set-valued quantity in this package is a plain ``int`` whose bit ``i``
 says whether contract ``i`` is a member.  Set algebra is exact and cheap:
-union is ``|``, intersection ``&``, difference ``a & ~b``, and the power set
-of a ground mask is enumerable without allocation.
+union is ``|``, intersection ``&``, difference ``a & ~b``, and A ⊆ B is
+``a & ~b == 0``.  A contract id is a Python int: ``contract_ids`` reads a
+numpy integer as one and refuses any other kind of id.
 
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
@@ -21,7 +22,8 @@ one-contract step (A, A ∪ {x}) between them.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator
+import numbers
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,14 +35,30 @@ Mask = int
 POWER_SET_CAP = 20
 
 
-def mask_of(ids: Iterable[int]) -> Mask:
-    """Build a mask from contract ids."""
+def contract_ids(ids: Iterable[int]) -> tuple[tuple[int, ...], Mask]:
+    """The contract ids as Python ints, in their order, and their mask.
+
+    An id is a non-negative integer: a Python int, or a numpy integer read
+    as one, so that no id wraps in fixed-width arithmetic.  A bool, a
+    float, a str or a negative id raises DomainError.
+    """
+    out = []
     m = 0
     for i in ids:
+        if type(i) is not int:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise DomainError(f"contract ids must be integers, got {i!r}")
+            i = int(i)
         if i < 0:
             raise DomainError(f"contract ids must be non-negative, got {i}")
+        out.append(i)
         m |= 1 << i
-    return m
+    return tuple(out), m
+
+
+def mask_of(ids: Iterable[int]) -> Mask:
+    """Build a mask from contract ids, read as ``contract_ids`` reads them."""
+    return contract_ids(ids)[1]
 
 
 def ids_of(mask: Mask) -> list[int]:
@@ -61,27 +79,12 @@ def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 
 
-def is_subset(a: Mask, b: Mask) -> bool:
-    """a ⊆ b."""
-    return a & ~b == 0
-
-
 def check_subset(s: Mask, ground: Mask) -> None:
     """Raise DomainError unless s ⊆ ground."""
     if s & ~ground:
         raise DomainError(
             f"contract set {ids_of(s)} is not a subset of the ground set"
         )
-
-
-def submasks(ground: Mask) -> Iterator[Mask]:
-    """All subsets of ``ground``, in ascending integer order."""
-    s = 0
-    while True:
-        yield s
-        if s == ground:
-            return
-        s = (s - ground) & ground
 
 
 def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:

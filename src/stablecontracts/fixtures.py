@@ -90,55 +90,3 @@ def poset_table_instance() -> Instance:
     }
     return Instance(agents, contracts, choices)
 
-
-def bad_table_documents() -> dict[str, dict]:
-    """Instance documents whose table payloads violate exactly the axioms
-    their name says.  They must fail to load, with a minimal witness."""
-
-    def doc(workers: int, entries: list[dict]) -> dict:
-        agents = [{"id": "f1", "side": "firm"}]
-        contracts = []
-        choices: dict = {"f1": {"family": "table", "payload": entries}}
-        for j in range(workers):
-            w = f"w{j + 1}"
-            agents.append({"id": w, "side": "worker"})
-            contracts.append({"id": f"x{j + 1}", "firm": "f1", "worker": w})
-            choices[w] = {"family": "linear", "payload": [f"x{j + 1}"]}
-        return {"agents": agents, "contracts": contracts, "choices": choices}
-
-    breaks_consistency = doc(
-        3,
-        [
-            {"menu": [], "choice": []},
-            {"menu": ["x1"], "choice": ["x1"]},
-            {"menu": ["x2"], "choice": ["x2"]},
-            {"menu": ["x3"], "choice": ["x3"]},
-            {"menu": ["x1", "x2"], "choice": ["x1", "x2"]},
-            {"menu": ["x1", "x3"], "choice": ["x1"]},
-            {"menu": ["x2", "x3"], "choice": ["x2"]},
-            {"menu": ["x1", "x2", "x3"], "choice": ["x1"]},
-        ],
-    )
-    breaks_substitutability = doc(
-        2,
-        [
-            {"menu": [], "choice": []},
-            {"menu": ["x1"], "choice": []},
-            {"menu": ["x2"], "choice": []},
-            {"menu": ["x1", "x2"], "choice": ["x1", "x2"]},
-        ],
-    )
-    breaks_both = doc(
-        2,
-        [
-            {"menu": [], "choice": []},
-            {"menu": ["x1"], "choice": []},
-            {"menu": ["x2"], "choice": ["x2"]},
-            {"menu": ["x1", "x2"], "choice": ["x1"]},
-        ],
-    )
-    return {
-        "consistency": breaks_consistency,
-        "substitutability": breaks_substitutability,
-        "both": breaks_both,
-    }

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .choice import RANKED, Aggregate, ChoiceFunction, Table, dense_table, validate_plott
-from .contractsets import Mask, check_subset, full_mask, ids_of
+from .contractsets import Mask, full_mask, ids_of
 from .errors import (
     CapExceededError,
     ChoiceValidationError,
@@ -101,12 +101,13 @@ class Instance:
                     )
                 adjacency[end] |= bit
             by_label[c.label] = c
-        object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_firms", tuple(sides[firm]))
         object.__setattr__(self, "_workers", tuple(sides[worker]))
-        _validate_choices(self)
+        # the adjacency masks only check the choice functions' grounds,
+        # which then stand for E(v)
+        _validate_choices(self, adjacency)
         # each side's choice functions in declaration order, which
         # reduce_to_two_agents aggregates
         choices = self.choices
@@ -143,7 +144,7 @@ class Instance:
         return [self.contracts[i].label for i in ids_of(mask)]
 
 
-def _validate_choices(inst: Instance) -> None:
+def _validate_choices(inst: Instance, adjacency: Mapping[str, Mask]) -> None:
     """Check that each agent has one choice function over exactly its
     adjacent contracts, of exactly one of the three document families, and
     that it is path independent: a linear order or quota by theorem, a
@@ -161,7 +162,7 @@ def _validate_choices(inst: Instance) -> None:
         raise DomainError(f"no choice function for agent(s) {missing}")
     for a in inst.agents:
         try:
-            _validate_agent(a.id, inst.choices[a.id], inst._adjacency[a.id])
+            _validate_agent(a.id, inst.choices[a.id], adjacency[a.id])
         except DomainError as exc:
             # agents are checked in order, so every one before it passed
             exc.agent_id = a.id
@@ -231,23 +232,18 @@ class TwoAgentProblem:
 
 
 def contracts_of(inst: Instance, agent_id: str) -> Mask:
-    """E(v): the contracts naming this agent."""
+    """E(v): the contracts naming this agent, stored once as the ground of
+    its choice function, which the instance checked against them."""
     inst.agent(agent_id)
-    return inst._adjacency[agent_id]
-
-
-def restrict(s: Mask, agent_id: str, inst: Instance) -> Mask:
-    """S(v) = S ∩ E(v)."""
-    check_subset(s, inst.ground)
-    return s & contracts_of(inst, agent_id)
+    return inst.choices[agent_id].ground
 
 
 def reduce_to_two_agents(inst: Instance) -> TwoAgentProblem:
     """Collapse each side into one aggregate choice function.
 
     The aggregate firm choice evaluates each firm on its slice of the menu
-    and joins the results; likewise for workers.  Because adjacency masks
-    partition the ground on each side, both aggregates inherit the
+    and joins the results; likewise for workers.  Because the agents'
+    grounds partition the ground on each side, both aggregates inherit the
     rationality axioms from their parts.  Each side is built afresh from
     the instance's choice functions of that side, kept in declaration
     order; nothing of the result is kept on the instance.

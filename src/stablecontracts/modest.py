@@ -44,15 +44,15 @@ def yang_step(problem: TwoAgentProblem, q: Mask) -> Mask:
     )
 
 
-def yang_solve(problem: TwoAgentProblem, start: Mask = 0) -> SolveResult:
+def yang_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResult:
     """Iterate the ascent step until the firm-desirability set stabilizes.
 
-    The default start is the empty set, which is always modest.  Each step
+    No start (None) means the empty set, which is always modest.  Each step
     shrinks (weakly) D_F of the iterate; once D_F(Q') = D_F(Q) the next
     iterate would repeat, and that iterate is a stable system.  Stability
     of the output is re-verified defensively.
     """
-    q = start
+    q = 0 if start is None else start
     check_subset(q, problem.ground)
     d = desirable_set(problem.firm, q)
     # the modesty check's W(D_F(Q)) is the first step's

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .contractsets import Mask, check_subset
 from .desirability import desirable_set
-from .instance import Contract, Instance, TwoAgentProblem, contracts_of
+from .instance import Contract, Instance, TwoAgentProblem
 
 
 def is_acceptable(problem: TwoAgentProblem, s: Mask) -> bool:
@@ -64,8 +64,9 @@ def is_stable_multi(inst: Instance, s: Mask) -> bool:
 def keeps_slices(inst: Instance, s: Mask) -> bool:
     """Every agent keeps its own slice S ∩ E(v) whole."""
     for agent in inst.agents:
-        slice_ = s & contracts_of(inst, agent.id)
-        if inst.choices[agent.id].evaluate(slice_) != slice_:
+        cf = inst.choices[agent.id]
+        slice_ = s & cf.ground
+        if cf.evaluate(slice_) != slice_:
             return False
     return True
 
@@ -77,11 +78,11 @@ def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
     while rest:
         low = rest & -rest
         contract = inst.contracts[low.bit_length() - 1]
-        firm_slice = s & contracts_of(inst, contract.firm)
-        worker_slice = s & contracts_of(inst, contract.worker)
+        firm = inst.choices[contract.firm]
+        worker = inst.choices[contract.worker]
         if (
-            inst.choices[contract.firm].evaluate(firm_slice | low) & low
-            and inst.choices[contract.worker].evaluate(worker_slice | low) & low
+            firm.evaluate(s & firm.ground | low) & low
+            and worker.evaluate(s & worker.ground | low) & low
         ):
             yield contract
         rest ^= low

@@ -1,15 +1,10 @@
 import random
+from typing import Iterator
 
 import pytest
 
 from stablecontracts import reduce_to_two_agents
-from stablecontracts.contractsets import (
-    canonical_sorted,
-    ids_of,
-    local_table,
-    mask_of,
-    submasks,
-)
+from stablecontracts.contractsets import canonical_sorted, ids_of, local_table, mask_of
 from stablecontracts.choice import ChoiceFunction, Quota, Table, law_steps
 from stablecontracts.fixtures import (
     marriage_2x2,
@@ -23,6 +18,69 @@ from stablecontracts.oracle import random_instance
 def m(*ids: int) -> int:
     """Shorthand: mask of the given contract ids."""
     return mask_of(ids)
+
+
+def submasks(ground: int) -> Iterator[int]:
+    """All subsets of ``ground``, in ascending integer order."""
+    s = 0
+    while True:
+        yield s
+        if s == ground:
+            return
+        s = (s - ground) & ground
+
+
+def bad_table_documents() -> dict[str, dict]:
+    """Instance documents whose table payloads violate exactly the axioms
+    their name says.  They must fail to load, with a minimal witness."""
+
+    def doc(workers: int, entries: list[dict]) -> dict:
+        agents = [{"id": "f1", "side": "firm"}]
+        contracts = []
+        choices: dict = {"f1": {"family": "table", "payload": entries}}
+        for j in range(workers):
+            w = f"w{j + 1}"
+            agents.append({"id": w, "side": "worker"})
+            contracts.append({"id": f"x{j + 1}", "firm": "f1", "worker": w})
+            choices[w] = {"family": "linear", "payload": [f"x{j + 1}"]}
+        return {"agents": agents, "contracts": contracts, "choices": choices}
+
+    breaks_consistency = doc(
+        3,
+        [
+            {"menu": [], "choice": []},
+            {"menu": ["x1"], "choice": ["x1"]},
+            {"menu": ["x2"], "choice": ["x2"]},
+            {"menu": ["x3"], "choice": ["x3"]},
+            {"menu": ["x1", "x2"], "choice": ["x1", "x2"]},
+            {"menu": ["x1", "x3"], "choice": ["x1"]},
+            {"menu": ["x2", "x3"], "choice": ["x2"]},
+            {"menu": ["x1", "x2", "x3"], "choice": ["x1"]},
+        ],
+    )
+    breaks_substitutability = doc(
+        2,
+        [
+            {"menu": [], "choice": []},
+            {"menu": ["x1"], "choice": []},
+            {"menu": ["x2"], "choice": []},
+            {"menu": ["x1", "x2"], "choice": ["x1", "x2"]},
+        ],
+    )
+    breaks_both = doc(
+        2,
+        [
+            {"menu": [], "choice": []},
+            {"menu": ["x1"], "choice": []},
+            {"menu": ["x2"], "choice": ["x2"]},
+            {"menu": ["x1", "x2"], "choice": ["x1"]},
+        ],
+    )
+    return {
+        "consistency": breaks_consistency,
+        "substitutability": breaks_substitutability,
+        "both": breaks_both,
+    }
 
 
 def as_table(cf) -> Table:

@@ -11,15 +11,15 @@ import time
 
 import pytest
 
-from conftest import classical_corpus
+from conftest import bad_table_documents, classical_corpus, submasks
 from stablecontracts import cli
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
 from stablecontracts.choice import validate_plott
 from stablecontracts.classical import gale_shapley, sotomayor_insert_solve
-from stablecontracts.contractsets import mask_of, submasks
+from stablecontracts.contractsets import mask_of
 from stablecontracts.errors import ParseError
 from stablecontracts.fileformat import instance_from_document
-from stablecontracts.fixtures import bad_table_documents, marriage_2x2
+from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import reduce_to_two_agents
 from stablecontracts.modest import yang_solve
 from stablecontracts.oracle import brute_force_stable, random_corpus

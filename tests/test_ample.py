@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import m, swapped, unsettled_problem
+from conftest import m, submasks, swapped, unsettled_problem
 from stablecontracts.ample import (
     ag_solve,
     ag_step,
@@ -14,7 +14,7 @@ from stablecontracts.ample import (
 from stablecontracts import ample, choice
 from stablecontracts.choice import LinearOrder, Quota
 from stablecontracts.classical import gale_shapley
-from stablecontracts.contractsets import ids_of, submasks
+from stablecontracts.contractsets import ids_of
 from stablecontracts.desirability import desirable_set
 from stablecontracts.errors import (
     CapExceededError,

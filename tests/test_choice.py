@@ -16,6 +16,7 @@ from conftest import (
     naive_desirable,
     naive_local_table,
     rule_verdicts,
+    submasks,
 )
 from stablecontracts import choice
 from stablecontracts.choice import (
@@ -34,7 +35,6 @@ from stablecontracts.contractsets import (
     expand,
     ids_of,
     mask_of,
-    submasks,
 )
 from stablecontracts.classical import gale_shapley, sotomayor_insert_solve
 from stablecontracts.errors import (
@@ -89,6 +89,35 @@ class TestQuota:
         # the parser's rule: an int that is not a bool
         with pytest.raises(DomainError, match=r"^quota must be an integer, got "):
             Quota(quota, (0, 1))
+
+
+RANKED_MAKERS = pytest.mark.parametrize(
+    "make", [LinearOrder, lambda ids: Quota(2, ids)], ids=["linear", "quota"]
+)
+
+
+@RANKED_MAKERS
+def test_numpy_ids_past_62_choose_as_python_ints(make):
+    # an int64 id shifted past bit 63 would wrap, or read as a repeat
+    best_first = range(69, -1, -1)
+    cf = make(tuple(np.arange(70)[::-1]))
+    assert cf == make(tuple(best_first))
+    assert cf.ground == mask_of(range(70))
+    assert all(type(e) is int for e in cf.priority)
+    menu = m(0, 3, 64, 69)
+    for answer in (cf.ground, cf.evaluate(menu), cf.desirable(menu)):
+        assert type(answer) is int
+    assert cf.evaluate(menu) == _top(best_first, menu, cf.quota)
+    small = make(tuple(np.arange(3)))
+    assert type(small.ground) is int and type(small.evaluate(m(0, 2))) is int
+
+
+@RANKED_MAKERS
+@pytest.mark.parametrize("bad", [1.5, "a", True, np.bool_(False)],
+                         ids=["float", "str", "bool", "numpy bool"])
+def test_non_integer_ids_rejected(make, bad):
+    with pytest.raises(DomainError, match="contract ids must be integers"):
+        make((0, bad))
 
 
 def _top(priority, menu, quota):

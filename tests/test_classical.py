@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import classical_corpus, m
+from conftest import classical_corpus, m, submasks
 from stablecontracts.ample import ag_solve
 from stablecontracts.classical import (
     gale_shapley,
@@ -195,8 +195,6 @@ class TestQuasiStable:
         assert not is_stable_multi(i3, 0)
 
     def test_quasi_stable_supersets_of_stable_on_corpus(self):
-        from stablecontracts.contractsets import submasks
-
         for inst in random_corpus(20, master_seed=127, max_contracts=8, families=("linear",)):
             for s in submasks(inst.ground):
                 if is_matching(inst, s) and is_stable_multi(inst, s):

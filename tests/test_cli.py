@@ -8,13 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_table
+from conftest import as_table, bad_table_documents
 from stablecontracts import choice, cli, instance
 from stablecontracts.choice import Table
 from stablecontracts.contractsets import ids_of
 from stablecontracts.fileformat import document_from_instance, instance_from_document
 from stablecontracts.fixtures import (
-    bad_table_documents,
     marriage_2x2,
     poset_table_instance,
     two_parallel_contracts,

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_table, m, naive_desirable, naive_operator_witnesses, rule_verdicts
+from conftest import (
+    as_table,
+    m,
+    naive_desirable,
+    naive_operator_witnesses,
+    rule_verdicts,
+    submasks,
+)
 from stablecontracts import choice, desirability, fixtures
 from stablecontracts.choice import (
     Aggregate,
@@ -13,7 +20,7 @@ from stablecontracts.choice import (
     check_laws,
     validate_plott,
 )
-from stablecontracts.contractsets import mask_of, submasks
+from stablecontracts.contractsets import mask_of
 from stablecontracts.desirability import (
     DesirabilityOperator,
     choice_from_desirability,

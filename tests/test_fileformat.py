@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m
+from conftest import bad_table_documents, m
 from stablecontracts import cli
 from stablecontracts.choice import Aggregate, LinearOrder
 from stablecontracts.errors import DomainError, ParseError
@@ -21,7 +21,6 @@ from stablecontracts.fileformat import (
     parse_instance,
     parse_set,
 )
-from stablecontracts.fixtures import bad_table_documents
 from stablecontracts.instance import Agent, Contract, Instance, Side
 from stablecontracts.oracle import random_corpus
 

@@ -1,9 +1,8 @@
 import pytest
 
-from conftest import m
+from conftest import m, submasks
 from stablecontracts import instance
 from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table, validate_plott
-from stablecontracts.contractsets import submasks
 from stablecontracts.errors import (
     ChoiceValidationError,
     DanglingReferenceError,
@@ -19,7 +18,6 @@ from stablecontracts.instance import (
     TwoAgentProblem,
     contracts_of,
     reduce_to_two_agents,
-    restrict,
 )
 from stablecontracts.oracle import random_corpus
 
@@ -56,16 +54,22 @@ class TestAdjacency:
         with pytest.raises(DomainError, match="unknown agent"):
             contracts_of(i3, "nobody")
 
+    def test_matches_the_definition(self, i1, i3, poset):
+        # E(v) is the ids of the contracts that name v
+        for inst in [i1, i3, poset] + random_corpus(30, master_seed=8):
+            for a in inst.agents:
+                named = [c.id for c in inst.contracts if a.id in (c.firm, c.worker)]
+                assert contracts_of(inst, a.id) == m(*named)
 
-class TestRestrict:
-    def test_examples(self, i3):
-        assert restrict(m(0, 3), "f1", i3) == m(0)
-        assert restrict(0, "f2", i3) == 0
-        assert restrict(i3.ground, "w2", i3) == m(1, 3)
-
-    def test_set_outside_ground(self, i3):
-        with pytest.raises(DomainError):
-            restrict(m(9), "f1", i3)
+    def test_stored_once_as_the_choice_ground(self):
+        # one firm and one worker joined by 300 parallel contracts: masks
+        # far past the small ints CPython shares
+        agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
+        contracts = tuple(Contract(i, f"x{i}", "f1", "w1") for i in range(300))
+        ids = tuple(range(300))
+        inst = Instance(agents, contracts, {"f1": LinearOrder(ids), "w1": Quota(5, ids[::-1])})
+        for a in inst.agents:
+            assert contracts_of(inst, a.id) is inst.choices[a.id].ground
 
 
 class TestReduce:

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import m, naive_desirable
+from conftest import m, naive_desirable, submasks
 from stablecontracts import lemmas
 from stablecontracts.choice import ChoiceFunction, LinearOrder, Table
-from stablecontracts.contractsets import canonical_sorted, ids_of, submasks
+from stablecontracts.contractsets import canonical_sorted, ids_of
 from stablecontracts.errors import CapExceededError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.lemmas import LAWS, run_lemma_suite

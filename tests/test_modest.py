@@ -3,10 +3,10 @@ import warnings
 
 import pytest
 
-from conftest import m, unsettled_problem
+from conftest import m, submasks, unsettled_problem
 from stablecontracts.ample import ag_solve, is_ample
 from stablecontracts import modest
-from stablecontracts.contractsets import ids_of, submasks
+from stablecontracts.contractsets import ids_of
 from stablecontracts.desirability import desirable_set
 from stablecontracts.errors import InternalInconsistencyError, PreconditionError
 from stablecontracts.instance import reduce_to_two_agents
@@ -57,6 +57,11 @@ class TestYangSolve:
 
     def test_two_contracts_default(self, p1):
         assert yang_solve(p1).system == m(1)
+
+    def test_none_start_is_the_default(self, p1, p3):
+        # None means the empty set, as it means the whole ground to ag_solve
+        for problem in (p1, p3):
+            assert yang_solve(problem, None) == yang_solve(problem)
 
     def test_stable_start_is_fixpoint(self, p1):
         result = yang_solve(p1, m(0))

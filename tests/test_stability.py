@@ -1,8 +1,7 @@
 import pytest
 
-from conftest import m
+from conftest import m, submasks
 from stablecontracts.classical import is_matching
-from stablecontracts.contractsets import submasks
 from stablecontracts.errors import DomainError
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.choice import Aggregate, ChoiceFunction, LinearOrder, Quota
