@@ -41,7 +41,7 @@ class SolveResult:
 
 def is_ample(problem: TwoAgentProblem, b: Mask) -> bool:
     """D_F(W(B)) ⊆ B."""
-    check_subset(b, problem.ground)
+    b = check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
     return desirable_set(problem.firm, wb) & ~b == 0
 
@@ -52,7 +52,7 @@ def ag_step(problem: TwoAgentProblem, b: Mask) -> Mask:
     B' = (B \\ W(B)) ∪ F(W(B)).  Always a subset of B; maps ample sets to
     ample sets.
     """
-    check_subset(b, problem.ground)
+    b = check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
     return (b & ~wb) | problem.firm.evaluate(wb)
 
@@ -70,7 +70,7 @@ def ag_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResult
     for the first step, and the last step's W(B) is the system.
     """
     b = problem.ground if start is None else start
-    check_subset(b, problem.ground)
+    b = check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
     if desirable_set(problem.firm, wb) & ~b:
         raise PreconditionError(

@@ -73,6 +73,7 @@ import numpy as np
 
 from .contractsets import (
     Mask,
+    as_mask,
     canonical_order,
     check_power_set,
     compress,
@@ -124,7 +125,10 @@ class ChoiceFunction(abc.ABC):
     ground: Mask
 
     def evaluate(self, menu: Mask) -> Mask:
-        """C(menu).  The menu must lie inside the ground set."""
+        """C(menu).  The menu must lie inside the ground set; it is read as
+        ``contractsets.as_mask`` reads it."""
+        if type(menu) is not int:
+            menu = as_mask(menu)
         if menu | self.ground != self.ground:
             raise DomainError(
                 f"menu {ids_of(menu)} is not a subset of the ground set "
@@ -309,12 +313,15 @@ class Table(_PowerSetMap, ChoiceFunction):
 
     def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
         """Tabulate ``mapping``, menu to choice in contract ids, over
-        ``ground``."""
+        ``ground``; every mask is read as ``contractsets.as_mask`` reads
+        it."""
+        ground = as_mask(ground)
         bits = ids_of(ground)
-        rows = {
-            compress(a, bits): OUTSIDE if c & ~a else compress(c, bits)
-            for a, c in mapping.items() if not a & ~ground
-        }
+        rows = {}
+        for a, c in mapping.items():
+            a, c = as_mask(a), as_mask(c)
+            if not a & ~ground:
+                rows[compress(a, bits)] = OUTSIDE if c & ~a else compress(c, bits)
         self._fill(bits, list(rows), list(rows.values()))
         if len(rows) != len(mapping):
             raise DomainError("table lists menus outside the ground set")

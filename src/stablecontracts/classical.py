@@ -26,7 +26,7 @@ Both require every agent's choice function to be a strict linear order
 from __future__ import annotations
 
 from .choice import LinearOrder
-from .contractsets import Mask, check_subset, ids_of
+from .contractsets import Mask, as_mask, check_subset, ids_of
 from .errors import DomainError, InternalInconsistencyError, PreconditionError
 from .instance import Instance
 from .stability import keeps_slices, multi_blocking
@@ -56,7 +56,7 @@ def _desired(inst: Instance, held: Mask, e: int) -> bool:
 
 def is_matching(inst: Instance, s: Mask) -> bool:
     """At most one contract per agent."""
-    check_subset(s, inst.ground)
+    s = check_subset(s, inst.ground)
     for agent in inst.agents:
         if (s & inst.choices[agent.id].ground).bit_count() > 1:
             return False
@@ -132,6 +132,7 @@ def is_quasi_stable(inst: Instance, matching: Mask) -> bool:
     Stable matchings are quasi-stable; the converse fails as soon as an
     employed worker takes part in a block.
     """
+    matching = as_mask(matching)
     if not is_matching(inst, matching):
         raise DomainError(f"{ids_of(matching)} is not a matching")
     return keeps_slices(inst, matching) and not any(

@@ -4,8 +4,9 @@ layout of power sets.
 Every set-valued quantity in this package is a plain ``int`` whose bit ``i``
 says whether contract ``i`` is a member.  Set algebra is exact and cheap:
 union is ``|``, intersection ``&``, difference ``a & ~b``, and A ⊆ B is
-``a & ~b == 0``.  A contract id is a Python int: ``contract_ids`` reads a
-numpy integer as one and refuses any other kind of id.
+``a & ~b == 0``.  A contract id and a mask are Python ints: ``contract_ids``
+reads ids and ``as_mask`` reads a mask, each taking a numpy integer as an
+int and refusing any other kind of value.
 
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
@@ -61,10 +62,25 @@ def mask_of(ids: Iterable[int]) -> Mask:
     return contract_ids(ids)[1]
 
 
-def ids_of(mask: Mask) -> list[int]:
-    """Member ids of a mask, ascending.  A negative int is no mask."""
+def as_mask(mask) -> Mask:
+    """The mask as a Python int.
+
+    A mask is a non-negative integer: a Python int, or a numpy integer read
+    as one, so that set algebra never wraps in fixed-width arithmetic.  A
+    bool, a float, a str or a negative mask raises DomainError.
+    """
+    if type(mask) is not int:
+        if isinstance(mask, bool) or not isinstance(mask, numbers.Integral):
+            raise DomainError(f"contract sets are integer masks, got {mask!r}")
+        mask = int(mask)
     if mask < 0:
         raise DomainError(f"contract sets are non-negative masks, got {mask}")
+    return mask
+
+
+def ids_of(mask: Mask) -> list[int]:
+    """Member ids of a mask, ascending, read as ``as_mask`` reads it."""
+    mask = as_mask(mask)
     out = []
     m = mask
     while m:
@@ -79,12 +95,17 @@ def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 
 
-def check_subset(s: Mask, ground: Mask) -> None:
-    """Raise DomainError unless s ⊆ ground."""
+def check_subset(s: Mask, ground: Mask) -> Mask:
+    """The mask ``s``, read as ``as_mask`` reads it; raise DomainError
+    unless s ⊆ ground."""
+    if type(s) is not int:
+        s = as_mask(s)
+    # a negative int is never a subset, and ids_of refuses it
     if s & ~ground:
         raise DomainError(
             f"contract set {ids_of(s)} is not a subset of the ground set"
         )
+    return s
 
 
 def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:

@@ -66,7 +66,7 @@ def desirable_set(cf: ChoiceFunction, state: Mask) -> Mask:
     Always a superset of C(state); membership of x in the state itself is
     handled uniformly since state ∪ {x} = state then.
     """
-    check_subset(state, cf.ground)
+    state = check_subset(state, cf.ground)
     return cf.desirable(state)
 
 
@@ -109,7 +109,7 @@ class DesirabilityOperator(_PowerSetMap):
         return op
 
     def map(self, state: Mask) -> Mask:
-        check_subset(state, self.ground)
+        state = check_subset(state, self.ground)
         return self._lookup(state)
 
     @functools.cached_property

@@ -129,6 +129,9 @@ def parse_components(
             raise ParseError("malformed", f"document lacks the {key!r} section")
 
     agents = []
+    # each agent id as its declaration's string, which every contract and
+    # choice naming the agent then shares
+    own_id: dict[str, str] = {}
     if not isinstance(doc["agents"], list):
         raise ParseError("malformed", "'agents' must be a list")
     for raw in doc["agents"]:
@@ -144,7 +147,7 @@ def parse_components(
                 "malformed",
                 f"agent {agent_id!r} has side {raw['side']!r}, expected 'firm' or 'worker'",
             ) from None
-        agents.append(Agent(agent_id, side))
+        agents.append(Agent(own_id.setdefault(agent_id, agent_id), side))
 
     contracts = []
     if not isinstance(doc["contracts"], list):
@@ -161,13 +164,15 @@ def parse_components(
                 "malformed",
                 f"contract {label!r} must name its firm and worker by agent id",
             )
-        contracts.append(Contract(len(contracts), label, firm, worker))
+        contracts.append(Contract(
+            len(contracts), label, own_id.get(firm, firm), own_id.get(worker, worker)
+        ))
 
     if not isinstance(doc["choices"], dict):
         raise ParseError("malformed", "'choices' must be an object keyed by agent id")
     index_by_label = {c.label: c.id for c in contracts}
     choices = {
-        agent_id: _parse_choice(agent_id, raw, index_by_label)
+        own_id.get(agent_id, agent_id): _parse_choice(agent_id, raw, index_by_label)
         for agent_id, raw in doc["choices"].items()
     }
     return agents, contracts, choices

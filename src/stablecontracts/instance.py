@@ -9,11 +9,15 @@ along for file round trips and display.
 Validation is mandatory and happens at construction; Instance is the only
 place that checks this structure, unique ids and labels included (a name
 pointing at nothing raises DanglingReferenceError, any other fault
-DomainError).  Algorithms downstream assume every per-agent choice
-function is path independent.  Each agent is exactly a linear order or
-quota, path independent by theorem, or a table, which must pass the
-exhaustive axiom check (capped at 12 contracts); any other type,
-subclasses included, is refused.
+DomainError).  Agent ids and contract labels are non-empty strings,
+endpoints strings and contract ids exactly ``int``.  ``Agent`` and
+``Contract`` are slotted records.  E(v) is checked one agent at a time:
+each agent's mask is built only to compare it with the ground of its
+choice function, which then stands for it.  Algorithms downstream assume
+every per-agent choice function is path independent.  Each agent is
+exactly a linear order or quota, path independent by theorem, or a table,
+which must pass the exhaustive axiom check (capped at 12 contracts); any
+other type, subclasses included, is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .choice import RANKED, Aggregate, ChoiceFunction, Table, dense_table, validate_plott
-from .contractsets import Mask, full_mask, ids_of
+from .contractsets import Mask, full_mask, ids_of, mask_of
 from .errors import (
     CapExceededError,
     ChoiceValidationError,
@@ -41,13 +45,13 @@ class Side(str, enum.Enum):
     WORKER = "worker"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Agent:
     id: str
     side: Side
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contract:
     """An edge between one firm and one worker.
 
@@ -75,39 +79,51 @@ class Instance:
         by_id: dict[str, Agent] = {}
         sides: dict[Side, list[str]] = {firm: [], worker: []}
         for a in self.agents:
+            if not isinstance(a.id, str) or not a.id:
+                raise DomainError(f"agent id must be a non-empty string, got {a.id!r}")
             if a.id in by_id:
                 raise DomainError(f"duplicate agent id {a.id!r}")
             if not isinstance(a.side, Side):
                 raise DomainError(f"agent {a.id!r} has no declared side")
             by_id[a.id] = a
             sides[a.side].append(a.id)
-        adjacency: dict[str, Mask] = dict.fromkeys(by_id, 0)
+        # E(v) as the ids of its contracts, ascending; the masks are built
+        # one agent at a time to check the grounds
+        incident: dict[str, list[int]] = {a: [] for a in by_id}
         by_label: dict[str, Contract] = {}
         for pos, c in enumerate(self.contracts):
-            if c.id != pos:
+            if type(c.id) is not int or c.id != pos:
                 raise DomainError(
                     f"contract ids must be dense declaration indices; "
-                    f"contract at position {pos} has id {c.id}"
+                    f"contract at position {pos} has id {c.id!r}"
+                )
+            if not isinstance(c.label, str) or not c.label:
+                raise DomainError(
+                    f"contract label must be a non-empty string, got {c.label!r}"
                 )
             if c.label in by_label:
                 raise DomainError(f"duplicate contract label {c.label!r}")
-            bit = 1 << pos
             for end, side in ((c.firm, firm), (c.worker, worker)):
+                if not isinstance(end, str):
+                    raise DomainError(
+                        f"contract {c.label!r} must name its {side.value} by agent id, "
+                        f"got {end!r}"
+                    )
                 agent = by_id.get(end)
                 if agent is None or agent.side is not side:
                     raise DanglingReferenceError(
                         f"contract {c.label!r} names {end!r}, "
                         f"which is not a declared {side.value}"
                     )
-                adjacency[end] |= bit
+                incident[end].append(c.id)
             by_label[c.label] = c
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_firms", tuple(sides[firm]))
         object.__setattr__(self, "_workers", tuple(sides[worker]))
-        # the adjacency masks only check the choice functions' grounds,
-        # which then stand for E(v)
-        _validate_choices(self, adjacency)
+        # the choice functions' grounds, checked against E(v), then stand
+        # for it
+        _validate_choices(self, incident)
         # each side's choice functions in declaration order, which
         # reduce_to_two_agents aggregates
         choices = self.choices
@@ -144,14 +160,16 @@ class Instance:
         return [self.contracts[i].label for i in ids_of(mask)]
 
 
-def _validate_choices(inst: Instance, adjacency: Mapping[str, Mask]) -> None:
+def _validate_choices(inst: Instance, incident: Mapping[str, list[int]]) -> None:
     """Check that each agent has one choice function over exactly its
-    adjacent contracts, of exactly one of the three document families, and
-    that it is path independent: a linear order or quota by theorem, a
-    table by the exhaustive ``validate_plott`` scan.
+    adjacent contracts, listed ascending in ``incident``, of exactly one of
+    the three document families, and that it is path independent: a linear
+    order or quota by theorem, a table by the exhaustive ``validate_plott``
+    scan.
 
-    Agents are checked one at a time in declaration order; a fault in one
-    agent's check carries that agent's ``agent_id``."""
+    Agents are checked one at a time in declaration order, each against
+    the mask of its own contracts, built for that check alone; a fault in
+    one agent's check carries that agent's ``agent_id``."""
     for agent_id in inst.choices:
         if agent_id not in inst._by_id:
             raise DanglingReferenceError(
@@ -162,19 +180,18 @@ def _validate_choices(inst: Instance, adjacency: Mapping[str, Mask]) -> None:
         raise DomainError(f"no choice function for agent(s) {missing}")
     for a in inst.agents:
         try:
-            _validate_agent(a.id, inst.choices[a.id], adjacency[a.id])
+            _validate_agent(a.id, inst.choices[a.id], incident[a.id])
         except DomainError as exc:
             # agents are checked in order, so every one before it passed
             exc.agent_id = a.id
             raise
 
 
-def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: Mask) -> None:
-    if cf.ground != adjacent:
+def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: list[int]) -> None:
+    if cf.ground != mask_of(adjacent):
         raise DomainError(
             f"choice function of agent {agent_id!r} is declared over "
-            f"{ids_of(cf.ground)} but its adjacent contracts are "
-            f"{ids_of(adjacent)}"
+            f"{ids_of(cf.ground)} but its adjacent contracts are {adjacent}"
         )
     if type(cf) in RANKED:
         return

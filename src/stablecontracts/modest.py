@@ -31,7 +31,7 @@ from .stability import is_stable
 
 def is_modest(problem: TwoAgentProblem, q: Mask) -> bool:
     """Q ⊆ W(D_F(Q))."""
-    check_subset(q, problem.ground)
+    q = check_subset(q, problem.ground)
     return q & ~problem.worker.evaluate(desirable_set(problem.firm, q)) == 0
 
 
@@ -53,7 +53,7 @@ def yang_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResu
     of the output is re-verified defensively.
     """
     q = 0 if start is None else start
-    check_subset(q, problem.ground)
+    q = check_subset(q, problem.ground)
     d = desirable_set(problem.firm, q)
     # the modesty check's W(D_F(Q)) is the first step's
     w = problem.worker.evaluate(d)
@@ -86,6 +86,7 @@ def yang_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResu
 
 def modest_from_stable(problem: TwoAgentProblem, s: Mask) -> Mask:
     """A stable system is itself modest (with equality in the definition)."""
+    s = check_subset(s, problem.ground)
     if not is_stable(problem, s):
         raise PreconditionError(f"{ids_of(s)} is not a stable system")
     if not is_modest(problem, s):

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .contractsets import Mask, check_subset
+from .contractsets import Mask, as_mask, check_subset
 from .desirability import desirable_set
 from .instance import Contract, Instance, TwoAgentProblem
 
 
 def is_acceptable(problem: TwoAgentProblem, s: Mask) -> bool:
     """Both sides keep S whole: F(S) = S and W(S) = S."""
-    check_subset(s, problem.ground)
+    s = check_subset(s, problem.ground)
     return problem.firm.evaluate(s) == s and problem.worker.evaluate(s) == s
 
 
@@ -28,7 +28,7 @@ def blocking_contracts(problem: TwoAgentProblem, s: Mask) -> Mask:
     Returns the full blocking set (D_F(S) ∩ D_W(S)) \\ S rather than a bare
     flag, so callers can report which contracts break a candidate system.
     """
-    check_subset(s, problem.ground)
+    s = check_subset(s, problem.ground)
     out = 0
     rest = problem.ground & ~s
     while rest:
@@ -44,20 +44,20 @@ def blocking_contracts(problem: TwoAgentProblem, s: Mask) -> Mask:
 
 def is_stable(problem: TwoAgentProblem, s: Mask) -> bool:
     """Fixed-point form: S = D_F(S) ∩ D_W(S)."""
-    check_subset(s, problem.ground)
+    s = check_subset(s, problem.ground)
     return s == desirable_set(problem.firm, s) & desirable_set(problem.worker, s)
 
 
 def is_stable_prop1(problem: TwoAgentProblem, s: Mask) -> bool:
     """Asymmetric form: S = W(D_F(S))."""
-    check_subset(s, problem.ground)
+    s = check_subset(s, problem.ground)
     return s == problem.worker.evaluate(desirable_set(problem.firm, s))
 
 
 def is_stable_multi(inst: Instance, s: Mask) -> bool:
     """Multi-agent definition: per-agent acceptability plus no blocking
     contract accepted by both of its endpoints."""
-    check_subset(s, inst.ground)
+    s = check_subset(s, inst.ground)
     return keeps_slices(inst, s) and next(multi_blocking(inst, s), None) is None
 
 
@@ -74,6 +74,7 @@ def keeps_slices(inst: Instance, s: Mask) -> bool:
 def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
     """Outside contracts that both endpoints would accept on top of their
     slices of S, lazily and by ascending id."""
+    s = as_mask(s)
     rest = inst.ground & ~s
     while rest:
         low = rest & -rest

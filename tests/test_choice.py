@@ -70,6 +70,20 @@ class TestLinearOrder:
         with pytest.raises(DomainError):
             LinearOrder((0, 1)).evaluate(-1)
 
+    @pytest.mark.parametrize("cf", [LinearOrder((0, 1)), Quota(2, (1, 0)),
+                                    Table(m(0, 1), {0: 0, 1: 1, 2: 2, 3: 1})],
+                             ids=["linear", "quota", "table"])
+    def test_numpy_menu_chooses_a_python_int(self, cf):
+        for menu in range(4):
+            out = cf.evaluate(np.int64(menu))
+            assert type(out) is int and out == cf.evaluate(menu)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", np.bool_(True)],
+                             ids=["float", "bool", "str", "numpy bool"])
+    def test_non_integer_menu_rejected(self, bad):
+        with pytest.raises(DomainError, match="contract sets are integer masks"):
+            LinearOrder((0, 1)).evaluate(bad)
+
 
 class TestQuota:
     def test_small_menu_kept_whole(self):
@@ -200,6 +214,23 @@ class TestTable:
     def test_extra_menus_rejected(self):
         with pytest.raises(DomainError):
             Table(m(0), {0: 0, m(0): m(0), m(1): 0})
+
+    def test_numpy_masks_are_read_as_ints(self):
+        want = Table(3, {0: 0, 1: 1, 2: 2, 3: 1})
+        assert Table(np.int64(3), {0: 0, 1: 1, 2: 2, 3: 1}) == want
+        numpy_rows = {np.int64(a): np.uint8(c) for a, c in {0: 0, 1: 1, 2: 2, 3: 1}.items()}
+        assert Table(3, numpy_rows) == want
+        assert type(want.ground) is int
+
+    @pytest.mark.parametrize("ground, rows", [
+        (3.0, {0: 0, 1: 1, 2: 2, 3: 1}),
+        (True, {0: 0, 1: 1}),
+        (1, {0: 0, 1: 1.0}),
+        (1, {0: 0, -1: 1}),
+    ], ids=["float ground", "bool ground", "float choice", "negative menu"])
+    def test_non_masks_rejected(self, ground, rows):
+        with pytest.raises(DomainError, match="contract sets are"):
+            Table(ground, rows)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import submasks
 from stablecontracts.contractsets import (
+    as_mask,
     canonical_key,
     canonical_sorted,
     check_subset,
@@ -56,6 +57,38 @@ def test_negative_mask_rejected():
         ids_of(-1)
     with pytest.raises(DomainError):
         check_subset(-1, 0b111)
+
+
+@pytest.mark.parametrize("mask", [np.int64(5), np.uint8(5), np.uint64(5), 5],
+                         ids=["int64", "uint8", "uint64", "int"])
+def test_numpy_masks_are_read_as_python_ints(mask):
+    assert type(as_mask(mask)) is int and as_mask(mask) == 5
+    assert ids_of(mask) == [0, 2]
+    # check_subset hands its callers the int it read
+    out = check_subset(mask, 0b111)
+    assert type(out) is int and out == 5
+    with pytest.raises(DomainError, match="not a subset"):
+        check_subset(mask, 0b11)
+
+
+def test_negative_numpy_mask_rejected():
+    for read in (as_mask, ids_of, lambda x: check_subset(x, 0b111)):
+        with pytest.raises(DomainError, match="non-negative"):
+            read(np.int64(-4))
+
+
+def test_a_wide_numpy_mask_is_exact():
+    assert as_mask(np.uint64(1 << 63)) == 1 << 63
+    assert ids_of(np.uint64(1 << 63)) == [63]
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), 1.0, 5.5, "5", None],
+                         ids=["True", "False", "numpy bool", "whole float",
+                              "float", "str", "None"])
+def test_non_integer_masks_rejected(bad):
+    for read in (as_mask, ids_of, lambda x: check_subset(x, 0b111)):
+        with pytest.raises(DomainError, match="contract sets are integer masks"):
+            read(bad)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=40)))

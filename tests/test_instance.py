@@ -1,3 +1,11 @@
+import copy
+import dataclasses
+import gc
+import json
+import pickle
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from conftest import m, submasks
@@ -9,7 +17,11 @@ from stablecontracts.errors import (
     DomainError,
     ParseError,
 )
-from stablecontracts.fileformat import document_from_instance, instance_from_document
+from stablecontracts.fileformat import (
+    document_from_instance,
+    instance_from_document,
+    parse_instance,
+)
 from stablecontracts.instance import (
     Agent,
     Contract,
@@ -19,7 +31,7 @@ from stablecontracts.instance import (
     contracts_of,
     reduce_to_two_agents,
 )
-from stablecontracts.oracle import random_corpus
+from stablecontracts.oracle import random_corpus, random_instance
 
 
 def _with_isolated_worker() -> Instance:
@@ -70,6 +82,75 @@ class TestAdjacency:
         inst = Instance(agents, contracts, {"f1": LinearOrder(ids), "w1": Quota(5, ids[::-1])})
         for a in inst.agents:
             assert contracts_of(inst, a.id) is inst.choices[a.id].ground
+
+
+class TestRecords:
+    """``Agent`` and ``Contract`` are slotted frozen records, and an
+    instance stores each agent id once."""
+
+    RECORDS = [
+        (Agent("f1", Side.FIRM), "Agent(id='f1', side=<Side.FIRM: 'firm'>)", "f2"),
+        (Contract(0, "e1", "f1", "w1"),
+         "Contract(id=0, label='e1', firm='f1', worker='w1')", 1),
+    ]
+
+    @pytest.mark.parametrize("record, text, other", RECORDS, ids=["agent", "contract"])
+    def test_no_per_record_dict(self, record, text, other):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.id = other
+
+    @pytest.mark.parametrize("record, text, other", RECORDS, ids=["agent", "contract"])
+    def test_value_semantics_are_kept(self, record, text, other):
+        twin = type(record)(*dataclasses.astuple(record))
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert repr(record) == text
+        for back in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert back == record and type(back) is type(record)
+        changed = dataclasses.replace(record, id=other)
+        assert changed != record and changed.id == other and record.id != other
+
+    def test_field_names_and_order(self):
+        assert [f.name for f in dataclasses.fields(Agent)] == ["id", "side"]
+        assert [f.name for f in dataclasses.fields(Contract)] == [
+            "id", "label", "firm", "worker"]
+
+    @staticmethod
+    def _assert_ids_shared(inst):
+        for c in inst.contracts:
+            assert c.firm is inst.agent(c.firm).id
+            assert c.worker is inst.agent(c.worker).id
+        by_id = {a.id: a.id for a in inst.agents}
+        assert all(key is by_id[key] for key in inst.choices)
+
+    def test_a_decoded_document_shares_each_agent_id(self, tmp_path):
+        # JSON decoding makes every string value its own object
+        text = json.dumps(document_from_instance(random_instance(3, 6, 5, density=0.8)))
+        self._assert_ids_shared(instance_from_document(json.loads(text)))
+        path = tmp_path / "market.json"
+        path.write_text(text)
+        self._assert_ids_shared(parse_instance(str(path)))
+
+    def test_the_build_peak_is_near_what_it_keeps(self):
+        # a market of 4,973 contracts and 1,000 agents: building it keeps
+        # its lookups, and the masks that check E(v) are made one agent at
+        # a time, so the build's peak stays near what it keeps (about 2.1
+        # times; 4.0 when every agent's mask was built at once)
+        inst = random_instance(7, 500, 500, density=0.02)
+        assert inst.size > 4000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            again = Instance(inst.agents, inst.contracts, inst.choices)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == inst
+        assert peak < 3 * kept
 
 
 class TestReduce:
@@ -203,6 +284,28 @@ class TestInstanceValidation:
         with pytest.raises(DanglingReferenceError) as err:
             Instance(agents, (Contract(0, "e1", firm, worker),), choices)
         assert err.value.code == "dangling-reference"
+
+    @pytest.mark.parametrize("agents, contracts, message", [
+        ((Agent(["f1"], Side.FIRM),), (), "agent id must be a non-empty string"),
+        ((Agent(1, Side.FIRM),), (), "agent id must be a non-empty string, got 1"),
+        ((Agent("", Side.FIRM),), (), "agent id must be a non-empty string"),
+        (None, (Contract(0, ["e1"], "f1", "w1"),), "contract label must be a non-empty"),
+        (None, (Contract(0, "", "f1", "w1"),), "contract label must be a non-empty"),
+        (None, (Contract(0, 1, "f1", "w1"),), "contract label must be a non-empty"),
+        (None, (Contract(0, "e1", ["f1"], "w1"),), "must name its firm by agent id"),
+        (None, (Contract(0, "e1", "f1", ("w1",)),), "must name its worker by agent id"),
+        (None, (Contract(False, "e1", "f1", "w1"),), "position 0 has id False"),
+        (None, (Contract(np.int64(0), "e1", "f1", "w1"),), "position 0 has id"),
+        (None, (Contract(0.0, "e1", "f1", "w1"),), "position 0 has id 0.0"),
+    ], ids=["list id", "int id", "empty id", "list label", "empty label",
+            "int label", "list firm", "tuple worker", "bool contract id",
+            "numpy contract id", "float contract id"])
+    def test_malformed_record_fields(self, agents, contracts, message):
+        agents = agents or (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
+        choices = {"f1": LinearOrder((0,)), "w1": LinearOrder((0,))}
+        with pytest.raises(DomainError, match=message) as err:
+            Instance(agents, contracts, choices)
+        assert type(err.value) is DomainError
 
     def test_error_codes(self):
         assert DomainError("x").code == "malformed"

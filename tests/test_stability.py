@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from conftest import m, submasks
 from stablecontracts.classical import is_matching
 from stablecontracts.errors import DomainError
+from stablecontracts.fileformat import format_set
+from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.choice import Aggregate, ChoiceFunction, LinearOrder, Quota
 from stablecontracts.oracle import brute_force_stable, random_corpus
@@ -124,3 +127,36 @@ def test_independent_checks_never_use_desirability(monkeypatch, i3, poset):
         for s in submasks(problem.ground):
             blocking_contracts(problem, s)
             list(multi_blocking(inst, s))
+
+
+class TestNumpyMasks:
+    """A numpy integer is read as a Python int at every entry, and each
+    answer is a Python int or bool."""
+
+    def test_two_agent_forms(self):
+        problem = reduce_to_two_agents(marriage_2x2())
+        for s in (np.int64(6), np.uint16(0), np.int64(9)):
+            for check in (is_acceptable, is_stable, is_stable_prop1):
+                assert type(check(problem, s)) is bool
+                assert check(problem, s) == check(problem, int(s))
+            out = blocking_contracts(problem, s)
+            assert type(out) is int and out == blocking_contracts(problem, int(s))
+        assert blocking_contracts(problem, np.int64(0)) == 15
+
+    def test_multi_agent_form_and_printing(self):
+        inst = marriage_2x2()
+        assert is_stable_multi(inst, np.int64(6)) is True
+        assert is_stable_multi(inst, np.int64(1)) is False
+        assert format_set(inst, np.int64(6)) == "{e12, e21}"
+        assert list(multi_blocking(inst, np.int64(1))) == list(multi_blocking(inst, 1))
+
+    @pytest.mark.parametrize("bad", [True, 6.0, "6"], ids=["bool", "float", "str"])
+    def test_non_integer_systems_rejected(self, bad):
+        inst = marriage_2x2()
+        problem = reduce_to_two_agents(inst)
+        for check in (lambda s: is_stable(problem, s),
+                      lambda s: blocking_contracts(problem, s),
+                      lambda s: is_stable_multi(inst, s),
+                      lambda s: format_set(inst, s)):
+            with pytest.raises(DomainError, match="contract sets are integer masks"):
+                check(bad)
