@@ -67,7 +67,7 @@ import functools
 import itertools
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -180,17 +180,20 @@ class _Ranked(ChoiceFunction):
     quota: int
     priority: tuple[int, ...]
 
-    def _set_ground(self, what: str) -> None:
-        priority, g = contract_ids(self.priority)
+    def _set_ground(self, ids, what: str) -> tuple[int, ...]:
+        """Set the ground and the layout from the priority ``ids``; return
+        the priority as ``contract_ids`` reads it, which the family stores."""
+        priority, g = contract_ids(ids)
         size = len(priority)
         if g.bit_count() != size:
             raise DomainError(f"{what} repeats a contract id")
-        object.__setattr__(self, "priority", priority)
+        quota = self.quota
+        pack, run = _shape(size, quota if quota < size else size)
         object.__setattr__(self, "ground", g)
         # the priority packed as int64 and the run record of its shape,
         # which a large side's layout joins
-        packed = struct.pack(f"{size}q", *priority)
-        object.__setattr__(self, "_layout", (packed, _run(size, min(self.quota, size))))
+        object.__setattr__(self, "_layout", (pack(*priority), run))
+        return priority
 
     def _choose(self, menu: Mask) -> Mask:
         if menu.bit_count() <= self.quota:
@@ -236,9 +239,10 @@ class LinearOrder(_Ranked):
     quota: ClassVar[int] = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "priority", self.order)
-        self._set_ground("linear order")
-        object.__setattr__(self, "order", self.priority)
+        priority = self._set_ground(self.order, "linear order")
+        object.__setattr__(self, "priority", priority)
+        if priority is not self.order:
+            object.__setattr__(self, "order", priority)
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,9 @@ class Quota(_Ranked):
             raise DomainError(f"quota must be an integer, got {self.quota!r}")
         if self.quota < 1:
             raise DomainError(f"quota must be at least 1, got {self.quota}")
-        self._set_ground("quota priority")
+        priority = self._set_ground(self.priority, "quota priority")
+        if priority is not self.priority:
+            object.__setattr__(self, "priority", priority)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -370,6 +376,14 @@ class Table(_PowerSetMap, ChoiceFunction):
 
 # The ranked families, by exact type: a subclass may choose otherwise
 RANKED = (LinearOrder, Quota)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape(size: int, quota: int) -> tuple[Callable[..., bytes], bytes]:
+    """What a ranked part of this shape keeps in its layout: the packer of
+    its ``size`` ids as int64, and its run record (``_run``); built once
+    per shape in a process."""
+    return struct.Struct(f"{size}q").pack, _run(size, quota)
 
 
 @functools.lru_cache(maxsize=None)

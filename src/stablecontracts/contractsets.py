@@ -41,8 +41,21 @@ def contract_ids(ids: Iterable[int]) -> tuple[tuple[int, ...], Mask]:
 
     An id is a non-negative integer: a Python int, or a numpy integer read
     as one, so that no id wraps in fixed-width arithmetic.  A bool, a
-    float, a str or a negative id raises DomainError.
+    float, a str or a negative id raises DomainError.  A tuple of Python
+    ints comes back as it is.
     """
+    if type(ids) is tuple:
+        m = 0
+        try:
+            for i in ids:
+                if type(i) is not int:
+                    break
+                m |= 1 << i
+            else:
+                return ids, m
+        except ValueError:
+            # a negative id, named below
+            pass
     out = []
     m = 0
     for i in ids:

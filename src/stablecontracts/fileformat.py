@@ -24,6 +24,12 @@ the axioms are checked by Instance.  Failures raise ParseError with a
 distinct code (io, malformed, unknown-family, dangling-reference,
 axiom-violation).
 
+A well-formed agent, contract or linear/quota choice is decoded in one
+pass (``parse_components``), and the ``Agent`` and ``Contract`` records
+are filled column by column (``_records``).  A record that pass refuses
+is read again by the full checks of its kind, which name its first fault,
+so every fault is reported as a field-by-field reading reports it.
+
 A table payload is decoded in bulk into ``Table``'s array (see
 ``_parse_table``).  Its faults are reported as a label-by-label reading
 reports them: row faults in document order, then the first menu, in
@@ -46,7 +52,11 @@ owns the document.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import functools
 import gc
+import itertools
 import json
 from typing import Any
 
@@ -121,6 +131,11 @@ def parse_components(
     Decoding only, with labels resolved to dense ids (an unknown label is a
     ``dangling-reference``): duplicate ids, endpoint sides and which agents
     have choice functions are left to Instance, as are the axioms.
+
+    A well-formed agent, contract or linear/quota choice is read in one
+    pass.  Any other record is read by the record's full checks
+    (``_read_agent``, ``_read_contract``, ``_read_choice``), which name
+    its first fault or, for a record only the fast pass refuses, read it.
     """
     if not isinstance(doc, dict):
         raise ParseError("malformed", "document root must be an object")
@@ -128,54 +143,102 @@ def parse_components(
         if key not in doc:
             raise ParseError("malformed", f"document lacks the {key!r} section")
 
-    agents = []
     # each agent id as its declaration's string, which every contract and
     # choice naming the agent then shares
     own_id: dict[str, str] = {}
     if not isinstance(doc["agents"], list):
         raise ParseError("malformed", "'agents' must be a list")
+    agent_ids, sides = [], []
     for raw in doc["agents"]:
-        if not isinstance(raw, dict) or "id" not in raw or "side" not in raw:
-            raise ParseError("malformed", f"bad agent entry: {raw!r}")
-        agent_id = raw["id"]
-        if not isinstance(agent_id, str) or not agent_id:
-            raise ParseError("malformed", f"agent id must be a non-empty string: {raw!r}")
         try:
-            side = Side(raw["side"])
-        except ValueError:
-            raise ParseError(
-                "malformed",
-                f"agent {agent_id!r} has side {raw['side']!r}, expected 'firm' or 'worker'",
-            ) from None
-        agents.append(Agent(own_id.setdefault(agent_id, agent_id), side))
+            agent_id, side = raw["id"], _SIDES[raw["side"]]
+        except (KeyError, TypeError):
+            agent_id = None
+        if type(raw) is not dict or type(agent_id) is not str or not agent_id:
+            agent_id, side = _read_agent(raw)
+        agent_ids.append(own_id.setdefault(agent_id, agent_id))
+        sides.append(side)
+    agents = _records(Agent, agent_ids, sides)
 
-    contracts = []
     if not isinstance(doc["contracts"], list):
         raise ParseError("malformed", "'contracts' must be a list")
+    labels, firms, workers = [], [], []
     for raw in doc["contracts"]:
-        if not isinstance(raw, dict) or not {"id", "firm", "worker"} <= set(raw):
-            raise ParseError("malformed", f"bad contract entry: {raw!r}")
-        label = raw["id"]
-        if not isinstance(label, str) or not label:
-            raise ParseError("malformed", f"contract id must be a non-empty string: {raw!r}")
-        firm, worker = raw["firm"], raw["worker"]
-        if not isinstance(firm, str) or not isinstance(worker, str):
-            raise ParseError(
-                "malformed",
-                f"contract {label!r} must name its firm and worker by agent id",
-            )
-        contracts.append(Contract(
-            len(contracts), label, own_id.get(firm, firm), own_id.get(worker, worker)
-        ))
+        try:
+            label, firm, worker = raw["id"], own_id[raw["firm"]], own_id[raw["worker"]]
+        except (KeyError, TypeError):
+            label = None
+        if type(raw) is not dict or type(label) is not str or not label:
+            label, firm, worker = _read_contract(raw, own_id)
+        labels.append(label)
+        firms.append(firm)
+        workers.append(worker)
+    # one int object per contract id, which every payload then shares
+    ids = list(range(len(labels)))
+    contracts = _records(Contract, ids, labels, firms, workers)
+    index_by_label = dict(zip(labels, ids))
 
     if not isinstance(doc["choices"], dict):
         raise ParseError("malformed", "'choices' must be an object keyed by agent id")
-    index_by_label = {c.label: c.id for c in contracts}
     choices = {
         own_id.get(agent_id, agent_id): _parse_choice(agent_id, raw, index_by_label)
         for agent_id, raw in doc["choices"].items()
     }
     return agents, contracts, choices
+
+
+# the two sides by their document names
+_SIDES = {side.value: side for side in Side}
+
+
+def _records(cls, *columns) -> list:
+    """``[cls(*values) for values in zip(*columns)]`` for the frozen
+    slotted record ``cls``, made in C-level passes: the records are
+    allocated, then each field's column is stored into its slots through
+    the field's member descriptor, where the generated ``__init__`` calls
+    ``object.__setattr__`` once per field of every record."""
+    records = list(map(object.__new__, itertools.repeat(cls, len(columns[0]))))
+    for set_field, column in zip(_setters(cls), columns, strict=True):
+        collections.deque(map(set_field, records, column), maxlen=0)
+    return records
+
+
+@functools.cache
+def _setters(cls) -> tuple:
+    """The setters of a slotted record's member descriptors, in field
+    order."""
+    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
+
+
+def _read_agent(raw: Any) -> tuple[str, Side]:
+    if not isinstance(raw, dict) or "id" not in raw or "side" not in raw:
+        raise ParseError("malformed", f"bad agent entry: {raw!r}")
+    agent_id = raw["id"]
+    if not isinstance(agent_id, str) or not agent_id:
+        raise ParseError("malformed", f"agent id must be a non-empty string: {raw!r}")
+    try:
+        side = Side(raw["side"])
+    except ValueError:
+        raise ParseError(
+            "malformed",
+            f"agent {agent_id!r} has side {raw['side']!r}, expected 'firm' or 'worker'",
+        ) from None
+    return agent_id, side
+
+
+def _read_contract(raw: Any, own_id: dict[str, str]) -> tuple[str, str, str]:
+    if not isinstance(raw, dict) or not {"id", "firm", "worker"} <= set(raw):
+        raise ParseError("malformed", f"bad contract entry: {raw!r}")
+    label = raw["id"]
+    if not isinstance(label, str) or not label:
+        raise ParseError("malformed", f"contract id must be a non-empty string: {raw!r}")
+    firm, worker = raw["firm"], raw["worker"]
+    if not isinstance(firm, str) or not isinstance(worker, str):
+        raise ParseError(
+            "malformed",
+            f"contract {label!r} must name its firm and worker by agent id",
+        )
+    return label, own_id.get(firm, firm), own_id.get(worker, worker)
 
 
 def _malformed(agent_id: str, fault: str) -> ParseError:
@@ -203,6 +266,29 @@ def _resolve_labels(
 
 
 def _parse_choice(
+    agent_id: str, raw: Any, index_by_label: dict[str, int]
+) -> ChoiceFunction:
+    # the ids go through a list so that each tuple is made at its size: a
+    # tuple built from an iterator starts at a guessed size and is resized,
+    # which fills the interpreter's free list of every other size
+    resolve = index_by_label.__getitem__
+    try:
+        if type(raw) is dict:
+            family, payload = raw["family"], raw["payload"]
+            if family == "linear" and type(payload) is list:
+                return LinearOrder(tuple(list(map(resolve, payload))))
+            if family == "quota" and type(payload) is dict:
+                q, priority = payload["q"], payload["priority"]
+                if type(q) is int and type(priority) is list:
+                    return Quota(q, tuple(list(map(resolve, priority))))
+    except (KeyError, TypeError):
+        pass
+    except DomainError as exc:
+        raise ParseError(exc.code, f"agent {agent_id!r}: {exc}") from exc
+    return _read_choice(agent_id, raw, index_by_label)
+
+
+def _read_choice(
     agent_id: str, raw: Any, index_by_label: dict[str, int]
 ) -> ChoiceFunction:
     if not isinstance(raw, dict) or "family" not in raw or "payload" not in raw:

@@ -11,9 +11,12 @@ place that checks this structure, unique ids and labels included (a name
 pointing at nothing raises DanglingReferenceError, any other fault
 DomainError).  Agent ids and contract labels are non-empty strings,
 endpoints strings and contract ids exactly ``int``.  ``Agent`` and
-``Contract`` are slotted records.  E(v) is checked one agent at a time:
-each agent's mask is built only to compare it with the ground of its
-choice function, which then stands for it.  Algorithms downstream assume
+``Contract`` are slotted records.  Each record is tested in one pass,
+and its full checks run only on a record that pass refuses, to name its
+first fault.  E(v) is collected as each agent's contract ids, ascending,
+and compared with the ids its choice function is declared over (a ranked
+agent's sorted priority, a table's ``bits``); the choice function's
+ground then stands for it.  Algorithms downstream assume
 every per-agent choice function is path independent.  Each agent is
 exactly a linear order or quota, path independent by theorem, or a table,
 which must pass the exhaustive axiom check (capped at 12 contracts); any
@@ -31,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .choice import RANKED, Aggregate, ChoiceFunction, Table, dense_table, validate_plott
-from .contractsets import Mask, full_mask, ids_of, mask_of
+from .contractsets import Mask, full_mask, ids_of
 from .errors import (
     CapExceededError,
     ChoiceValidationError,
@@ -77,53 +80,38 @@ class Instance:
         object.__setattr__(self, "choices", types.MappingProxyType(dict(self.choices)))
         firm, worker = Side.FIRM, Side.WORKER
         by_id: dict[str, Agent] = {}
-        sides: dict[Side, list[str]] = {firm: [], worker: []}
+        # E(v) of each side's agents as the ids of its contracts, ascending;
+        # the choice functions' grounds are checked against them
+        firm_of: dict[str, list[int]] = {}
+        worker_of: dict[str, list[int]] = {}
         for a in self.agents:
-            if not isinstance(a.id, str) or not a.id:
-                raise DomainError(f"agent id must be a non-empty string, got {a.id!r}")
-            if a.id in by_id:
-                raise DomainError(f"duplicate agent id {a.id!r}")
-            if not isinstance(a.side, Side):
-                raise DomainError(f"agent {a.id!r} has no declared side")
-            by_id[a.id] = a
-            sides[a.side].append(a.id)
-        # E(v) as the ids of its contracts, ascending; the masks are built
-        # one agent at a time to check the grounds
-        incident: dict[str, list[int]] = {a: [] for a in by_id}
+            agent_id, side = a.id, a.side
+            if type(agent_id) is not str or not agent_id or agent_id in by_id or (
+                side is not firm and side is not worker
+            ):
+                _check_agent(a, by_id)
+            by_id[agent_id] = a
+            (firm_of if side is firm else worker_of)[agent_id] = []
         by_label: dict[str, Contract] = {}
         for pos, c in enumerate(self.contracts):
-            if type(c.id) is not int or c.id != pos:
-                raise DomainError(
-                    f"contract ids must be dense declaration indices; "
-                    f"contract at position {pos} has id {c.id!r}"
-                )
-            if not isinstance(c.label, str) or not c.label:
-                raise DomainError(
-                    f"contract label must be a non-empty string, got {c.label!r}"
-                )
-            if c.label in by_label:
-                raise DomainError(f"duplicate contract label {c.label!r}")
-            for end, side in ((c.firm, firm), (c.worker, worker)):
-                if not isinstance(end, str):
-                    raise DomainError(
-                        f"contract {c.label!r} must name its {side.value} by agent id, "
-                        f"got {end!r}"
-                    )
-                agent = by_id.get(end)
-                if agent is None or agent.side is not side:
-                    raise DanglingReferenceError(
-                        f"contract {c.label!r} names {end!r}, "
-                        f"which is not a declared {side.value}"
-                    )
-                incident[end].append(c.id)
-            by_label[c.label] = c
+            # the lists hold the records' own id objects, not new ints
+            cid, label, f, w = c.id, c.label, c.firm, c.worker
+            if not (
+                type(cid) is int and cid == pos and type(label) is str and label
+                and label not in by_label and type(f) is str is type(w)
+                and f in firm_of and w in worker_of
+            ):
+                _check_contract(pos, c, by_id, by_label)
+            firm_of[f].append(cid)
+            worker_of[w].append(cid)
+            by_label[label] = c
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_firms", tuple(sides[firm]))
-        object.__setattr__(self, "_workers", tuple(sides[worker]))
+        object.__setattr__(self, "_firms", tuple(firm_of))
+        object.__setattr__(self, "_workers", tuple(worker_of))
         # the choice functions' grounds, checked against E(v), then stand
         # for it
-        _validate_choices(self, incident)
+        _validate_choices(self, firm_of, worker_of)
         # each side's choice functions in declaration order, which
         # reduce_to_two_agents aggregates
         choices = self.choices
@@ -160,38 +148,87 @@ class Instance:
         return [self.contracts[i].label for i in ids_of(mask)]
 
 
-def _validate_choices(inst: Instance, incident: Mapping[str, list[int]]) -> None:
+def _validate_choices(
+    inst: Instance, firm_of: Mapping[str, list[int]], worker_of: Mapping[str, list[int]]
+) -> None:
     """Check that each agent has one choice function over exactly its
-    adjacent contracts, listed ascending in ``incident``, of exactly one of
-    the three document families, and that it is path independent: a linear
-    order or quota by theorem, a table by the exhaustive ``validate_plott``
-    scan.
+    adjacent contracts, listed ascending in ``firm_of`` or ``worker_of`` by
+    its side, of exactly one of the three document families, and that it
+    is path independent: a linear order or quota by theorem, a table by the
+    exhaustive ``validate_plott`` scan.
 
-    Agents are checked one at a time in declaration order, each against
-    the mask of its own contracts, built for that check alone; a fault in
-    one agent's check carries that agent's ``agent_id``."""
-    for agent_id in inst.choices:
-        if agent_id not in inst._by_id:
+    Agents are checked one at a time in declaration order; a fault in one
+    agent's check carries that agent's ``agent_id``."""
+    by_id, choices, firm = inst._by_id, inst.choices, Side.FIRM
+    for agent_id in choices:
+        if agent_id not in by_id:
             raise DanglingReferenceError(
                 f"choice function declared for unknown agent {agent_id!r}"
             )
-    missing = [a.id for a in inst.agents if a.id not in inst.choices]
+    missing = [a.id for a in inst.agents if a.id not in choices]
     if missing:
         raise DomainError(f"no choice function for agent(s) {missing}")
     for a in inst.agents:
         try:
-            _validate_agent(a.id, inst.choices[a.id], incident[a.id])
+            adjacent = (firm_of if a.side is firm else worker_of)[a.id]
+            _validate_agent(a.id, choices[a.id], adjacent)
         except DomainError as exc:
             # agents are checked in order, so every one before it passed
             exc.agent_id = a.id
             raise
 
 
+def _check_agent(a: Agent, by_id: Mapping[str, Agent]) -> None:
+    """The checks of one agent record, which name its first fault."""
+    if not isinstance(a.id, str) or not a.id:
+        raise DomainError(f"agent id must be a non-empty string, got {a.id!r}")
+    if a.id in by_id:
+        raise DomainError(f"duplicate agent id {a.id!r}")
+    if not isinstance(a.side, Side):
+        raise DomainError(f"agent {a.id!r} has no declared side")
+
+
+def _check_contract(
+    pos: int, c: Contract, by_id: Mapping[str, Agent], by_label: Mapping[str, Contract]
+) -> None:
+    """The checks of the contract at ``pos``, which name its first fault."""
+    if type(c.id) is not int or c.id != pos:
+        raise DomainError(
+            f"contract ids must be dense declaration indices; "
+            f"contract at position {pos} has id {c.id!r}"
+        )
+    if not isinstance(c.label, str) or not c.label:
+        raise DomainError(
+            f"contract label must be a non-empty string, got {c.label!r}"
+        )
+    if c.label in by_label:
+        raise DomainError(f"duplicate contract label {c.label!r}")
+    for end, side in ((c.firm, Side.FIRM), (c.worker, Side.WORKER)):
+        if not isinstance(end, str):
+            raise DomainError(
+                f"contract {c.label!r} must name its {side.value} by agent id, "
+                f"got {end!r}"
+            )
+        agent = by_id.get(end)
+        if agent is None or agent.side is not side:
+            raise DanglingReferenceError(
+                f"contract {c.label!r} names {end!r}, "
+                f"which is not a declared {side.value}"
+            )
+
+
 def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: list[int]) -> None:
-    if cf.ground != mask_of(adjacent):
+    # the ids the choice function is declared over, ascending
+    if type(cf) in RANKED:
+        declared = sorted(cf.priority)
+    elif type(cf) is Table:
+        declared = list(cf.bits)
+    else:
+        declared = ids_of(cf.ground)
+    if declared != adjacent:
         raise DomainError(
             f"choice function of agent {agent_id!r} is declared over "
-            f"{ids_of(cf.ground)} but its adjacent contracts are {adjacent}"
+            f"{declared} but its adjacent contracts are {adjacent}"
         )
     if type(cf) in RANKED:
         return

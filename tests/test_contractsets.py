@@ -32,6 +32,20 @@ def test_mask_round_trip_examples():
 def test_negative_id_rejected():
     with pytest.raises(DomainError):
         mask_of([-1])
+    with pytest.raises(DomainError, match="non-negative, got -1"):
+        contract_ids((3, 1000, -1))
+
+
+def test_a_tuple_of_ints_is_kept_as_it_is():
+    ids = (513, 7, 1000, 64)
+    assert contract_ids(ids) == (ids, mask_of([7, 64, 513, 1000]))
+    assert contract_ids(ids)[0] is ids
+    # any other iterable, or a tuple holding a numpy integer, is read anew
+    assert contract_ids(iter(ids))[0] == ids
+    mixed = (513, np.int64(7))
+    read, mask = contract_ids(mixed)
+    assert read == (513, 7) and read is not mixed and type(read[1]) is int
+    assert mask == mask_of([7, 513])
 
 
 def test_numpy_ids_past_62_are_python_ints():

@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import m, submasks
+from conftest import as_table, m, submasks
 from stablecontracts import instance
 from stablecontracts.choice import Aggregate, LinearOrder, Quota, Table, validate_plott
+from stablecontracts.contractsets import mask_of
 from stablecontracts.errors import (
     ChoiceValidationError,
     DanglingReferenceError,
@@ -135,10 +136,35 @@ class TestRecords:
         path.write_text(text)
         self._assert_ids_shared(parse_instance(str(path)))
 
+    def test_a_decoded_payload_shares_each_contract_id(self):
+        # ids past the small ints CPython shares: each payload holds the
+        # contracts' own id objects, not one more int per id
+        agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
+        contracts = tuple(Contract(i, f"x{i}", "f1", "w1") for i in range(300))
+        ids = tuple(range(300))
+        doc = document_from_instance(Instance(
+            agents, contracts, {"f1": LinearOrder(ids), "w1": Quota(5, ids[::-1])}))
+        inst = instance_from_document(json.loads(json.dumps(doc)))
+        for cf in inst.choices.values():
+            assert all(i is inst.contracts[i].id for i in cf.priority)
+
+    def test_decoded_records_are_the_constructors_records(self):
+        inst = instance_from_document(json.loads(json.dumps(
+            document_from_instance(random_instance(4, 5, 5, density=0.8)))))
+        for record in (*inst.agents, *inst.contracts):
+            assert not hasattr(record, "__dict__")
+            twin = type(record)(*dataclasses.astuple(record))
+            assert type(record) in (Agent, Contract)
+            assert twin == record and hash(twin) == hash(record)
+            assert repr(twin) == repr(record)
+            assert pickle.loads(pickle.dumps(record)) == record
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.id = None
+
     def test_the_build_peak_is_near_what_it_keeps(self):
         # a market of 4,973 contracts and 1,000 agents: building it keeps
-        # its lookups, and the masks that check E(v) are made one agent at
-        # a time, so the build's peak stays near what it keeps (about 2.1
+        # its lookups, and E(v) is checked as lists of the contracts' own
+        # ids, so the build's peak stays near what it keeps (about 2.1
         # times; 4.0 when every agent's mask was built at once)
         inst = random_instance(7, 500, 500, density=0.02)
         assert inst.size > 4000
@@ -324,6 +350,104 @@ class TestInstanceValidation:
                 contracts,
                 {"f1": LinearOrder((0, 1)), "w1": LinearOrder((0, 1))},
             )
+
+
+class TestAdjacentIds:
+    """E(v) is compared as id lists: a ranked agent's sorted priority, or a
+    table's ``bits``, against its contract ids, here sparse and above 63
+    and above 1000."""
+
+    N = 1040
+    RANKED_IDS = [64, 70, 1000, 1039]
+    TABLE_IDS = [65, 999, 1001]
+
+    def _market(self, ranked, table) -> Instance:
+        """Firm ``r`` over RANKED_IDS, firm ``t`` over TABLE_IDS and firm
+        ``a`` over every other contract; worker ``w0`` holds the even
+        contracts and ``w1`` the odd ones."""
+        owner = {i: "r" for i in self.RANKED_IDS} | {i: "t" for i in self.TABLE_IDS}
+        contracts = tuple(
+            Contract(i, f"e{i}", owner.get(i, "a"), f"w{i % 2}") for i in range(self.N)
+        )
+        rest = [i for i in range(self.N) if i not in owner]
+        agents = tuple(Agent(a, Side.FIRM) for a in "art") + tuple(
+            Agent(w, Side.WORKER) for w in ("w0", "w1"))
+        return Instance(agents, contracts, {
+            "a": Quota(3, rest[::-1]), "r": ranked, "t": table,
+            "w0": LinearOrder(range(0, self.N, 2)), "w1": LinearOrder(range(1, self.N, 2)),
+        })
+
+    def _table(self, ids) -> Table:
+        return as_table(Quota(2, ids))
+
+    @pytest.mark.parametrize("ranked", [
+        LinearOrder((1039, 64, 1000, 70)),
+        Quota(2, (70, 1000, 64, 1039)),
+    ], ids=["linear", "quota"])
+    def test_a_permuted_priority_loads(self, ranked):
+        table = self._table([1001, 65, 999])
+        inst = self._market(ranked, table)
+        assert contracts_of(inst, "r") == mask_of(self.RANKED_IDS)
+        assert contracts_of(inst, "t") == mask_of(self.TABLE_IDS)
+        assert instance_from_document(document_from_instance(inst)) == inst
+
+    @staticmethod
+    def _message(agent_id, declared, adjacent) -> str:
+        return (f"choice function of agent {agent_id!r} is declared over "
+                f"{declared} but its adjacent contracts are {adjacent}")
+
+    FAULTS = {
+        "missing": ([64, 70, 1000], [65, 1001]),
+        "extra": ([64, 70, 1000, 1039, 1002], [65, 999, 1001, 1002]),
+        "foreign": ([64, 70, 998, 1039], [65, 998, 1001]),
+        "outside-the-market": ([64, 70, 1000, 1039, 1040], [65, 999, 1001, 1040]),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("family", ["linear", "quota", "table"])
+    def test_a_wrong_ground_names_both_id_lists(self, fault, family):
+        ranked_ids, table_ids = self.FAULTS[fault]
+        ranked, table = LinearOrder(self.RANKED_IDS), self._table(self.TABLE_IDS)
+        if family == "table":
+            table, agent_id, ids, adjacent = (
+                self._table(table_ids), "t", table_ids, self.TABLE_IDS)
+        else:
+            ranked = (LinearOrder(ranked_ids[::-1]) if family == "linear"
+                      else Quota(2, ranked_ids))
+            agent_id, ids, adjacent = "r", ranked_ids, self.RANKED_IDS
+        with pytest.raises(DomainError) as err:
+            self._market(ranked, table)
+        assert type(err.value) is DomainError
+        assert str(err.value) == self._message(agent_id, sorted(ids), adjacent)
+        assert err.value.agent_id == agent_id
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LinearOrder((64, 1000, 64)), "linear order repeats a contract id"),
+        (lambda: Quota(2, (1039, 70, 1039)), "quota priority repeats a contract id"),
+    ], ids=["linear", "quota"])
+    def test_a_repeated_id_fails_first_in_the_constructor(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
+        # in a document the repeat is named before any E(v) check
+        doc = document_from_instance(
+            self._market(LinearOrder(self.RANKED_IDS), self._table(self.TABLE_IDS)))
+        payload = [f"e{i}" for i in (64, 1000, 64)]
+        doc["choices"]["r"] = (
+            {"family": "linear", "payload": payload} if "linear" in message
+            else {"family": "quota", "payload": {"q": 2, "priority": payload}})
+        with pytest.raises(ParseError) as err:
+            instance_from_document(doc)
+        assert str(err.value) == f"agent 'r': {message}"
+
+    def test_a_decoded_wrong_ground_keeps_the_message(self):
+        doc = document_from_instance(
+            self._market(LinearOrder(self.RANKED_IDS), self._table(self.TABLE_IDS)))
+        doc["choices"]["r"]["payload"] = ["e1039", "e64", "e70", "e998"]
+        with pytest.raises(ParseError) as err:
+            instance_from_document(doc)
+        assert err.value.code == "malformed"
+        assert str(err.value) == self._message("r", [64, 70, 998, 1039], self.RANKED_IDS)
+        assert err.value.__cause__.agent_id == "r"
 
 
 def _one_firm(firm, w1=LinearOrder((0,))) -> Instance:

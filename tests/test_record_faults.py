@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import random
@@ -67,12 +68,14 @@ def apply(doc, path: list, op: str, value=None):
     return doc
 
 
+def _replace(out: list, path: list, *values) -> None:
+    out.extend((path, "replace", v) for v in values)
+
+
 def _edits(doc: dict, rng: random.Random) -> list[tuple[list, str, object]]:
     """The edits of one base document, as (path, op, value)."""
     out = []
-
-    def replace(path, *values):
-        out.extend((path, "replace", v) for v in values)
+    replace = functools.partial(_replace, out)
 
     agents, contracts, choices = doc["agents"], doc["contracts"], doc["choices"]
     ids = [a["id"] for a in agents]
@@ -131,47 +134,45 @@ def _edits(doc: dict, rng: random.Random) -> list[tuple[list, str, object]]:
 
 def _label_list_edits(out, path, names, labels, rng) -> None:
     """Edits of a payload list of contract labels."""
-    replace = lambda p, *vs: out.extend((p, "replace", v) for v in vs)  # noqa: E731
     foreign = [x for x in labels if x not in names]
-    replace(path, {}, "x", None, 7, [], list(reversed(names)), names + names[:1])
+    _replace(out, path, {}, "x", None, 7, [], list(reversed(names)), names + names[:1])
     if foreign:
-        replace(path, names + [rng.choice(foreign)])
+        _replace(out, path, names + [rng.choice(foreign)])
     j = rng.randrange(len(names))
     out.append((path + [j], "delete", None))
-    replace(path + [j], 3, None, ["x"], "", "zz")
+    _replace(out, path + [j], 3, None, ["x"], "", "zz")
     if len(names) > 1:
         k = rng.choice([x for x in range(len(names)) if x != j])
-        replace(path + [j], names[k])
+        _replace(out, path + [j], names[k])
     if foreign:
-        replace(path + [j], rng.choice(foreign))
+        _replace(out, path + [j], rng.choice(foreign))
 
 
 def _payload_edits(out, path, choice, labels, rng) -> None:
-    replace = lambda p, *vs: out.extend((p, "replace", v) for v in vs)  # noqa: E731
     family, payload = choice["family"], choice["payload"]
     if family == "linear":
         _label_list_edits(out, path, payload, labels, rng)
     elif family == "quota":
-        replace(path, [], "x", None, {"q": 1}, {"priority": payload["priority"]})
+        _replace(out, path, [], "x", None, {"q": 1}, {"priority": payload["priority"]})
         out.append((path + ["q"], "delete", None))
         out.append((path + ["priority"], "delete", None))
-        replace(path + ["q"], 0, -1, True, 1.5, "2", None, 100)
+        _replace(out, path + ["q"], 0, -1, True, 1.5, "2", None, 100)
         _label_list_edits(out, path + ["priority"], payload["priority"], labels, rng)
     else:
-        replace(path, {}, "x", None, [], payload[:-1], payload + payload[:1])
+        _replace(out, path, {}, "x", None, [], payload[:-1], payload + payload[:1])
         # choosing nothing from a singleton breaks the axioms wherever a
         # larger menu chooses that contract
         for r, row in enumerate(payload):
             if len(row["menu"]) == 1:
-                replace(path + [r, "choice"], [])
+                _replace(out, path + [r, "choice"], [])
         for r in rng.sample(range(len(payload)), 1):
             row = payload[r]
-            replace(path + [r], 7, [], {}, {"menu": row["menu"]})
+            _replace(out, path + [r], 7, [], {}, {"menu": row["menu"]})
             out.append((path + [r, "menu"], "delete", None))
             out.append((path + [r, "choice"], "delete", None))
-            replace(path + [r, "menu"], "x1", 7, [1], ["zz"], row["menu"] + row["menu"][:1],
+            _replace(out, path + [r, "menu"], "x1", 7, [1], ["zz"], row["menu"] + row["menu"][:1],
                     ["x1", ""], payload[(r + 1) % len(payload)]["menu"])
-            replace(path + [r, "choice"], 7, ["zz"], row["choice"] + row["choice"][:1],
+            _replace(out, path + [r, "choice"], 7, ["zz"], row["choice"] + row["choice"][:1],
                     [x for x in labels if x not in row["menu"]][:1], row["menu"], [])
 
 
