@@ -381,26 +381,21 @@ RANKED = (LinearOrder, Quota)
 @functools.lru_cache(maxsize=None)
 def _shape(size: int, quota: int) -> tuple[Callable[..., bytes], bytes]:
     """What a ranked part of this shape keeps in its layout: the packer of
-    its ``size`` ids as int64, and its run record (``_run``); built once
-    per shape in a process."""
-    return struct.Struct(f"{size}q").pack, _run(size, quota)
-
-
-@functools.lru_cache(maxsize=None)
-def _run(size: int, quota: int) -> bytes:
-    """A ranked part's run in a side's one-pass layout, by the part's shape
-    alone: for each of its ``size`` positions its rank in the part and the
-    part's ``quota``, which the caller caps at ``size``, as int64 pairs.
-    Built once per shape in a process and kept by every part of that
-    shape; the cap keeps one key per shape that gives a different run."""
-    return struct.pack(f"{2 * size}q", *itertools.chain(*((r, quota) for r in range(size))))
+    its ``size`` ids as int64, and its run record in a side's one-pass
+    layout: for each of its ``size`` positions its rank in the part and
+    the part's ``quota``, which the caller caps at ``size``, as int64
+    pairs.  Built once per shape in a process and kept by every part of
+    that shape; the cap keeps one key per shape that gives a different
+    run."""
+    run = struct.pack(f"{2 * size}q", *itertools.chain(*((r, quota) for r in range(size))))
+    return struct.Struct(f"{size}q").pack, run
 
 
 class _RankedParts:
     """Ranked parts (linear and quota agents) with disjoint grounds,
     answered in one numpy pass.  It is built from what the parts keep,
     their packed priorities and the run records of their shapes
-    (``_run``), which the side collects in its one pass, with a few
+    (``_shape``), which the side collects in its one pass, with a few
     C-level numpy calls and no loop over the parts: the priorities joined
     in (part, rank) order are ``pos``; the joined records give each
     position's run start ``start`` (its position less its rank) and its
@@ -458,7 +453,7 @@ class Aggregate(ChoiceFunction):
 
     Construction is one pass over the parts: it checks that their grounds
     are disjoint, splits the linear and quota parts from the rest, and
-    collects the packed priorities and run records (``_run``) the ranked
+    collects the packed priorities and run records (``_shape``) the ranked
     parts keep.  A side with at least ``_VECTOR_PARTS`` ranked parts joins
     those into one layout (``_passes``) and answers for all of them in one
     numpy pass (``_RankedParts``): their desirable set, and their choice

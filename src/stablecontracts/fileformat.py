@@ -133,9 +133,11 @@ def parse_components(
     have choice functions are left to Instance, as are the axioms.
 
     A well-formed agent, contract or linear/quota choice is read in one
-    pass.  Any other record is read by the record's full checks
-    (``_read_agent``, ``_read_contract``, ``_read_choice``), which name
-    its first fault or, for a record only the fast pass refuses, read it.
+    pass: the agent and contract passes are inline here, the choice pass
+    opens ``_read_choice``.  Any other record is read by the record's full
+    checks (``_read_agent``, ``_read_contract``, the rest of
+    ``_read_choice``), which name its first fault or, for a record only
+    the fast pass refuses, read it.
     """
     if not isinstance(doc, dict):
         raise ParseError("malformed", "document root must be an object")
@@ -181,7 +183,7 @@ def parse_components(
     if not isinstance(doc["choices"], dict):
         raise ParseError("malformed", "'choices' must be an object keyed by agent id")
     choices = {
-        own_id.get(agent_id, agent_id): _parse_choice(agent_id, raw, index_by_label)
+        own_id.get(agent_id, agent_id): _read_choice(agent_id, raw, index_by_label)
         for agent_id, raw in doc["choices"].items()
     }
     return agents, contracts, choices
@@ -265,9 +267,13 @@ def _resolve_labels(
         raise
 
 
-def _parse_choice(
+def _read_choice(
     agent_id: str, raw: Any, index_by_label: dict[str, int]
 ) -> ChoiceFunction:
+    """Decode a choice record.  A well-formed linear or quota record is
+    read in one pass; any other record is read by the full checks, which
+    name its first fault or, for a table or a record only the fast pass
+    refuses, read it."""
     # the ids go through a list so that each tuple is made at its size: a
     # tuple built from an iterator starts at a guessed size and is resized,
     # which fills the interpreter's free list of every other size
@@ -285,12 +291,6 @@ def _parse_choice(
         pass
     except DomainError as exc:
         raise ParseError(exc.code, f"agent {agent_id!r}: {exc}") from exc
-    return _read_choice(agent_id, raw, index_by_label)
-
-
-def _read_choice(
-    agent_id: str, raw: Any, index_by_label: dict[str, int]
-) -> ChoiceFunction:
     if not isinstance(raw, dict) or "family" not in raw or "payload" not in raw:
         raise ParseError(
             "malformed",

@@ -678,8 +678,11 @@ class TestGenerate:
     def test_round_trips_through_validate(self, capsys, tmp_path):
         path = _generate(capsys, tmp_path, "generated.json", "--seed", "3", "--firms", "2",
                          "--workers", "3", "--families", "linear,quota")
-        code, out2, _ = run(capsys, "validate", path)
+        code, out, _ = run(capsys, "validate", path)
         assert code == 0
+        # one `ok` line for each of the 5 agents, then the verdict
+        assert out.count(": ok") == 5
+        assert out.splitlines()[-1] == "valid"
 
     def test_complete_market_past_the_old_cap(self, capsys, tmp_path):
         # every agent has 13 contracts, one more than a table may have
@@ -691,6 +694,19 @@ class TestGenerate:
         code, out, _ = run(capsys, "solve", path)
         assert code == 0
         assert out.startswith("S = {")
+
+    def test_a_2025_contract_market_validates_and_solves(self, capsys, tmp_path):
+        # a complete 45x45 linear/quota market loads through the decoder's
+        # one pass per record, and its solution is stable
+        path = _generate(capsys, tmp_path, "big.json", "--seed", "3", "--firms", "45",
+                         "--workers", "45", "--families", "linear,quota")
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0
+        assert out.count(": ok") == 90
+        assert out.splitlines()[-1] == "valid"
+        code, out, err = run(capsys, "solve", path)
+        assert (code, err) == (0, "")
+        _assert_stable(capsys, path, out.splitlines()[0].removeprefix("S = "))
 
     @pytest.mark.parametrize("families", ["", ","])
     def test_a_mix_naming_no_family_is_refused(self, capsys, families):
