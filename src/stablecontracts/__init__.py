@@ -42,7 +42,6 @@ from .contractsets import (
 )
 from .desirability import (
     DesirabilityOperator,
-    choice_from_desirability,
     desirable_set,
     induced_choice,
     validate_desirability_operator,

@@ -65,6 +65,7 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping
@@ -248,15 +249,19 @@ class LinearOrder(_Ranked):
 @dataclass(frozen=True)
 class Quota(_Ranked):
     """Keep the top ``quota`` elements of the menu by a strict priority
-    (the ranked rule); ``quota`` must be an int, not a bool, of at least 1."""
+    (the ranked rule); ``quota`` must be an integer, not a bool, of at
+    least 1, and a numpy integer is read as a Python int."""
 
     quota: int
     priority: tuple[int, ...]
     ground: Mask = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.quota, int) or isinstance(self.quota, bool):
-            raise DomainError(f"quota must be an integer, got {self.quota!r}")
+        quota = self.quota
+        if type(quota) is not int:
+            if isinstance(quota, bool) or not isinstance(quota, numbers.Integral):
+                raise DomainError(f"quota must be an integer, got {quota!r}")
+            object.__setattr__(self, "quota", int(quota))
         if self.quota < 1:
             raise DomainError(f"quota must be at least 1, got {self.quota}")
         priority = self._set_ground(self.priority, "quota priority")

@@ -18,8 +18,7 @@ An operator is stored as a ``Table`` stores a choice function, one
 ``choice._PowerSetMap``: the ground's ids and one read-only array over its
 local masks, filled by one ``local_table`` pass.  Conversely, any total map
 with these two properties induces a choice function that passes the
-rationality axioms; ``choice_from_desirability`` implements that
-reconstruction.
+rationality axioms; ``induced_choice`` implements that reconstruction.
 
 ``desirable_set`` checks the state and hands it to the family's
 ``ChoiceFunction.desirable``, which every family must give.  The ranked
@@ -39,7 +38,6 @@ scans never use desirability.
 
 from __future__ import annotations
 
-import functools
 from typing import Mapping
 
 import numpy as np
@@ -112,11 +110,6 @@ class DesirabilityOperator(_PowerSetMap):
         state = check_subset(state, self.ground)
         return self._lookup(state)
 
-    @functools.cached_property
-    def _report(self) -> ValidationReport:
-        # a cap refusal raises and is not cached, so it raises every time
-        return check_laws(self, _OPERATOR_LAWS, "operator")
-
 
 def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport:
     """Exhaustively check antimonotonicity and the Löb identity.
@@ -125,9 +118,9 @@ def validate_desirability_operator(op: DesirabilityOperator) -> ValidationReport
     a failing operator runs the 4^k pair scan for its witness.  Witnesses
     follow the same canonical scan order as the choice-function validator.
     An operator over ``EXHAUSTIVE_CAP`` (12) contracts raises
-    CapExceededError; any other report is cached on the operator.
+    CapExceededError.
     """
-    return op._report
+    return check_laws(op, _OPERATOR_LAWS, "operator")
 
 
 def _lob_breaks(arr):
@@ -153,25 +146,14 @@ _OPERATOR_LAWS = (
 )
 
 
-def choice_from_desirability(op: DesirabilityOperator, menu: Mask) -> Mask:
-    """C(menu) = menu ∩ D(menu) for a validated operator."""
-    _require_valid(op)
-    return menu & op.map(menu)
-
-
 def induced_choice(op: DesirabilityOperator) -> Table:
     """Materialize the choice function induced by a validated operator:
     C(A) = A ∩ D(A) over every local mask A at once."""
-    _require_valid(op)
-    menus = np.arange(1 << op.ground.bit_count())
-    return Table.from_rows(ids_of(op.ground), menus, menus & op.tabulate())
-
-
-def _require_valid(op: DesirabilityOperator) -> None:
     report = validate_desirability_operator(op)
     if not report.passed:
-        failing = report.first_failure()
         raise DomainError(
-            f"desirability operator violates {failing.axiom}; no choice "
-            f"function can induce it"
+            f"desirability operator violates {report.first_failure().axiom}; "
+            f"no choice function can induce it"
         )
+    menus = np.arange(1 << op.ground.bit_count())
+    return Table.from_rows(ids_of(op.ground), menus, menus & op.tabulate())

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
 import gc
 import itertools
 import json
@@ -200,16 +199,9 @@ def _records(cls, *columns) -> list:
     the field's member descriptor, where the generated ``__init__`` calls
     ``object.__setattr__`` once per field of every record."""
     records = list(map(object.__new__, itertools.repeat(cls, len(columns[0]))))
-    for set_field, column in zip(_setters(cls), columns, strict=True):
-        collections.deque(map(set_field, records, column), maxlen=0)
+    for f, column in zip(dataclasses.fields(cls), columns, strict=True):
+        collections.deque(map(getattr(cls, f.name).__set__, records, column), maxlen=0)
     return records
-
-
-@functools.cache
-def _setters(cls) -> tuple:
-    """The setters of a slotted record's member descriptors, in field
-    order."""
-    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
 
 
 def _read_agent(raw: Any) -> tuple[str, Side]:

@@ -8,13 +8,14 @@ bug in the library (or a deliberately invalid problem fed to the suite).
 
 Each problem is tabulated once: both sides' C (the problem's cached
 ``tables``), each side's desirability operator (built once from the
-family's own form of D, the form that runs) and its ample and modest
-sets.  The per-side laws scan those arrays; L2A and LOB are read from the
-operator's ``validate_desirability_operator`` report (L2A by its
-one-contract rule, with a pair scan only for a witness).  The route laws
-walk the ample or modest sets through the library's own steps.  Witnesses
-are canonical-first.  Problems over ``choice.EXHAUSTIVE_CAP`` (12)
-contracts, the cap of every witness scan, are refused before any law.
+family's own form of D, the form that runs) with its one
+``validate_desirability_operator`` report, and the problem's ample and
+modest sets.  The per-side laws scan those arrays; L2A and LOB are read
+from the side's report (L2A by its one-contract rule, with a pair scan
+only for a witness).  The route laws walk the ample or modest sets
+through the library's own steps.  Witnesses are canonical-first.
+Problems over ``choice.EXHAUSTIVE_CAP`` (12) contracts, the cap of every
+witness scan, are refused before any law.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ample import ag_step, is_ample
-from .choice import EXHAUSTIVE_CAP, first_state
+from .choice import EXHAUSTIVE_CAP, ValidationReport, first_state
 from .contractsets import Mask, canonical_order, ids_of
 from .desirability import (
     ANTIMONOTONICITY,
@@ -50,29 +51,30 @@ class LawResult:
 
 @dataclass(frozen=True)
 class _Tables:
-    """One problem tabulated once: each side's (name, C, D) with C over the
-    power set and D its desirability operator, and the problem's ample and
-    modest sets.  The ground is dense, so local masks are the problem's
-    own; ``order`` and both lists are canonical."""
+    """One problem tabulated once: each side's (name, C, D, report) with C
+    and D over the power set, D its desirability operator's array and
+    report that operator's validation, and the problem's ample and modest
+    sets.  The ground is dense, so local masks are the problem's own;
+    ``order`` and both lists are canonical."""
 
     problem: TwoAgentProblem
     order: np.ndarray
-    sides: tuple[tuple[str, np.ndarray, DesirabilityOperator], ...]
+    sides: tuple[tuple[str, np.ndarray, np.ndarray, ValidationReport], ...]
     ample: list[Mask]
     modest: list[Mask]
 
 
 def _tabulate(problem: TwoAgentProblem) -> _Tables:
     order = canonical_order(problem.size)
-    sides = tuple(
-        (name, c, DesirabilityOperator.from_choice(cf))
-        for name, cf, c in zip(("firm", "worker"), (problem.firm, problem.worker),
-                               problem.tables)
-    )
+    sides = []
+    for name, cf, c in zip(("firm", "worker"), (problem.firm, problem.worker),
+                           problem.tables):
+        op = DesirabilityOperator.from_choice(cf)
+        sides.append((name, c, op.tabulate(), validate_desirability_operator(op)))
     canonical = [int(s) for s in order]
     ample = [b for b in canonical if is_ample(problem, b)]
     modest = [q for q in canonical if is_modest(problem, q)]
-    return _Tables(problem, order, sides, ample, modest)
+    return _Tables(problem, order, tuple(sides), ample, modest)
 
 
 def _fmt(mask: Mask) -> str:
@@ -80,12 +82,12 @@ def _fmt(mask: Mask) -> str:
 
 
 def _per_side(finder) -> Callable[[_Tables], str | None]:
-    """A law on each side's tables: ``finder(c, op, order)`` returns the
-    first offending A (or pair A, B) in ``order``, or None."""
+    """A law on each side's tables: ``finder(c, d, report, order)`` returns
+    the first offending A (or pair A, B) in ``order``, or None."""
 
     def check(t: _Tables) -> str | None:
-        for name, c, op in t.sides:
-            witness = finder(c, op, t.order)
+        for name, *side in t.sides:
+            witness = finder(*side, t.order)
             if witness is not None:
                 sets = ", ".join(f"{n}={_fmt(w)}" for n, w in zip("AB", witness))
                 return f"{name} side: {sets}"
@@ -97,14 +99,14 @@ def _per_side(finder) -> Callable[[_Tables], str | None]:
 def _states(bad):
     """A finder for a law on single states: ``bad(a, c, d)`` flags each
     state A from its row (A, C(A), D(A)), over whole arrays."""
-    return lambda c, op, order: first_state(
-        bad(np.arange(len(c)), c, op.tabulate()), order
+    return lambda c, d, report, order: first_state(
+        bad(np.arange(len(c)), c, d), order
     )
 
 
 def _operator_law(name: str):
-    """A finder reading one law's witness off the operator's report."""
-    return lambda c, op, order: validate_desirability_operator(op).check(name).witness
+    """A finder reading one law's witness off the side's report."""
+    return lambda c, d, report, order: report.check(name).witness
 
 
 def _walk(kind: str, flaw) -> Callable[[_Tables], str | None]:

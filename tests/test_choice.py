@@ -98,11 +98,18 @@ class TestQuota:
         with pytest.raises(DomainError):
             Quota(0, (0,))
 
-    @pytest.mark.parametrize("quota", [1.5, "2", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("quota", [1.5, "2", True, np.bool_(True)],
+                             ids=["float", "str", "bool", "numpy bool"])
     def test_quota_must_be_an_integer(self, quota):
         # the parser's rule: an int that is not a bool
         with pytest.raises(DomainError, match=r"^quota must be an integer, got "):
             Quota(quota, (0, 1))
+
+    def test_numpy_quota_is_read_as_a_python_int(self):
+        p = (0, 1, 2)
+        cf = Quota(np.int64(2), p)
+        assert cf == Quota(2, p) and hash(cf) == hash(Quota(2, p))
+        assert type(cf.quota) is int
 
 
 RANKED_MAKERS = pytest.mark.parametrize(
@@ -1028,6 +1035,23 @@ class TestDenseTable:
 
     def test_empty_ground(self):
         assert dense_table(Aggregate(())).tolist() == [0]
+
+    @pytest.mark.parametrize("n, agents, table", [
+        (10, 3, False), (12, 4, False), (14, 3, False), (12, 4, True),
+    ])
+    def test_many_runs_above_the_low_block(self, n, agents, table):
+        # bits dealt round-robin, so above choice._LOW_BITS every bit is a
+        # run of its own, as on an enumerated Latin-square side
+        rng = random.Random(n)
+        parts = []
+        for a in range(agents):
+            order = list(range(a, n, agents))
+            rng.shuffle(order)
+            parts.append(Quota(2, tuple(order)) if a % 2 else LinearOrder(tuple(order)))
+        if table:
+            parts[-1] = as_table(parts[-1])
+        cf = Aggregate(tuple(parts))
+        assert dense_table(cf).tolist() == naive_dense_table(cf)
         assert dense_table(LinearOrder(())).tolist() == [0]
 
     def test_read_only(self):

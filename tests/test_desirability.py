@@ -23,7 +23,6 @@ from stablecontracts.choice import (
 from stablecontracts.contractsets import mask_of
 from stablecontracts.desirability import (
     DesirabilityOperator,
-    choice_from_desirability,
     desirable_set,
     induced_choice,
     validate_desirability_operator,
@@ -102,7 +101,7 @@ class TestDesirabilityLaws:
     def test_round_trip_reconstructs_choice(self, cf):
         op = DesirabilityOperator.from_choice(cf)
         for a in submasks(cf.ground):
-            assert choice_from_desirability(op, a) == cf.evaluate(a)
+            assert induced_choice(op).evaluate(a) == cf.evaluate(a)
 
     def test_induced_choice_is_plott(self, cf):
         assert validate_plott(induced_choice(DesirabilityOperator.from_choice(cf))).passed
@@ -132,7 +131,7 @@ class TestOperatorValidation:
         op = DesirabilityOperator(g, {a: g for a in submasks(g)})
         assert validate_desirability_operator(op).passed
         for a in submasks(g):
-            assert choice_from_desirability(op, a) == a
+            assert induced_choice(op).evaluate(a) == a
 
     def test_lob_failure_detected(self):
         # D(∅)=∅ but D({e1})={e1}: antimonotone fails too; force a pure
@@ -186,7 +185,7 @@ class TestOperatorValidation:
     def test_cap_exceeded(self):
         ground = (1 << 13) - 1
         op = DesirabilityOperator(ground, {a: 0 for a in submasks(ground)})
-        # a refusal is no report, so it is not kept: every call raises
+        # a refusal is no report: every call raises
         for _ in range(2):
             with pytest.raises(CapExceededError, match="operator check is capped at 12"):
                 validate_desirability_operator(op)
@@ -208,7 +207,12 @@ class TestOperatorValidation:
         with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
             DesirabilityOperator.from_choice(LinearOrder(tuple(range(21))))
 
-    def test_laws_checked_once_per_operator(self, monkeypatch):
+    def test_equal_reports_per_call(self):
+        op = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
+        first, second = (validate_desirability_operator(op) for _ in range(2))
+        assert first == second and first is not second
+
+    def test_lemma_run_checks_each_side_once(self, monkeypatch, p3):
         calls = []
 
         def counting(*args):
@@ -216,21 +220,13 @@ class TestOperatorValidation:
             return check_laws(*args)
 
         monkeypatch.setattr(desirability, "check_laws", counting)
-        op = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
-        other = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
-        first = validate_desirability_operator(op)
-        assert validate_desirability_operator(op) is first
-        assert choice_from_desirability(op, m(0, 1)) == m(1)
-        assert induced_choice(op).ground == op.ground
-        assert calls == [op]
-        assert validate_desirability_operator(other) == first
-        assert calls == [op, other]
+        assert all(law.passed for law in run_lemma_suite([("p3", p3)]))
+        assert calls == [DesirabilityOperator.from_choice(p3.firm),
+                         DesirabilityOperator.from_choice(p3.worker)]
 
     def test_invalid_operator_cannot_become_choice(self):
         op = DesirabilityOperator(m(0, 1), {a: a for a in submasks(m(0, 1))})
         with pytest.raises(DomainError, match="antimonotonicity"):
-            choice_from_desirability(op, m(0))
-        with pytest.raises(DomainError):
             induced_choice(op)
 
 
@@ -268,13 +264,13 @@ def test_choice_vs_desirability_exhaustive_at_ten_contracts():
 class TestSpecificReconstructions:
     def test_linear_round_trip_example(self):
         op = DesirabilityOperator.from_choice(LinearOrder((0, 1)))
-        assert choice_from_desirability(op, m(0, 1)) == m(0)
+        assert induced_choice(op).evaluate(m(0, 1)) == m(0)
 
     def test_quota_reconstruction_example(self):
         # quota 1 with priority e3 > e2 > e1: from {e1,e2} the rebuilt
         # choice keeps e2
         op = DesirabilityOperator.from_choice(Quota(1, (2, 1, 0)))
-        assert choice_from_desirability(op, m(0, 1)) == m(1)
+        assert induced_choice(op).evaluate(m(0, 1)) == m(1)
 
 
 @settings(max_examples=150, deadline=None)
