@@ -51,7 +51,7 @@ from .choice import (
     first_pair,
     first_state,
 )
-from .contractsets import Mask, check_subset, ids_of, local_table
+from .contractsets import Mask, as_mask, check_power_set, check_subset, ids_of, local_table
 from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
@@ -82,7 +82,11 @@ class DesirabilityOperator(_PowerSetMap):
     def __init__(self, ground: Mask, table: Mapping[Mask, Mask]):
         """Tabulate ``table``, state to desirable set in contract ids, over
         ``ground``: the first state, in ascending order, that is missing or
-        maps outside the ground is named, then any state outside it."""
+        maps outside the ground is named, then any state outside it.  Every
+        mask is read as ``contractsets.as_mask`` reads it."""
+        ground = as_mask(ground)
+        check_power_set(ground.bit_count())
+        table = {as_mask(state): as_mask(d) for state, d in table.items()}
 
         def entry(state: Mask) -> Mask:
             if state not in table:

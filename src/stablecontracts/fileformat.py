@@ -13,7 +13,7 @@ Schema::
     }
 
 Contract ids in the file are arbitrary unique non-empty strings; internally
-they map to dense indices in declaration order, so parse → serialize →
+a contract is its position in declaration order, so parse → serialize →
 parse is an exact round trip.  Linear payloads list contracts best-first,
 quota priorities likewise, and table payloads must cover every subset of
 the agent's contracts.
@@ -22,7 +22,9 @@ This module only decodes: JSON shapes and types, family payloads, and
 contract labels resolved to dense ids.  The market's structural rules and
 the axioms are checked by Instance.  Failures raise ParseError with a
 distinct code (io, malformed, unknown-family, dangling-reference,
-axiom-violation).
+axiom-violation).  A document file is refused as malformed when its text
+holds an integer past Python's int-string limit or a string with a lone
+surrogate (``load_document``).
 
 A well-formed agent, contract or linear/quota choice is decoded in one
 pass (``parse_components``), and the ``Agent`` and ``Contract`` records
@@ -89,7 +91,12 @@ def load_components(
 
 def load_document(path: str) -> Any:
     """Read and decode a JSON document; failures raise ParseError coded
-    ``io`` (unreadable file) or ``malformed`` (not UTF-8 JSON)."""
+    ``io`` (unreadable file) or ``malformed`` (not UTF-8 JSON, an integer
+    past Python's int-string limit, or a string holding a lone surrogate,
+    which no report could print as UTF-8).  The text is strict UTF-8, so
+    a lone surrogate can only come from a ``\\u`` escape: the decoded
+    document is checked only when the text holds a backslash (a search for
+    one character runs about 100 times faster than one for ``\\u``)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -98,15 +105,27 @@ def load_document(path: str) -> Any:
     except UnicodeDecodeError as exc:
         raise ParseError("malformed", f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the int-string limit
         raise ParseError("malformed", f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("malformed", f"{path} nests too deeply to decode") from exc
+    if "\\" in text:
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(
+                "malformed", f"{path} holds a lone surrogate escape, which is not Unicode text"
+            ) from exc
+    return doc
 
 
 def instance_from_document(doc: Any) -> Instance:
-    """Build a validated Instance from a parsed document."""
+    """Build a validated Instance from a parsed document.  Only
+    ``load_document`` refuses strings holding a lone surrogate: such a
+    document built by the caller loads, and a report naming one of its
+    strings cannot be encoded as UTF-8."""
     return build_instance(*parse_components(doc))
 
 
@@ -174,10 +193,9 @@ def parse_components(
         labels.append(label)
         firms.append(firm)
         workers.append(worker)
+    contracts = _records(Contract, labels, firms, workers)
     # one int object per contract id, which every payload then shares
-    ids = list(range(len(labels)))
-    contracts = _records(Contract, ids, labels, firms, workers)
-    index_by_label = dict(zip(labels, ids))
+    index_by_label = dict(zip(labels, range(len(labels))))
 
     if not isinstance(doc["choices"], dict):
         raise ParseError("malformed", "'choices' must be an object keyed by agent id")
@@ -392,4 +410,4 @@ def format_set(inst: Instance, mask: Mask) -> str:
 
 def parse_set(inst: Instance, labels: list[str]) -> Mask:
     """Contract labels to a mask; unknown labels are a domain error."""
-    return mask_of(inst.contract_by_label(label).id for label in labels)
+    return mask_of(map(inst.contract_id, labels))

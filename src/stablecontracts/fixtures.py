@@ -14,8 +14,8 @@ def two_parallel_contracts() -> Instance:
     """
     agents = (Agent("f1", Side.FIRM), Agent("w1", Side.WORKER))
     contracts = (
-        Contract(0, "e1", "f1", "w1"),
-        Contract(1, "e2", "f1", "w1"),
+        Contract("e1", "f1", "w1"),
+        Contract("e2", "f1", "w1"),
     )
     choices = {
         "f1": LinearOrder((0, 1)),
@@ -39,10 +39,10 @@ def marriage_2x2() -> Instance:
         Agent("w2", Side.WORKER),
     )
     contracts = (
-        Contract(0, "e11", "f1", "w1"),
-        Contract(1, "e12", "f1", "w2"),
-        Contract(2, "e21", "f2", "w1"),
-        Contract(3, "e22", "f2", "w2"),
+        Contract("e11", "f1", "w1"),
+        Contract("e12", "f1", "w2"),
+        Contract("e21", "f2", "w1"),
+        Contract("e22", "f2", "w2"),
     )
     choices = {
         "f1": LinearOrder((0, 1)),
@@ -68,9 +68,9 @@ def poset_table_instance() -> Instance:
         Agent("w3", Side.WORKER),
     )
     contracts = (
-        Contract(0, "x1", "f1", "w1"),
-        Contract(1, "x2", "f1", "w2"),
-        Contract(2, "x3", "f1", "w3"),
+        Contract("x1", "f1", "w1"),
+        Contract("x2", "f1", "w2"),
+        Contract("x3", "f1", "w3"),
     )
     table = {
         0b000: 0b000,

@@ -2,21 +2,20 @@
 
 A market instance is a bipartite multigraph: agents on two sides (firms and
 workers), contracts as edges between them, and one validated choice function
-per agent over exactly its adjacent contracts E(v).  Contract ids are dense
-indices 0..|E|-1 assigned in declaration order; a human-readable label rides
-along for file round trips and display.
+per agent over exactly its adjacent contracts E(v).  A contract's id is its
+position in ``Instance.contracts``, 0..|E|-1 in declaration order; a
+human-readable label rides along for file round trips and display.
 
 Validation is mandatory and happens at construction; Instance is the only
-place that checks this structure, unique ids and labels included (a name
-pointing at nothing raises DanglingReferenceError, any other fault
-DomainError).  Agent ids and contract labels are non-empty strings,
-endpoints strings and contract ids exactly ``int``.  ``Agent`` and
-``Contract`` are slotted records.  Each record is tested in one pass,
-and its full checks run only on a record that pass refuses, to name its
-first fault.  E(v) is collected as each agent's contract ids, ascending,
-and compared with the ids its choice function is declared over (a ranked
-agent's sorted priority, a table's ``bits``); the choice function's
-ground then stands for it.  Algorithms downstream assume
+place that checks this structure, unique agent ids and labels included (a
+name pointing at nothing raises DanglingReferenceError, any other fault
+DomainError).  Agent ids and contract labels are non-empty strings and
+endpoints strings.  ``Agent`` and ``Contract`` are slotted records.  Each
+record is tested in one pass, and its full checks run only on a record that
+pass refuses, to name its first fault.  E(v) is collected as each agent's
+contract ids, ascending, and compared with the ids its choice function is
+declared over (a ranked agent's sorted priority, a table's ``bits``); the
+choice function's ground then stands for it.  Algorithms downstream assume
 every per-agent choice function is path independent.  Each agent is
 exactly a linear order or quota, path independent by theorem, or a table,
 which must pass the exhaustive axiom check (capped at 12 contracts); any
@@ -58,11 +57,10 @@ class Agent:
 class Contract:
     """An edge between one firm and one worker.
 
-    ``id`` is the dense ground-set index; parallel contracts between the
-    same pair are legal and distinguished only by id.
+    Its id is its position in ``Instance.contracts``; parallel contracts
+    between the same pair are legal and distinguished only by id.
     """
 
-    id: int
     label: str
     firm: str
     worker: str
@@ -92,19 +90,17 @@ class Instance:
                 _check_agent(a, by_id)
             by_id[agent_id] = a
             (firm_of if side is firm else worker_of)[agent_id] = []
-        by_label: dict[str, Contract] = {}
-        for pos, c in enumerate(self.contracts):
-            # the lists hold the records' own id objects, not new ints
-            cid, label, f, w = c.id, c.label, c.firm, c.worker
+        by_label: dict[str, int] = {}
+        for cid, c in enumerate(self.contracts):
+            label, f, w = c.label, c.firm, c.worker
             if not (
-                type(cid) is int and cid == pos and type(label) is str and label
-                and label not in by_label and type(f) is str is type(w)
-                and f in firm_of and w in worker_of
+                type(label) is str and label and label not in by_label
+                and type(f) is str is type(w) and f in firm_of and w in worker_of
             ):
-                _check_contract(pos, c, by_id, by_label)
+                _check_contract(c, by_id, by_label)
             firm_of[f].append(cid)
             worker_of[w].append(cid)
-            by_label[label] = c
+            by_label[label] = cid
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_firms", tuple(firm_of))
@@ -138,7 +134,7 @@ class Instance:
     def workers(self) -> tuple[str, ...]:
         return self._workers
 
-    def contract_by_label(self, label: str) -> Contract:
+    def contract_id(self, label: str) -> int:
         try:
             return self._by_label[label]
         except KeyError:
@@ -189,14 +185,9 @@ def _check_agent(a: Agent, by_id: Mapping[str, Agent]) -> None:
 
 
 def _check_contract(
-    pos: int, c: Contract, by_id: Mapping[str, Agent], by_label: Mapping[str, Contract]
+    c: Contract, by_id: Mapping[str, Agent], by_label: Mapping[str, int]
 ) -> None:
-    """The checks of the contract at ``pos``, which name its first fault."""
-    if type(c.id) is not int or c.id != pos:
-        raise DomainError(
-            f"contract ids must be dense declaration indices; "
-            f"contract at position {pos} has id {c.id!r}"
-        )
+    """The checks of one contract record, which name its first fault."""
     if not isinstance(c.label, str) or not c.label:
         raise DomainError(
             f"contract label must be a non-empty string, got {c.label!r}"

@@ -82,12 +82,12 @@ def random_instance(
     for f in firm_ids:
         for w in worker_ids:
             if rng.random() < density:
-                contracts.append(Contract(len(contracts), f"{f}-{w}", f, w))
+                contracts.append(Contract(f"{f}-{w}", f, w))
 
     adjacency: dict[str, list[int]] = {a.id: [] for a in agents}
-    for c in contracts:
-        adjacency[c.firm].append(c.id)
-        adjacency[c.worker].append(c.id)
+    for cid, c in enumerate(contracts):
+        adjacency[c.firm].append(cid)
+        adjacency[c.worker].append(cid)
 
     choices: dict[str, ChoiceFunction] = {}
     for agent in agents:
@@ -121,10 +121,7 @@ def random_corpus(
         raise DomainError(f"max_contracts must be at least 1, got {max_contracts}")
     master = random.Random(master_seed)
     shapes = [
-        (f, w)
-        for f in range(1, max_contracts + 1)
-        for w in range(1, max_contracts + 1)
-        if f * w <= max_contracts
+        (f, w) for f in range(1, max_contracts + 1) for w in range(1, max_contracts // f + 1)
     ]
     out = []
     for _ in range(count):

@@ -233,11 +233,11 @@ def _circulant_market(seed: int, families: tuple[str, ...], size: int = 100,
     for d in rng.sample(range(size), degree):
         for i in range(size):
             j = (i + d) % size
-            contracts.append(Contract(len(contracts), f"f{i}-w{j}", f"f{i}", f"w{j}"))
+            contracts.append(Contract(f"f{i}-w{j}", f"f{i}", f"w{j}"))
     held = {a.id: [] for a in agents}
-    for c in contracts:
-        held[c.firm].append(c.id)
-        held[c.worker].append(c.id)
+    for i, c in enumerate(contracts):
+        held[c.firm].append(i)
+        held[c.worker].append(i)
     choices = {}
     for agent in agents:
         order = held[agent.id]

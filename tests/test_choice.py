@@ -194,7 +194,7 @@ class TestLinearOrderIsQuotaOfOne:
         assert linear != quota and quota != linear
         assert not isinstance(linear, Quota) and not isinstance(quota, LinearOrder)
         agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
-        contracts = (Contract(0, "a", "f", "w"), Contract(1, "b", "f", "w"))
+        contracts = (Contract("a", "f", "w"), Contract("b", "f", "w"))
         inst = Instance(agents, contracts, {"f": linear, "w": quota})
         doc = document_from_instance(inst)
         assert doc["choices"] == {

@@ -37,11 +37,11 @@ def _multigraph_market(seed):
     contracts = []
     for f, w in itertools.product(firms, workers):
         for _ in range(min(rng.randint(0, 3), 12 - len(contracts))):
-            contracts.append(Contract(len(contracts), f"{f}-{w}-{len(contracts)}", f, w))
+            contracts.append(Contract(f"{f}-{w}-{len(contracts)}", f, w))
     agents = [Agent(f, Side.FIRM) for f in firms] + [Agent(w, Side.WORKER) for w in workers]
     choices = {}
     for agent in agents:
-        order = [c.id for c in contracts if agent.id in (c.firm, c.worker)]
+        order = [i for i, c in enumerate(contracts) if agent.id in (c.firm, c.worker)]
         rng.shuffle(order)
         choices[agent.id] = LinearOrder(tuple(order))
     return Instance(tuple(agents), tuple(contracts), choices)
@@ -55,7 +55,7 @@ def _empty_instance():
 def _one_firm_two_workers() -> Instance:
     """Firm f, contracts 0 with w1 and 1 with w2, f ranking 0 first."""
     agents = (Agent("f", Side.FIRM), Agent("w1", Side.WORKER), Agent("w2", Side.WORKER))
-    contracts = (Contract(0, "a", "f", "w1"), Contract(1, "b", "f", "w2"))
+    contracts = (Contract("a", "f", "w1"), Contract("b", "f", "w2"))
     return Instance(agents, contracts, {"f": LinearOrder((0, 1)), "w1": LinearOrder((0,)),
                                         "w2": LinearOrder((1,))})
 

@@ -674,6 +674,41 @@ class TestMalformedSections:
         assert run(capsys, command, path) == (1, "", f"error [malformed]: {message}\n")
 
 
+def _i3_text(old: str, new: str) -> str:
+    """The i3 document's JSON text with every ``old`` replaced by ``new``,
+    which ``json.dumps`` cannot write: an integer past Python's int-string
+    limit, or a lone surrogate escape as it stands."""
+    return json.dumps(document_from_instance(marriage_2x2())).replace(old, new)
+
+
+# documents that decode to no printable market, by what is spliced in
+HOSTILE_TEXTS = {
+    "long-integer-label": ('"e11"', "1" * 5000),
+    "surrogate-label": ('"e11"', '"\\ud800"'),
+    "surrogate-agent-id": ('"f1"', '"\\ud800"'),
+}
+
+
+class TestHostileText:
+    @pytest.mark.parametrize("command", ["validate", "solve", "enumerate", "check"])
+    @pytest.mark.parametrize("name", HOSTILE_TEXTS)
+    def test_exits_1_with_the_malformed_line(self, capsys, tmp_path, command, name):
+        path = _file(tmp_path, "doc.json", _i3_text(*HOSTILE_TEXTS[name]))
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        if name == "long-integer-label":
+            assert err.startswith(f"error [malformed]: {path} is not valid JSON: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == (f"error [malformed]: {path} holds a lone surrogate escape, "
+                           f"which is not Unicode text\n")
+
+    def test_a_surrogate_pair_is_one_character(self, capsys, tmp_path):
+        # an escaped pair decodes to one code point, which prints as UTF-8
+        path = _file(tmp_path, "doc.json", _i3_text('"e12"', '"\\ud83d\\ude00"'))
+        assert run(capsys, "solve", path) == (0, "S = {\U0001f600, e21}\nsteps = 0\n", "")
+
+
 class TestGenerate:
     def test_round_trips_through_validate(self, capsys, tmp_path):
         path = _generate(capsys, tmp_path, "generated.json", "--seed", "3", "--firms", "2",

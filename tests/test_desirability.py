@@ -174,6 +174,26 @@ class TestOperatorValidation:
         with pytest.raises(DomainError, match=fault):
             DesirabilityOperator(m(1, 3), table)
 
+    @pytest.mark.parametrize("ground, table", [
+        (3, {0: 3, 1: 2, 2: 1, 3: "x"}),
+        (3, {0: 3, 1: 2, 2: 1, 3: 1.0}),
+        (3, {0: 3, 1: 2, 2: 1, "3": 0}),
+        (3, {0: 3, 1: 2, 2: 1, 3.0: 0}),
+        (3.0, {0: 3, 1: 2, 2: 1, 3: 0}),
+    ], ids=["str value", "float value", "str key", "float key", "float ground"])
+    def test_masks_are_read_as_a_table_reads_them(self, ground, table):
+        with pytest.raises(DomainError, match="contract sets are integer masks"):
+            DesirabilityOperator(ground, table)
+        with pytest.raises(DomainError, match="contract sets are integer masks"):
+            Table(ground, table)
+
+    def test_numpy_masks_are_read_as_ints(self):
+        table = {0: m(0, 1), m(0): m(0, 1), m(1): m(1), m(0, 1): m(1)}
+        op = DesirabilityOperator(
+            np.int64(3), {np.int64(a): np.uint8(d) for a, d in table.items()})
+        assert op == DesirabilityOperator(3, table)
+        assert type(op.ground) is int and type(op.map(np.int64(1))) is int
+
     def test_equality(self):
         op = DesirabilityOperator.from_choice(LinearOrder((1, 0)))
         table = {0: m(0, 1), m(0): m(0, 1), m(1): m(1), m(0, 1): m(1)}

@@ -88,12 +88,10 @@ STRUCTURAL_FAULTS.update(LABEL_FAULTS)
 def _components(doc):
     """Instance pieces built straight from a document, without the parser;
     a payload label names the first contract carrying it."""
-    contracts = tuple(
-        Contract(i, c["id"], c["firm"], c["worker"]) for i, c in enumerate(doc["contracts"])
-    )
+    contracts = tuple(Contract(c["id"], c["firm"], c["worker"]) for c in doc["contracts"])
     ids = {}
-    for c in contracts:
-        ids.setdefault(c.label, c.id)
+    for i, c in enumerate(contracts):
+        ids.setdefault(c.label, i)
     choices = {
         a: LinearOrder(tuple(ids[label] for label in raw["payload"]))
         for a, raw in doc["choices"].items()
@@ -178,7 +176,7 @@ class TestRoundTrip:
         # so no instance holds one: every instance that loads has a form
         agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
         with pytest.raises(DomainError, match="'f' has type Aggregate,") as err:
-            Instance(agents, (Contract(0, "e", "f", "w"),), {
+            Instance(agents, (Contract("e", "f", "w"),), {
                 "f": Aggregate((LinearOrder((0,)),)), "w": LinearOrder((0,)),
             })
         assert err.value.agent_id == "f"
@@ -467,8 +465,11 @@ FUZZ_SEEDS = [
     for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
 ] + list(bad_table_documents().values())
 
-# values of the wrong type or out of range, put in place of any entry
-JUNK = [None, True, -1, 0, 2**70, 1.5, "", "ghost", [], {}, [None], {"id": None}]
+# values of the wrong type or out of range, put in place of any entry; a
+# lone surrogate is written as its escape
+JUNK = [None, True, -1, 0, 2**70, 1.5, "", "ghost", "\ud800", [], {}, [None],
+        {"id": None}]
+JUNK_STRINGS = [x for x in JUNK if isinstance(x, str)]
 
 
 def _paths(node, prefix=()):
@@ -489,9 +490,22 @@ def _strings(node):
             yield from _strings(value)
 
 
+def _relabel(node, old, new):
+    """Every string ``old`` of a JSON tree, keys included, becomes ``new``."""
+    items = list(node.items()) if isinstance(node, dict) else list(enumerate(node))
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            _relabel(value, old, new)
+        elif value == old:
+            node[key] = new
+        if key == old and isinstance(node, dict):
+            node[new] = node.pop(key)
+
+
 def _mutate(doc, data):
     """One to three mutations: drop or retype an entry, duplicate an entry,
-    rename a reference or a key, or swap an agent's side."""
+    rename a reference or a key, replace a string everywhere by a junk
+    string, or swap an agent's side."""
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         if not paths:
@@ -501,7 +515,8 @@ def _mutate(doc, data):
         for step in head:
             parent = parent[step]
         names = st.sampled_from(sorted(set(_strings(doc)) | {"ghost"}))
-        op = data.draw(st.sampled_from(["drop", "retype", "duplicate", "rename", "swap"]))
+        op = data.draw(st.sampled_from(
+            ["drop", "retype", "duplicate", "rename", "relabel", "swap"]))
         if op == "drop":
             del parent[key]
         elif op == "retype":
@@ -514,11 +529,13 @@ def _mutate(doc, data):
             parent[data.draw(names)] = parent.pop(key)
         elif op == "rename":
             parent[key] = data.draw(names)
+        elif op == "relabel":
+            _relabel(doc, data.draw(names), data.draw(st.sampled_from(JUNK_STRINGS)))
         elif parent[key] in ("firm", "worker"):
             parent[key] = "worker" if parent[key] == "firm" else "firm"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(FUZZ_SEEDS), st.data())
 def test_mutated_documents_load_or_fail_with_a_code(tmp_path_factory, seed, data):
     doc = copy.deepcopy(seed)
@@ -531,11 +548,18 @@ def test_mutated_documents_load_or_fail_with_a_code(tmp_path_factory, seed, data
     except ParseError as exc:
         assert exc.code in PARSE_CODES
         code = exc.code
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.main(["validate", str(path)])
-    if code is None:
-        assert (status, err.getvalue()) == (0, "")
-    else:
-        assert status == 1
-        assert err.getvalue().startswith(f"error [{code}]: ")
+    for command in ("validate", "solve"):
+        # a report is encoded as a real UTF-8 stdout encodes it, so an
+        # encoding fault escapes cli.main and fails the test
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([command, str(path)])
+        lines = err.getvalue().splitlines()
+        assert status in (0, 1, 2, 3)
+        if status == 1:
+            assert len(lines) == 1 and lines[0].startswith(("error [", "error:"))
+        if code is not None:
+            assert status == 1 and lines[0].startswith(f"error [{code}]: ")
+        elif command == "validate":
+            assert (status, lines) == (0, [])

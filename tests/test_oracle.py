@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import as_table, m, naive_dense_table, swapped
@@ -64,7 +66,7 @@ def latin_square_market(k: int, variant: str) -> Instance:
     """
     firms = [Agent(f"f{i}", Side.FIRM) for i in range(k)]
     workers = [Agent(f"w{j}", Side.WORKER) for j in range(k)]
-    contracts = [Contract(i * k + j, f"f{i}-w{j}", f"f{i}", f"w{j}")
+    contracts = [Contract(f"f{i}-w{j}", f"f{i}", f"w{j}")
                  for i in range(k) for j in range(k)]
     choices = {}
     for i in range(k):
@@ -85,8 +87,8 @@ def disjoint_marriages(b: int) -> Instance:
     agents, contracts, choices = [], [], {}
     for c in range(b):
         agents += [Agent(f"{a.id}.{c}", a.side) for a in one.agents]
-        contracts += [Contract(4 * c + x.id, f"{x.label}.{c}", f"{x.firm}.{c}",
-                               f"{x.worker}.{c}") for x in one.contracts]
+        contracts += [Contract(f"{x.label}.{c}", f"{x.firm}.{c}", f"{x.worker}.{c}")
+                      for x in one.contracts]
         for agent_id, cf in one.choices.items():
             choices[f"{agent_id}.{c}"] = LinearOrder(tuple(4 * c + e for e in cf.order))
     return Instance(tuple(agents), tuple(contracts), choices)
@@ -94,7 +96,7 @@ def disjoint_marriages(b: int) -> Instance:
 
 def _one_contract() -> Instance:
     agents = (Agent("f", Side.FIRM), Agent("w", Side.WORKER))
-    return Instance(agents, (Contract(0, "e", "f", "w"),),
+    return Instance(agents, (Contract("e", "f", "w"),),
                     {"f": LinearOrder((0,)), "w": LinearOrder((0,))})
 
 
@@ -228,6 +230,21 @@ class TestRandomInstance:
     def test_corpus_bounds(self, count, max_contracts):
         with pytest.raises(DomainError):
             random_corpus(count, max_contracts=max_contracts)
+
+    def test_corpus_shapes_are_the_listing_of_every_pair(self):
+        # the old filtered m×m listing of shapes, kept as the oracle: every
+        # corpus draws the same shapes in the same order
+        for max_contracts in range(1, 41):
+            shapes = [(f, w) for f in range(1, max_contracts + 1)
+                      for w in range(1, max_contracts + 1) if f * w <= max_contracts]
+            master = random.Random(max_contracts)
+            expected = []
+            for _ in range(4):
+                f, w = master.choice(shapes)
+                density = master.choice((0.5, 0.75, 1.0))
+                expected.append(random_instance(master.randrange(2**32), f, w,
+                                                density=density, families=("linear", "quota")))
+            assert random_corpus(4, max_contracts, max_contracts) == expected
 
     def test_corpus_edges(self):
         assert random_corpus(0, max_contracts=1) == []
