@@ -65,7 +65,9 @@ def ag_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResult
     reach other stable systems; a non-ample start is a precondition error.
     The fixpoint satisfies W(B) = F(W(B)) and the returned system W(B) is
     re-verified for stability, raising InternalInconsistencyError if that
-    ever fails (it would mean a bug, not bad input).  Each step is
+    ever fails: a bug on a problem reduced from an ``Instance``, and
+    possible with no bug on a ``TwoAgentProblem`` whose sides break the
+    axioms, which it trusts.  Each step is
     ``ag_step``'s, taken on the W(B) already at hand: the ample check's
     for the first step, and the last step's W(B) is the system.
     """

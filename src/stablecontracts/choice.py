@@ -65,7 +65,6 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
-import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping
@@ -74,6 +73,7 @@ import numpy as np
 
 from .contractsets import (
     Mask,
+    as_int,
     as_mask,
     canonical_order,
     check_power_set,
@@ -257,11 +257,8 @@ class Quota(_Ranked):
     ground: Mask = field(init=False)
 
     def __post_init__(self):
-        quota = self.quota
-        if type(quota) is not int:
-            if isinstance(quota, bool) or not isinstance(quota, numbers.Integral):
-                raise DomainError(f"quota must be an integer, got {quota!r}")
-            object.__setattr__(self, "quota", int(quota))
+        if type(self.quota) is not int:
+            object.__setattr__(self, "quota", as_int(self.quota, "quota must be an integer"))
         if self.quota < 1:
             raise DomainError(f"quota must be at least 1, got {self.quota}")
         priority = self._set_ground(self.priority, "quota priority")

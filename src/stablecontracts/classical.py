@@ -37,7 +37,7 @@ def _workers(inst: Instance, order: tuple[str, ...] | None = None):
     agent is known to choose by a linear order."""
     for agent in inst.agents:
         cf = inst.choices[agent.id]
-        if not isinstance(cf, LinearOrder):
+        if type(cf) is not LinearOrder:
             raise PreconditionError(
                 f"agent {agent.id!r} has a {type(cf).__name__} choice function; "
                 f"the classical solvers need linear orders throughout"

@@ -4,7 +4,10 @@ Subcommands: solve, enumerate, check, validate, generate, lemmas.  Reports
 go to stdout and are byte-for-byte deterministic for identical inputs and
 flags; errors go to stderr.  Exit codes: 0 success, 1 domain error,
 2 usage error, 3 internal inconsistency (an algorithm contradicted a
-theorem it relies on, i.e. a bug).
+theorem it relies on).  Every market the CLI reads is an ``Instance``,
+whose agents are path independent, so exit 3 always means a bug; only a
+``TwoAgentProblem`` built in code from sides that break the axioms can
+reach that error without one.
 """
 
 from __future__ import annotations
@@ -140,17 +143,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_solve(args) -> int:
     classical = args.algorithm in ("gs", "sotomayor")
     if classical and (args.start is not None or args.trace):
-        return _usage_error(
-            "--start and --trace apply only to the ample and modest algorithms"
+        print(
+            "usage error: --start and --trace apply only to the ample and modest algorithms",
+            file=sys.stderr,
         )
+        return 2
     inst = parse_instance(args.instance)
     trace, steps = (), None
     if classical:

@@ -5,8 +5,8 @@ Every set-valued quantity in this package is a plain ``int`` whose bit ``i``
 says whether contract ``i`` is a member.  Set algebra is exact and cheap:
 union is ``|``, intersection ``&``, difference ``a & ~b``, and A ⊆ B is
 ``a & ~b == 0``.  A contract id and a mask are Python ints: ``contract_ids``
-reads ids and ``as_mask`` reads a mask, each taking a numpy integer as an
-int and refusing any other kind of value.
+reads ids and ``as_mask`` reads a mask, each through ``as_int``, which
+takes a numpy integer as an int and refuses any other kind of value.
 
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
@@ -60,14 +60,23 @@ def contract_ids(ids: Iterable[int]) -> tuple[tuple[int, ...], Mask]:
     m = 0
     for i in ids:
         if type(i) is not int:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise DomainError(f"contract ids must be integers, got {i!r}")
-            i = int(i)
+            i = as_int(i, "contract ids must be integers")
         if i < 0:
             raise DomainError(f"contract ids must be non-negative, got {i}")
         out.append(i)
         m |= 1 << i
     return tuple(out), m
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as a Python int: a numpy integer is read as one, so that
+    it never wraps in fixed-width arithmetic, and a bool or any value that
+    is not an integer raises DomainError ``"<what>, got <value>"``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{what}, got {value!r}")
+        value = int(value)
+    return value
 
 
 def mask_of(ids: Iterable[int]) -> Mask:
@@ -83,9 +92,7 @@ def as_mask(mask) -> Mask:
     bool, a float, a str or a negative mask raises DomainError.
     """
     if type(mask) is not int:
-        if isinstance(mask, bool) or not isinstance(mask, numbers.Integral):
-            raise DomainError(f"contract sets are integer masks, got {mask!r}")
-        mask = int(mask)
+        mask = as_int(mask, "contract sets are integer masks")
     if mask < 0:
         raise DomainError(f"contract sets are non-negative masks, got {mask}")
     return mask

@@ -71,5 +71,10 @@ class ChoiceValidationError(DomainError):
 class InternalInconsistencyError(StableContractsError):
     """An algorithm produced output contradicting a theorem it relies on.
 
-    This always signals an implementation bug, never bad user input.
+    On a market reduced from an ``Instance``, so on every CLI input, this
+    signals an implementation bug, never bad user input.  A
+    ``TwoAgentProblem`` built directly trusts its sides: one whose side
+    is not path independent can reach it with no bug, since without the
+    axioms a stable system may not exist and the routes may miss one that
+    does.
     """

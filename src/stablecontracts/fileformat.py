@@ -380,9 +380,9 @@ def document_from_instance(inst: Instance) -> dict:
     choices: dict[str, Any] = {}
     for agent in inst.agents:
         cf = inst.choices[agent.id]
-        if isinstance(cf, LinearOrder):
+        if type(cf) is LinearOrder:
             choices[agent.id] = {"family": "linear", "payload": name(list(cf.order))}
-        elif isinstance(cf, Quota):
+        elif type(cf) is Quota:
             choices[agent.id] = {
                 "family": "quota",
                 "payload": {"q": cf.quota, "priority": name(list(cf.priority))},
@@ -405,7 +405,8 @@ def document_from_instance(inst: Instance) -> dict:
 
 def format_set(inst: Instance, mask: Mask) -> str:
     """Canonical printing: members by dense id, wrapped in braces."""
-    return "{" + ", ".join(inst.labels_of(mask)) + "}"
+    contracts = inst.contracts
+    return "{" + ", ".join([contracts[i].label for i in ids_of(mask)]) + "}"
 
 
 def parse_set(inst: Instance, labels: list[str]) -> Mask:

@@ -19,7 +19,8 @@ choice function's ground then stands for it.  Algorithms downstream assume
 every per-agent choice function is path independent.  Each agent is
 exactly a linear order or quota, path independent by theorem, or a table,
 which must pass the exhaustive axiom check (capped at 12 contracts); any
-other type, subclasses included, is refused.
+other object, subclasses included, is refused for its type before its
+declared contracts are read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .choice import RANKED, Aggregate, ChoiceFunction, Table, dense_table, validate_plott
-from .contractsets import Mask, full_mask, ids_of
+from .contractsets import Mask, full_mask
 from .errors import (
     CapExceededError,
     ChoiceValidationError,
@@ -140,9 +141,6 @@ class Instance:
         except KeyError:
             raise DomainError(f"unknown contract label {label!r}") from None
 
-    def labels_of(self, mask: Mask) -> list[str]:
-        return [self.contracts[i].label for i in ids_of(mask)]
-
 
 def _validate_choices(
     inst: Instance, firm_of: Mapping[str, list[int]], worker_of: Mapping[str, list[int]]
@@ -209,25 +207,21 @@ def _check_contract(
 
 
 def _validate_agent(agent_id: str, cf: ChoiceFunction, adjacent: list[int]) -> None:
+    ranked = type(cf) in RANKED
+    if not ranked and type(cf) is not Table:
+        raise DomainError(
+            f"choice function of agent {agent_id!r} has type {type(cf).__name__}, "
+            f"not LinearOrder, Quota or Table"
+        )
     # the ids the choice function is declared over, ascending
-    if type(cf) in RANKED:
-        declared = sorted(cf.priority)
-    elif type(cf) is Table:
-        declared = list(cf.bits)
-    else:
-        declared = ids_of(cf.ground)
+    declared = sorted(cf.priority) if ranked else list(cf.bits)
     if declared != adjacent:
         raise DomainError(
             f"choice function of agent {agent_id!r} is declared over "
             f"{declared} but its adjacent contracts are {adjacent}"
         )
-    if type(cf) in RANKED:
+    if ranked:
         return
-    if type(cf) is not Table:
-        raise DomainError(
-            f"choice function of agent {agent_id!r} has type {type(cf).__name__}, "
-            f"not LinearOrder, Quota or Table"
-        )
     try:
         report = validate_plott(cf)
     except CapExceededError as exc:

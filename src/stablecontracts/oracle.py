@@ -11,13 +11,14 @@ between them; the tables are plain choices, C(A) for every menu A.
 
 from __future__ import annotations
 
+import numbers
 import random
 from typing import Sequence
 
 import numpy as np
 
 from .choice import ChoiceFunction, LinearOrder, Quota
-from .contractsets import Mask, canonical_sorted
+from .contractsets import Mask, as_int, canonical_sorted
 from .errors import DomainError
 from .instance import Agent, Contract, Instance, Side, TwoAgentProblem
 
@@ -57,10 +58,17 @@ def random_instance(
     distinct names in ``families`` ("linear", "quota"; repeats and their
     order change nothing; naming none, or passing a bare string, is
     refused), a shuffled strict order, and for quotas a size between 1 and
-    its degree.  The result always passes instance validation.
+    its degree.  The result always passes instance validation.  The seed
+    and both counts are integers, read as ``contractsets.as_int`` reads
+    them, and the density a real number that is not a bool.
     """
+    seed = as_int(seed, "seed must be an integer")
+    firms = as_int(firms, "agent counts must be integers")
+    workers = as_int(workers, "agent counts must be integers")
     if firms < 0 or workers < 0:
         raise DomainError("agent counts must be non-negative")
+    if isinstance(density, bool) or not isinstance(density, numbers.Real):
+        raise DomainError(f"density must be a real number, got {density!r}")
     if not 0.0 <= density <= 1.0:
         raise DomainError("density must lie in [0, 1]")
     if isinstance(families, str):
@@ -113,8 +121,12 @@ def random_corpus(
     """A deterministic corpus of small random instances for sweeps.
 
     Shapes, densities and family mixes vary per entry but every instance
-    has at most ``max_contracts`` contracts, at least 1.
+    has at most ``max_contracts`` contracts, at least 1.  The count, seed
+    and bound are integers, read as ``contractsets.as_int`` reads them.
     """
+    count = as_int(count, "corpus size must be an integer")
+    master_seed = as_int(master_seed, "seed must be an integer")
+    max_contracts = as_int(max_contracts, "max_contracts must be an integer")
     if count < 0:
         raise DomainError(f"corpus size must be non-negative, got {count}")
     if max_contracts < 1:

@@ -489,9 +489,17 @@ class TestAgentFamilies:
         type("MyQuota", (Quota,), {})(1, (0, 1)),
         type("MyTable", (Table,), {})(m(0, 1), _FIRST),
         Aggregate((LinearOrder((0,)), LinearOrder((1,)))),
-    ], ids=["linear", "quota", "table", "aggregate"])
+        # refused for its type before its ground, here {e1}, is read
+        type("MyLinearOrder", (LinearOrder,), {})((0,)),
+        # not choice functions at all: they have no ground to read
+        None,
+        object(),
+        "x",
+        3,
+    ], ids=["linear", "quota", "table", "aggregate", "wrong-ground", "none", "object",
+            "str", "int"])
     def test_any_other_type_is_refused(self, scanned, cf):
-        # each chooses as a linear order does, and is still refused
+        # the first five choose as a linear order does, and are still refused
         with pytest.raises(DomainError) as err:
             _one_firm(cf)
         assert type(err.value) is DomainError

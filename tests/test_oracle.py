@@ -1,12 +1,23 @@
+import collections
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from conftest import as_table, m, naive_dense_table, swapped
+from conftest import as_table, m, naive_dense_table, submasks, swapped
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
-from stablecontracts.choice import Aggregate, LinearOrder, Quota
+from stablecontracts.choice import (
+    CONSISTENCY,
+    SUBSTITUTABILITY,
+    Aggregate,
+    LinearOrder,
+    Quota,
+    Table,
+    validate_plott,
+)
 from stablecontracts.contractsets import POWER_SET_CAP, canonical_key, canonical_sorted
-from stablecontracts.errors import CapExceededError, DomainError
+from stablecontracts.errors import CapExceededError, DomainError, InternalInconsistencyError
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
     Agent,
@@ -213,6 +224,38 @@ class TestRandomInstance:
         with pytest.raises(DomainError):
             random_instance(0, 1, 1, families=("table",))
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((0, 2.5, 2), {}, "agent counts must be integers, got 2.5"),
+        ((0, 2, "2"), {}, "agent counts must be integers, got '2'"),
+        ((0, True, 2), {}, "agent counts must be integers, got True"),
+        ((None, 2, 2), {}, "seed must be an integer, got None"),
+        ((1.0, 2, 2), {}, "seed must be an integer, got 1.0"),
+        ((0, 2, 2), {"density": True}, "density must be a real number, got True"),
+        ((0, 2, 2), {"density": "1"}, "density must be a real number, got '1'"),
+        ((0, 2, 2), {"density": None}, "density must be a real number, got None"),
+    ])
+    def test_non_integer_arguments_are_refused(self, args, kwargs, message):
+        with pytest.raises(DomainError) as err:
+            random_instance(*args, **kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5,), "corpus size must be an integer, got 2.5"),
+        ((False,), "corpus size must be an integer, got False"),
+        ((2, None), "seed must be an integer, got None"),
+        ((2, 0, 8.0), "max_contracts must be an integer, got 8.0"),
+        ((2, 0, True), "max_contracts must be an integer, got True"),
+    ])
+    def test_non_integer_corpus_arguments_are_refused(self, args, message):
+        with pytest.raises(DomainError) as err:
+            random_corpus(*args)
+        assert str(err.value) == message
+
+    def test_numpy_integers_are_read_as_ints(self):
+        assert random_instance(np.int64(3), np.int32(2), np.uint8(3), density=np.float64(0.5)) \
+            == random_instance(3, 2, 3, density=0.5)
+        assert random_corpus(np.int64(4), np.int64(1), np.int16(6)) == random_corpus(4, 1, 6)
+
     def test_family_order_and_repeats_change_nothing(self):
         for seed in range(20):
             inst = random_instance(seed, 3, 3, families=("linear", "quota"))
@@ -267,3 +310,53 @@ class TestExistence:
         assert m(0, 1) in stable  # the firm keeps both maximal contracts
         assert ag_solve(problem).system in stable
         assert yang_solve(problem).system in stable
+
+
+class TestWithoutTheAxioms:
+    """The 2×2 market with one contract per pair (e0 = f1w1, e1 = f1w2,
+    e2 = f2w1, e3 = f2w2), with f1 given each of the 16 choice functions
+    on its two contracts, f2 a quota of 1 or 2 over either order and each
+    worker either order: 256 markets, built as ``TwoAgentProblem``s, which
+    trust their sides.  Without path independence a stable system may not
+    exist, and a route may stop on its own check; it never returns an
+    unstable system."""
+
+    def test_each_route_returns_a_stable_system_or_raises(self):
+        counts = collections.Counter()
+        for ca, cb, cab in itertools.product((0, m(0)), (0, m(1)), submasks(m(0, 1))):
+            f1 = Table(m(0, 1), {0: 0, m(0): ca, m(1): cb, m(0, 1): cab})
+            report = validate_plott(f1)
+            kind = {
+                (True, True): "path independent",
+                (True, False): "consistent only",
+                (False, True): "substitutable only",
+                (False, False): "neither",
+            }[report.check(CONSISTENCY).passed, report.check(SUBSTITUTABILITY).passed]
+            for q, f2, w1, w2 in itertools.product(
+                (1, 2), ((2, 3), (3, 2)), ((0, 2), (2, 0)), ((1, 3), (3, 1))
+            ):
+                problem = TwoAgentProblem(
+                    Aggregate((f1, Quota(q, f2))),
+                    Aggregate((LinearOrder(w1), LinearOrder(w2))),
+                )
+                stable = brute_force_stable(problem)
+                counts[kind, "markets"] += 1
+                counts[kind, "no stable system"] += not stable
+                for name, solve in (("ag_solve", ag_solve), ("yang_solve", yang_solve)):
+                    try:
+                        system = solve(problem).system
+                    except InternalInconsistencyError:
+                        counts[kind, f"{name} raises"] += 1
+                    else:
+                        assert system in stable
+        table = {
+            kind: tuple(counts[kind, column] for column in (
+                "markets", "no stable system", "ag_solve raises", "yang_solve raises"))
+            for kind in ("path independent", "consistent only", "substitutable only", "neither")
+        }
+        assert table == {
+            "path independent": (96, 0, 0, 0),
+            "consistent only": (48, 2, 2, 2),
+            "substitutable only": (48, 0, 12, 4),
+            "neither": (64, 10, 10, 10),
+        }

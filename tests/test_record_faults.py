@@ -17,21 +17,33 @@ rewrite the file with
     PYTHONPATH=src python tests/test_record_faults.py
 
 and review the diff.
+
+The same cases, and every rename of one contract label or agent id onto
+another throughout a base document, also check that the decoder's and
+``Instance``'s one-pass record reads agree with their full checks: each
+document is built once as decoded and once with every dict, list and str
+an instance of a trivial subclass, which every one-pass read refuses, so
+that every record goes through the full checks.  Both builds must give
+the same records and choices, or the same ``ParseError``.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from stablecontracts import cli
+from stablecontracts import cli, fileformat, instance
+from stablecontracts.errors import ParseError
+from stablecontracts.fileformat import instance_from_document
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES_FILE = GOLDEN / "record_faults.json"
@@ -228,6 +240,96 @@ def test_fault_is_reported_as_before(case, tmp_path):
     doc = apply(_base(case["base"]), case["path"], case["op"], case["value"])
     got = validate(doc, tmp_path)
     assert got == {k: case[k] for k in ("exit", "stdout", "stderr")}
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _rebuilt(value, str_, dict_=dict, list_=list):
+    """``value`` with every str, keys included, passed through ``str_``,
+    and every dict and list rebuilt by ``dict_`` and ``list_``."""
+    if isinstance(value, dict):
+        return dict_({_rebuilt(k, str_): _rebuilt(v, str_, dict_, list_)
+                      for k, v in value.items()})
+    if isinstance(value, list):
+        return list_([_rebuilt(v, str_, dict_, list_) for v in value])
+    return str_(value) if isinstance(value, str) else value
+
+
+def _subclassed(doc):
+    """``doc`` as the full checks alone read it."""
+    return _rebuilt(doc, _Str, _Dict, _List)
+
+
+def _built(doc):
+    try:
+        inst = instance_from_document(doc)
+    except ParseError as exc:
+        return exc.code, str(exc)
+    return inst.agents, inst.contracts, dict(inst.choices)
+
+
+def _renames():
+    """Each base document with one contract label or agent id renamed onto
+    another everywhere, as (case id, document)."""
+    for base in BASES:
+        doc = _base(base)
+        for section in ("agents", "contracts"):
+            names = [record["id"] for record in doc[section]]
+            for old, new in itertools.permutations(names, 2):
+                yield f"{base}:{old}->{new}", _rebuilt(
+                    doc, lambda s, old=old, new=new: new if s == old else s)
+
+
+def _diverging(named_docs) -> list[str]:
+    return [name for name, doc in named_docs if _built(doc) != _built(_subclassed(doc))]
+
+
+def test_fast_pass_agrees_with_the_full_checks_on_every_fault():
+    docs = ((_case_id(c), apply(_base(c["base"]), c["path"], c["op"], c["value"]))
+            for c in CASES)
+    assert _diverging(docs) == []
+
+
+def test_fast_pass_agrees_with_the_full_checks_on_every_rename():
+    renames = list(_renames())
+    assert len(renames) == 366
+    assert _diverging(renames) == []
+
+
+def test_subclassed_records_take_the_full_checks(monkeypatch):
+    calls = collections.Counter()
+    for module, name in ((fileformat, "_read_agent"), (fileformat, "_read_contract"),
+                         (fileformat, "_resolve_labels"), (instance, "_check_agent"),
+                         (instance, "_check_contract")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    for base in BASES:
+        doc = _base(base)
+        instance_from_document(doc)
+        # a table row naming a contract no earlier menu named is re-read
+        # label by label even as decoded
+        assert calls.keys() <= {"_resolve_labels"}
+        calls.clear()
+        instance_from_document(_subclassed(doc))
+        agents, contracts = len(doc["agents"]), len(doc["contracts"])
+        assert calls.pop("_read_agent") == calls.pop("_check_agent") == agents
+        assert calls.pop("_read_contract") == calls.pop("_check_contract") == contracts
+        # once per linear or quota payload, twice per table row
+        assert calls.pop("_resolve_labels") == sum(
+            2 * len(c["payload"]) if c["family"] == "table" else 1
+            for c in doc["choices"].values())
 
 
 if __name__ == "__main__":
