@@ -9,6 +9,13 @@ fixpoint recovers every stable system, which is what the power-set
 enumerator does on the problem's cached choice tables, candidates first;
 those tables refuse a ground over 20 contracts
 (``contractsets.check_power_set``) before anything is built.
+
+``ag_solve`` makes one W pass and one D_F pass per step.  With
+d = D_F(W(B)), the step reads F(W(B)) as W(B) ∩ d, since C(A) = A ∩ D(A)
+for every choice function with C(A) ⊆ A.  The same d decides ampleness at
+the start, and at the fixpoint it is the D_F of the closing stability
+check S = D_F(S) ∩ D_W(S) with S = W(B).  ``ag_step`` keeps the
+definitional form.
 """
 
 from __future__ import annotations
@@ -67,33 +74,38 @@ def ag_solve(problem: TwoAgentProblem, start: Mask | None = None) -> SolveResult
     re-verified for stability, raising InternalInconsistencyError if that
     ever fails: a bug on a problem reduced from an ``Instance``, and
     possible with no bug on a ``TwoAgentProblem`` whose sides break the
-    axioms, which it trusts.  Each step is
-    ``ag_step``'s, taken on the W(B) already at hand: the ample check's
-    for the first step, and the last step's W(B) is the system.
+    axioms, which it trusts.  Each step is ``ag_step``'s in one W pass and
+    one D_F pass: d = D_F(W(B)) gives F(W(B)) = W(B) ∩ d, the ample
+    check's pass serves the first step, and the last step's W(B) and d are
+    the system and its D_F in the closing check, which is ``is_stable``'s.
     """
     b = problem.ground if start is None else start
     b = check_subset(b, problem.ground)
     wb = problem.worker.evaluate(b)
-    if desirable_set(problem.firm, wb) & ~b:
+    d = desirable_set(problem.firm, wb)
+    if d & ~b:
         raise PreconditionError(
             f"start set {ids_of(b)} is not ample; the descent invariant "
             f"would not hold"
         )
     trace = [b]
     for _ in range(problem.size + 1):
-        nxt = (b & ~wb) | problem.firm.evaluate(wb)
+        # one W pass and one D_F pass per step: F(W(B)) = W(B) ∩ D_F(W(B))
+        nxt = (b & ~wb) | (wb & d)
         if nxt == b:
             break
         b = nxt
         trace.append(b)
         wb = problem.worker.evaluate(b)
+        d = desirable_set(problem.firm, wb)
     else:
         raise InternalInconsistencyError(
             "descending iteration did not reach a fixpoint within the "
             "ground-set bound"
         )
     system = wb
-    if not is_stable(problem, system):
+    # is_stable's S = D_F(S) ∩ D_W(S), with D_F(S) the last step's d
+    if system != d & desirable_set(problem.worker, system):
         raise InternalInconsistencyError(
             f"descent fixpoint produced an unstable system {ids_of(system)}"
         )

@@ -426,7 +426,11 @@ class _RankedParts:
         self.index[self.pos] = order
 
     def desirable(self, state: Mask) -> Mask:
-        raw = (state & self.ground).to_bytes(self.nbytes, "little")
+        state &= self.ground
+        # parts holding nothing desire their whole grounds, as _Ranked does
+        if not state:
+            return self.ground
+        raw = state.to_bytes(self.nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         held = bits[self.pos]
         ahead = np.add.accumulate(held, dtype=self.count)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 import random
+from collections.abc import Iterable
 from typing import Sequence
 
 import numpy as np
@@ -56,11 +57,12 @@ def random_instance(
     One potential contract per (firm, worker) pair, kept with probability
     ``density``.  Each agent draws a choice family uniformly from the
     distinct names in ``families`` ("linear", "quota"; repeats and their
-    order change nothing; naming none, or passing a bare string, is
-    refused), a shuffled strict order, and for quotas a size between 1 and
-    its degree.  The result always passes instance validation.  The seed
-    and both counts are integers, read as ``contractsets.as_int`` reads
-    them, and the density a real number that is not a bool.
+    order change nothing; naming none, passing a bare string or no
+    iterable, or a member that is not a string, is refused), a shuffled
+    strict order, and for quotas a size between 1 and its degree.  The
+    result always passes instance validation.  The seed and both counts
+    are integers, read as ``contractsets.as_int`` reads them, and the
+    density a real number that is not a bool.
     """
     seed = as_int(seed, "seed must be an integer")
     firms = as_int(firms, "agent counts must be integers")
@@ -75,6 +77,11 @@ def random_instance(
         raise DomainError(
             f"families must be a sequence of family names, got the string {families!r}"
         )
+    if not isinstance(families, Iterable):
+        raise DomainError(f"families must be a sequence of family names, got {families!r}")
+    families = list(families)
+    if not all(isinstance(fam, str) for fam in families):
+        raise DomainError(f"families must name each family by a string, got {families!r}")
     families = sorted(set(families))
     if not families or any(fam not in _FAMILIES for fam in families):
         raise DomainError(f"families must name linear, quota or both, got {families}")

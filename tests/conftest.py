@@ -5,7 +5,7 @@ import pytest
 
 from stablecontracts import reduce_to_two_agents
 from stablecontracts.contractsets import canonical_sorted, ids_of, local_table, mask_of
-from stablecontracts.choice import ChoiceFunction, Quota, Table, law_steps
+from stablecontracts.choice import ChoiceFunction, LinearOrder, Quota, Table, law_steps
 from stablecontracts.fixtures import (
     marriage_2x2,
     poset_table_instance,
@@ -107,6 +107,30 @@ def unsettled_problem() -> TwoAgentProblem:
     """A ``Complement`` firm against a worker who keeps every menu whole,
     over two contracts."""
     return TwoAgentProblem(Complement(m(0, 1)), Quota(2, (0, 1)))
+
+
+class Listed(ChoiceFunction):
+    """Chooses what ``choices`` lists for each menu, inside the menu or
+    not, and desires by the definition: x with x ∈ C(state ∪ {x})."""
+
+    def __init__(self, ground: int, choices: dict[int, int]):
+        self.ground = ground
+        self.choices = choices
+
+    def _choose(self, menu: int) -> int:
+        return self.choices[menu]
+
+    def desirable(self, state: int) -> int:
+        return naive_desirable(self, state)
+
+
+def unsettled_descent() -> TwoAgentProblem:
+    """A linear-order firm (e0 over e1) against a worker who picks {e1}
+    from the menu {e0} and keeps every other menu whole, over two
+    contracts.  Only a choice outside its menu keeps a descent from
+    settling: here it swings between {e0, e1} and {e0}."""
+    worker = Listed(m(0, 1), {0: 0, m(0): m(1), m(1): m(1), m(0, 1): m(0, 1)})
+    return TwoAgentProblem(LinearOrder((0, 1)), worker)
 
 
 def swapped(problem: TwoAgentProblem) -> TwoAgentProblem:

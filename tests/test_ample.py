@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import m, submasks, swapped, unsettled_problem
+from conftest import m, submasks, swapped, unsettled_descent
 from stablecontracts.ample import (
     ag_solve,
     ag_step,
@@ -114,11 +114,16 @@ class TestAgSolve:
             "^descending iteration did not reach a fixpoint within the "
             "ground-set bound$"
         )):
-            ag_solve(unsettled_problem())
+            ag_solve(unsettled_descent())
 
     def test_unstable_fixpoint_is_internal(self, p3, monkeypatch):
         system = ag_solve(p3).system
-        monkeypatch.setattr(ample, "is_stable", lambda problem, s: False)
+        assert system
+        # the closing check reads D_W(S) through desirable_set: an empty
+        # answer leaves S = D_F(S) ∩ D_W(S) false for a non-empty S
+        real = ample.desirable_set
+        monkeypatch.setattr(ample, "desirable_set",
+                            lambda cf, s: 0 if cf is p3.worker else real(cf, s))
         with pytest.raises(InternalInconsistencyError, match=re.escape(
             f"descent fixpoint produced an unstable system {ids_of(system)}"
         )):
@@ -322,14 +327,16 @@ def _ascent_with_its_own_check(problem):
 
 
 class TestSideEvaluations:
-    """The solvers compute no side evaluation twice: ``ag_solve`` takes its
-    first step on the ample check's W(B) and returns its last step's W(B),
-    and ``yang_solve`` takes its first step on the modesty check's
-    W(D_F(Q)).  On sides of 32 or more ranked agents every evaluation is
-    one call of the one-pass kernel."""
+    """The solvers compute no side evaluation twice.  ``ag_solve`` makes
+    one W pass and one D_F pass per step: it reads F(W(B)) as
+    W(B) ∩ D_F(W(B)), takes its first step on the ample check's passes,
+    and closes on its last step's W(B) and D_F(W(B)); ``yang_solve`` takes
+    its first step on the modesty check's W(D_F(Q)).  On sides of 32 or
+    more ranked agents every evaluation is one call of the one-pass
+    kernel, so the two make five fewer calls than the public steps."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_three_fewer_than_the_public_steps(self, seed, monkeypatch):
+    def test_five_fewer_than_the_public_steps(self, seed, monkeypatch):
         inst = random_instance(seed, 40, 40, density=0.25, families=("linear", "quota"))
         problem = reduce_to_two_agents(inst)
         assert problem.firm._passes[0] is not None
@@ -350,4 +357,21 @@ class TestSideEvaluations:
         assert (ag.system, ag.trace) == ag_ref
         assert (yang.system, yang.trace) == yang_ref
         assert ag.steps > 0
-        assert (ag_ref_calls - ag_calls, yang_ref_calls - yang_calls) == (2, 1)
+        assert (ag_ref_calls - ag_calls, yang_ref_calls - yang_calls) == (4, 1)
+
+    def test_per_part_sides_take_the_public_steps(self, poset):
+        # below _VECTOR_PARTS every part answers with one call of its own
+        # family's form: a table part here, and ranked parts in the corpus
+        problem = reduce_to_two_agents(poset)
+        corpus = random_corpus(60, master_seed=61, max_contracts=10)
+        problems = [problem, swapped(problem), *map(reduce_to_two_agents, corpus)]
+        assert any(isinstance(part, choice.Table) for part in problem.firm.parts)
+        moved = 0
+        for problem in problems:
+            assert problem.firm._passes[0] is None
+            assert problem.worker._passes[0] is None
+            result = ag_solve(problem)
+            assert (result.system, result.trace) == _descent_by_steps(problem)
+            moved += result.steps > 0
+        # a quarter of the descents take at least one step
+        assert moved >= len(problems) // 4

@@ -6,10 +6,11 @@ import pytest
 from conftest import m, submasks, unsettled_problem
 from stablecontracts.ample import ag_solve, is_ample
 from stablecontracts import modest
+from stablecontracts.choice import Table, validate_plott
 from stablecontracts.contractsets import ids_of
 from stablecontracts.desirability import desirable_set
 from stablecontracts.errors import InternalInconsistencyError, PreconditionError
-from stablecontracts.instance import reduce_to_two_agents
+from stablecontracts.instance import TwoAgentProblem, reduce_to_two_agents
 from stablecontracts.modest import (
     ample_to_modest,
     is_modest,
@@ -18,7 +19,7 @@ from stablecontracts.modest import (
     yang_solve,
     yang_step,
 )
-from stablecontracts.oracle import random_corpus, random_instance
+from stablecontracts.oracle import brute_force_stable, random_corpus, random_instance
 from stablecontracts.stability import is_stable
 
 
@@ -91,6 +92,22 @@ class TestYangSolve:
             f"ascent fixpoint produced an unstable system {ids_of(system)}"
         )):
             yang_solve(p3)
+
+    def test_a_market_without_the_axioms_fails_the_closing_check(self):
+        # two proper tables over e0, e1, e2 that break every axiom, found
+        # by a seeded search over random 3-contract tables: entry A is
+        # C(A).  {e1} is the one stable system, but the ascent stops at
+        # once on the empty set: D_F(∅) = {e1, e2}, W drops both, and
+        # D_F(∅) repeats.  Only the closing check sees e1 block ∅.
+        firm = Table(m(0, 1, 2), dict(enumerate([0, 0, 2, 0, 4, 5, 6, 6])))
+        worker = Table(m(0, 1, 2), dict(enumerate([0, 0, 2, 0, 4, 5, 0, 7])))
+        problem = TwoAgentProblem(firm, worker)
+        assert not validate_plott(firm).passed
+        assert brute_force_stable(problem) == [m(1)]
+        with pytest.raises(InternalInconsistencyError, match=(
+            r"^ascent fixpoint produced an unstable system \[\]$"
+        )):
+            yang_solve(problem)
 
 
 def _ascent_by_steps(problem, start):

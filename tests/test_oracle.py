@@ -1,23 +1,14 @@
-import collections
-import itertools
 import random
 
 import numpy as np
 import pytest
 
-from conftest import as_table, m, naive_dense_table, submasks, swapped
+from conftest import as_table, m, naive_dense_table, swapped
+from without_axioms import sweep
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
-from stablecontracts.choice import (
-    CONSISTENCY,
-    SUBSTITUTABILITY,
-    Aggregate,
-    LinearOrder,
-    Quota,
-    Table,
-    validate_plott,
-)
+from stablecontracts.choice import Aggregate, LinearOrder, Quota
 from stablecontracts.contractsets import POWER_SET_CAP, canonical_key, canonical_sorted
-from stablecontracts.errors import CapExceededError, DomainError, InternalInconsistencyError
+from stablecontracts.errors import CapExceededError, DomainError
 from stablecontracts.fixtures import marriage_2x2
 from stablecontracts.instance import (
     Agent,
@@ -265,6 +256,17 @@ class TestRandomInstance:
         with pytest.raises(DomainError, match="sequence of family names, got the string 'quota'"):
             random_instance(0, 1, 1, families="quota")
 
+    @pytest.mark.parametrize("families, message", [
+        ([1, "linear"], "families must name each family by a string, got [1, 'linear']"),
+        ([["linear"]], "families must name each family by a string, got [['linear']]"),
+        (None, "families must be a sequence of family names, got None"),
+        (3, "families must be a sequence of family names, got 3"),
+    ])
+    def test_a_family_list_of_other_things_is_refused(self, families, message):
+        with pytest.raises(DomainError) as err:
+            random_instance(0, 1, 1, families=families)
+        assert str(err.value) == message
+
     def test_mix_naming_no_family(self):
         with pytest.raises(DomainError, match=r"must name linear, quota or both, got \[\]"):
             random_instance(0, 1, 1, families=())
@@ -315,46 +317,14 @@ class TestExistence:
 class TestWithoutTheAxioms:
     """The 2×2 market with one contract per pair (e0 = f1w1, e1 = f1w2,
     e2 = f2w1, e3 = f2w2), with f1 given each of the 16 choice functions
-    on its two contracts, f2 a quota of 1 or 2 over either order and each
-    worker either order: 256 markets, built as ``TwoAgentProblem``s, which
-    trust their sides.  Without path independence a stable system may not
-    exist, and a route may stop on its own check; it never returns an
-    unstable system."""
+    on its two contracts and the market completed every way: 256 markets,
+    built as ``TwoAgentProblem``s, which trust their sides
+    (``without_axioms.sweep``).  Without path independence a stable system
+    may not exist, and a route may stop on its own check; it never returns
+    an unstable system.  CI runs the three-contract sweep."""
 
     def test_each_route_returns_a_stable_system_or_raises(self):
-        counts = collections.Counter()
-        for ca, cb, cab in itertools.product((0, m(0)), (0, m(1)), submasks(m(0, 1))):
-            f1 = Table(m(0, 1), {0: 0, m(0): ca, m(1): cb, m(0, 1): cab})
-            report = validate_plott(f1)
-            kind = {
-                (True, True): "path independent",
-                (True, False): "consistent only",
-                (False, True): "substitutable only",
-                (False, False): "neither",
-            }[report.check(CONSISTENCY).passed, report.check(SUBSTITUTABILITY).passed]
-            for q, f2, w1, w2 in itertools.product(
-                (1, 2), ((2, 3), (3, 2)), ((0, 2), (2, 0)), ((1, 3), (3, 1))
-            ):
-                problem = TwoAgentProblem(
-                    Aggregate((f1, Quota(q, f2))),
-                    Aggregate((LinearOrder(w1), LinearOrder(w2))),
-                )
-                stable = brute_force_stable(problem)
-                counts[kind, "markets"] += 1
-                counts[kind, "no stable system"] += not stable
-                for name, solve in (("ag_solve", ag_solve), ("yang_solve", yang_solve)):
-                    try:
-                        system = solve(problem).system
-                    except InternalInconsistencyError:
-                        counts[kind, f"{name} raises"] += 1
-                    else:
-                        assert system in stable
-        table = {
-            kind: tuple(counts[kind, column] for column in (
-                "markets", "no stable system", "ag_solve raises", "yang_solve raises"))
-            for kind in ("path independent", "consistent only", "substitutable only", "neither")
-        }
-        assert table == {
+        assert sweep(2) == {
             "path independent": (96, 0, 0, 0),
             "consistent only": (48, 2, 2, 2),
             "substitutable only": (48, 0, 12, 4),
