@@ -14,7 +14,7 @@ ranked rule (``_Ranked``, listed in ``RANKED``): keep the q best contracts
 of a menu by priority, where a linear order is a quota of one.  The rule
 satisfies the axioms by theorem, and an ``Aggregate`` of such parts
 inherits them.  A ranked part, like every family but a table, tabulates
-its power set with one ``evaluate`` per menu.  A market
+its power set with one ``_choose`` per menu.  A market
 side with many ranked parts answers for all of them at once: each ranked
 part keeps its priority packed as 64-bit integers beside the run record
 of its shape (size and quota, one record shared by every part of that
@@ -126,8 +126,8 @@ class ChoiceFunction(abc.ABC):
     ground: Mask
 
     def evaluate(self, menu: Mask) -> Mask:
-        """C(menu).  The menu must lie inside the ground set; it is read as
-        ``contractsets.as_mask`` reads it."""
+        """C(menu), the one entry that checks the menu: it must lie inside
+        the ground set, read as ``contractsets.as_mask`` reads it."""
         if type(menu) is not int:
             menu = as_mask(menu)
         if menu | self.ground != self.ground:
@@ -139,9 +139,9 @@ class ChoiceFunction(abc.ABC):
 
     def tabulate(self) -> np.ndarray:
         """C(A) for every subset A of the ground, as ``local_table`` lays
-        it out: one evaluation per menu unless the family builds the array
+        it out: one ``_choose`` per menu unless the family builds the array
         from what it stores."""
-        return local_table(self.evaluate, ids_of(self.ground))
+        return local_table(self._choose, ids_of(self.ground))
 
     @abc.abstractmethod
     def _choose(self, menu: Mask) -> Mask:
@@ -174,7 +174,7 @@ class _Ranked(ChoiceFunction):
     order, whose best element of A ∪ B is the best of max(A) ∪ B (Plott
     1973).
 
-    Its power-set table is ``ChoiceFunction.tabulate``'s, one ``evaluate``
+    Its power-set table is ``ChoiceFunction.tabulate``'s, one ``_choose``
     per menu, as for every family that stores no table.
     """
 
@@ -306,11 +306,12 @@ class Table(_PowerSetMap, ChoiceFunction):
     Stored as a ``_PowerSetMap``: entry A of ``table`` is C(A) for the menu
     A, both over local bits 0..k-1.  The axiom check and ``dense_table``
     read that array as it is, ``evaluate`` looks the menu up, and
-    ``desirable`` compresses the state once and reads one entry per ground
-    contract.  ``Table(ground, mapping)`` tabulates a menu-to-choice
-    mapping in contract ids; the document decoder uses ``from_rows``, which
-    renumbers all menus and all choices to ascending ids by one gather
-    each, through a permutation built by doubling.
+    ``desirable`` reads the state's own entry for the held contracts (x ∈ S
+    is desirable exactly when x ∈ C(S)) and one entry per contract outside
+    it, exact for any table.  ``Table(ground, mapping)`` tabulates a
+    menu-to-choice mapping in contract ids; the document decoder uses
+    ``from_rows``, which renumbers all menus and all choices to ascending
+    ids by one gather each, through a permutation built by doubling.
 
     The table must be total over the power set and each entry must satisfy
     C(A) ⊆ A.  Whether it satisfies the rationality axioms is a separate
@@ -370,10 +371,10 @@ class Table(_PowerSetMap, ChoiceFunction):
         return self._lookup(menu)
 
     def desirable(self, state: Mask) -> Mask:
-        # local bit i is desirable when the entry of state ∪ {i} holds it
+        # held: C(state); outside bit i: when the entry of state ∪ {i} holds it
         s, t = compress(state, self.bits), self.table
-        local = sum(1 << i for i in range(len(self.bits)) if t.item(s | 1 << i) >> i & 1)
-        return expand(local, self.bits)
+        outside = (1 << i for i in range(len(self.bits)) if not s >> i & 1)
+        return expand(t.item(s) | sum(x for x in outside if t.item(s | x) & x), self.bits)
 
 
 # The ranked families, by exact type: a subclass may choose otherwise
@@ -452,10 +453,11 @@ class Aggregate(ChoiceFunction):
     side's D), and ``tabulate`` ORs the parts' own tables.  In C order the
     side's table ends in one axis over its lowest ``_LOW_BITS`` local bits
     (all of them on a smaller side), and above it has one axis per run of
-    adjacent higher bits of one part.  Each part's table is gathered onto
-    its own runs × that block through one low-index array, built by
-    doubling for all parts at once, and broadcasts over the other runs; so
-    every OR runs numpy's inner loop over the whole block.
+    adjacent higher bits of one part.  Each part's table, re-indexed by
+    ``expansion``, is gathered onto its own runs × that block through one
+    low-index array, built by doubling for all parts at once, and
+    broadcasts over the other runs; so every OR runs numpy's inner loop
+    over the whole block.
 
     Construction is one pass over the parts: it checks that their grounds
     are disjoint, splits the linear and quota parts from the rest, and
@@ -464,7 +466,8 @@ class Aggregate(ChoiceFunction):
     those into one layout (``_passes``) and answers for all of them in one
     numpy pass (``_RankedParts``): their desirable set, and their choice
     as the held part of it.  Below that count, and for every other part,
-    each part answers for its slice with one call.
+    each part answers for its own slice with one ``_choose`` or
+    ``desirable`` call, which checks nothing.
 
     Each axiom compares C on menus slice by slice, so it holds for the
     join when it holds for every part.
@@ -504,7 +507,7 @@ class Aggregate(ChoiceFunction):
         ranked, rest = self._passes
         out = 0 if ranked is None else menu & ranked.desirable(menu)
         for part in rest:
-            out |= part.evaluate(menu & part.ground)
+            out |= part._choose(menu & part.ground)
         return out
 
     def desirable(self, state: Mask) -> Mask:
@@ -539,7 +542,7 @@ class Aggregate(ChoiceFunction):
             # the part's masks with none of its low bits, one per row
             rows = np.arange(0, 1 << len(local), 1 << held[i])[:, None]
             shape = [1 << size if o == i else 1 for o, size in runs] + [1 << low]
-            table = table | expand(part.tabulate(), local)[rows + index[i]].reshape(shape)
+            table = table | expansion(local)[part.tabulate()][rows + index[i]].reshape(shape)
         table = table.reshape(-1)
         table.flags.writeable = False
         return table

@@ -43,9 +43,15 @@ def _workers(inst: Instance, order: tuple[str, ...] | None = None):
                 f"the classical solvers need linear orders throughout"
             )
     workers = inst.workers()
-    if order is not None and sorted(order) != sorted(workers):
-        raise DomainError("insertion_order must be a permutation of the workers")
-    return workers if order is None else tuple(order)
+    if order is None:
+        return workers
+    try:
+        order = tuple(order)
+        if sorted(order) == sorted(workers):
+            return order
+    except TypeError:  # not iterable, or of values that do not sort together
+        pass
+    raise DomainError("insertion_order must be a permutation of the workers")
 
 
 def _desired(inst: Instance, held: Mask, e: int) -> bool:

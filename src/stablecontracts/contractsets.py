@@ -11,9 +11,9 @@ takes a numpy integer as an int and refuses any other kind of value.
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
-it back, on ints or elementwise on int64 arrays of local masks.  On an
-array ``expand`` makes one gather through ``expansion``, the expansion of
-every local mask, built by doubling in one numpy call per bit.
+it back, both on Python ints.  An int64 array of local masks is re-indexed
+by one gather through ``expansion``, the expansion of every local mask,
+built by doubling in one numpy call per bit.
 ``local_table`` tabulates a function over the 2^k local masks, for k up to
 ``POWER_SET_CAP``; ``canonical_order`` lists those masks in the canonical
 scan order of ``canonical_key``, and ``single_steps`` lists every
@@ -128,17 +128,10 @@ def check_subset(s: Mask, ground: Mask) -> Mask:
     return s
 
 
-def expand(local: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
-    """Map a mask over local indices 0..k-1 to the contract ids ``bits``.
-
-    ``local`` is an int, mapped bit by bit, or an int64 numpy array of local
-    masks below 2^k, mapped elementwise in one gather through
-    ``expansion(bits)``, which needs every id in ``bits`` below 63: arrays
-    carry local masks only.
-    """
-    if isinstance(local, np.ndarray):
-        return expansion(bits)[local]
-    out = local & 0
+def expand(local: Mask, bits: list[int]) -> Mask:
+    """Map a mask over local indices 0..k-1 to the contract ids ``bits``;
+    an array of local masks goes through ``expansion(bits)`` instead."""
+    out = 0
     for i, b in enumerate(bits):
         out |= (local >> i & 1) << b
     return out
@@ -154,10 +147,10 @@ def expansion(bits: list[int]) -> np.ndarray:
     return out
 
 
-def compress(mask: Mask | np.ndarray, bits: list[int]) -> Mask | np.ndarray:
+def compress(mask: Mask, bits: list[int]) -> Mask:
     """Map the members of ``mask`` among the contract ids ``bits`` to local
-    indices 0..k-1, the inverse of ``expand``; ints and int64 arrays as there."""
-    out = mask & 0
+    indices 0..k-1, the inverse of ``expand``."""
+    out = 0
     for i, b in enumerate(bits):
         out |= (mask >> b & 1) << i
     return out

@@ -62,7 +62,7 @@ import json
 from typing import Any
 
 from .choice import OUTSIDE, ChoiceFunction, LinearOrder, Quota, Table
-from .contractsets import Mask, canonical_order, ids_of, mask_of
+from .contractsets import Mask, canonical_order, check_subset, ids_of, mask_of
 from .errors import DomainError, ParseError
 from .instance import Agent, Contract, Instance, Side
 
@@ -406,7 +406,8 @@ def document_from_instance(inst: Instance) -> dict:
 def format_set(inst: Instance, mask: Mask) -> str:
     """Canonical printing: members by dense id, wrapped in braces."""
     contracts = inst.contracts
-    return "{" + ", ".join([contracts[i].label for i in ids_of(mask)]) + "}"
+    ids = ids_of(check_subset(mask, inst.ground))
+    return "{" + ", ".join([contracts[i].label for i in ids]) + "}"
 
 
 def parse_set(inst: Instance, labels: list[str]) -> Mask:

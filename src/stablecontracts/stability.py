@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .contractsets import Mask, as_mask, check_subset
+from .contractsets import Mask, as_mask, check_subset, ids_of
 from .desirability import desirable_set
 from .instance import Contract, Instance, TwoAgentProblem
 
@@ -30,15 +30,10 @@ def blocking_contracts(problem: TwoAgentProblem, s: Mask) -> Mask:
     """
     s = check_subset(s, problem.ground)
     out = 0
-    rest = problem.ground & ~s
-    while rest:
-        low = rest & -rest
-        if (
-            problem.firm.evaluate(s | low) & low
-            and problem.worker.evaluate(s | low) & low
-        ):
+    for x in ids_of(problem.ground & ~s):
+        low = 1 << x
+        if problem.firm.evaluate(s | low) & low and problem.worker.evaluate(s | low) & low:
             out |= low
-        rest ^= low
     return out
 
 
@@ -75,10 +70,9 @@ def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
     """Outside contracts that both endpoints would accept on top of their
     slices of S, lazily and by ascending id."""
     s = as_mask(s)
-    rest = inst.ground & ~s
-    while rest:
-        low = rest & -rest
-        contract = inst.contracts[low.bit_length() - 1]
+    for x in ids_of(inst.ground & ~s):
+        low = 1 << x
+        contract = inst.contracts[x]
         firm = inst.choices[contract.firm]
         worker = inst.choices[contract.worker]
         if (
@@ -86,4 +80,3 @@ def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
             and worker.evaluate(s & worker.ground | low) & low
         ):
             yield contract
-        rest ^= low

@@ -695,6 +695,15 @@ def test_one_contract_rules_agree_with_the_global_scan(cf):
     _assert_rules_agree_with_the_global_scan(cf)
 
 
+@settings(max_examples=200, deadline=None)
+@given(table_up_to_six())
+def test_table_desirable_is_the_definition_on_any_table(cf):
+    # arbitrary tables too, not only those that validate: the held part
+    # comes off the state's own entry, which rests on C(A) ⊆ A alone
+    for state in submasks(cf.ground):
+        assert cf.desirable(state) == naive_desirable(cf, state)
+
+
 def _assert_rules_agree_with_the_global_scan(cf):
     witnesses = naive_axiom_witnesses(cf)
     verdicts = {axiom: w is None for axiom, w in witnesses.items()}

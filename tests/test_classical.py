@@ -121,6 +121,18 @@ class TestSotomayorInsertion:
         with pytest.raises(DomainError, match="permutation"):
             sotomayor_insert_solve(i3, ("w1", "w1"))
 
+    @pytest.mark.parametrize("order", [5, ("w1", 3), ("w1", ["x"])],
+                             ids=["not-iterable", "mixed-types", "holds-a-list"])
+    def test_insertion_order_that_does_not_sort(self, i3, order):
+        # refused as any other non-permutation, not as a bare TypeError
+        with pytest.raises(DomainError, match="permutation"):
+            sotomayor_insert_solve(i3, order)
+
+    def test_insertion_order_read_once(self, i3):
+        # a generator is consumed by the check and still gives the order
+        order = (w for w in ("w2", "w1"))
+        assert sotomayor_insert_solve(i3, order) == sotomayor_insert_solve(i3, ("w2", "w1"))
+
     def test_repair_chain_that_never_stops_is_internal(self):
         # the firm desires every contract whatever it holds, so it takes
         # each entering worker, and w1 and w2 displace each other for ever

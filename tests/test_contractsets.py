@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import submasks
@@ -146,24 +146,6 @@ def test_expand_and_compress_round_trip(bits, mask):
 
 
 @given(
-    st.integers(1, 20).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(0, n - 1), unique=True).map(sorted),
-            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=50),
-        )
-    )
-)
-def test_arrays_agree_with_ints_on_dense_grounds(case):
-    bits, masks = case
-    arr = np.array(masks, dtype=np.int64)
-    assert compress(arr, bits).tolist() == [compress(x, bits) for x in masks]
-    locals_ = [x % (1 << len(bits)) for x in masks]
-    assert expand(np.array(locals_, dtype=np.int64), bits).tolist() == [
-        expand(x, bits) for x in locals_
-    ]
-
-
-@given(
     st.integers(0, POWER_SET_CAP).flatmap(
         lambda k: st.tuples(
             st.lists(st.integers(0, 62), min_size=k, max_size=k, unique=True).map(sorted),
@@ -171,11 +153,12 @@ def test_arrays_agree_with_ints_on_dense_grounds(case):
         )
     )
 )
-def test_array_expand_is_the_int_path(case):
-    # one gather through the expansion, entry by entry as the int path
+@example(([0, 1, 2, 3], [0, 5, 15, 9, 5]))
+def test_expansion_gather_is_the_int_expand(case):
+    # an array of local masks re-indexes by one gather through the
+    # expansion, entry by entry as the int expand, on sparse and dense ids
     bits, locals_ = case
-    arr = np.array(locals_, dtype=np.int64)
-    out = expand(arr, bits)
+    out = expansion(bits)[np.array(locals_, dtype=np.int64)]
     assert out.dtype == np.int64
     assert out.tolist() == [expand(x, bits) for x in locals_]
 
@@ -192,9 +175,9 @@ def test_expansion_holds_every_local_mask(k):
     assert [int(table[x]) for x in locals_] == [expand(x, bits) for x in locals_]
 
 
-def test_array_expand_over_no_bits():
-    assert expand(np.zeros(3, dtype=np.int64), []).tolist() == [0, 0, 0]
-    assert expand(np.zeros(0, dtype=np.int64), []).tolist() == []
+def test_expansion_over_no_bits():
+    assert expansion([])[np.zeros(3, dtype=np.int64)].tolist() == [0, 0, 0]
+    assert expansion([])[np.zeros(0, dtype=np.int64)].tolist() == []
     assert expansion([]).tolist() == [0]
 
 

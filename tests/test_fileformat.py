@@ -447,6 +447,14 @@ class TestSetText:
         assert format_set(i3, m(1, 2)) == "{e12, e21}"
         assert format_set(i3, 0) == "{}"
 
+    @pytest.mark.parametrize("mask, match", [
+        (1 << 10, "not a subset of the ground set"),
+        (-1, "non-negative"),
+    ], ids=["outside-the-ground", "negative"])
+    def test_format_refuses_a_set_outside_the_ground(self, i3, mask, match):
+        with pytest.raises(DomainError, match=match):
+            format_set(i3, mask)
+
     def test_parse_round_trip(self, i3):
         assert parse_set(i3, ["e11", "e22"]) == m(0, 3)
         assert parse_set(i3, []) == 0
