@@ -77,6 +77,7 @@ from .contractsets import (
     as_mask,
     canonical_order,
     check_power_set,
+    check_subset,
     compress,
     contract_ids,
     expand,
@@ -126,15 +127,12 @@ class ChoiceFunction(abc.ABC):
     ground: Mask
 
     def evaluate(self, menu: Mask) -> Mask:
-        """C(menu), the one entry that checks the menu: it must lie inside
-        the ground set, read as ``contractsets.as_mask`` reads it."""
-        if type(menu) is not int:
-            menu = as_mask(menu)
-        if menu | self.ground != self.ground:
-            raise DomainError(
-                f"menu {ids_of(menu)} is not a subset of the ground set "
-                f"{ids_of(self.ground)}"
-            )
+        """C(menu), the one entry that checks the menu: a Python int inside
+        the ground set passes one type test and one ``|``, and any other
+        menu is read and refused by ``contractsets.check_subset``."""
+        # menu | ground, not menu & ~ground, which costs ~30 ns more past bit 30
+        if type(menu) is not int or menu | self.ground != self.ground:
+            menu = check_subset(menu, self.ground)
         return self._choose(menu)
 
     def tabulate(self) -> np.ndarray:

@@ -11,9 +11,9 @@ takes a numpy integer as an int and refuses any other kind of value.
 This module alone decides how a power set is laid out for an exhaustive
 scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 0..k-1: ``expand`` takes a local mask to contract ids and ``compress`` takes
-it back, both on Python ints.  An int64 array of local masks is re-indexed
-by one gather through ``expansion``, the expansion of every local mask,
-built by doubling in one numpy call per bit.
+it back, each reading its mask as ``as_mask`` does.  An int64 array of local
+masks is re-indexed by one gather through ``expansion``, the expansion of
+every local mask, built by doubling in one numpy call per bit.
 ``local_table`` tabulates a function over the 2^k local masks, for k up to
 ``POWER_SET_CAP``; ``canonical_order`` lists those masks in the canonical
 scan order of ``canonical_key``, and ``single_steps`` lists every
@@ -131,6 +131,8 @@ def check_subset(s: Mask, ground: Mask) -> Mask:
 def expand(local: Mask, bits: list[int]) -> Mask:
     """Map a mask over local indices 0..k-1 to the contract ids ``bits``;
     an array of local masks goes through ``expansion(bits)`` instead."""
+    if type(local) is not int or local < 0:
+        local = as_mask(local)
     out = 0
     for i, b in enumerate(bits):
         out |= (local >> i & 1) << b
@@ -150,6 +152,8 @@ def expansion(bits: list[int]) -> np.ndarray:
 def compress(mask: Mask, bits: list[int]) -> Mask:
     """Map the members of ``mask`` among the contract ids ``bits`` to local
     indices 0..k-1, the inverse of ``expand``."""
+    if type(mask) is not int or mask < 0:
+        mask = as_mask(mask)
     out = 0
     for i, b in enumerate(bits):
         out |= (mask >> b & 1) << i

@@ -411,5 +411,9 @@ def format_set(inst: Instance, mask: Mask) -> str:
 
 
 def parse_set(inst: Instance, labels: list[str]) -> Mask:
-    """Contract labels to a mask; unknown labels are a domain error."""
-    return mask_of(map(inst.contract_id, labels))
+    """Contract labels to a mask; an unknown label, or labels that are not
+    iterable, are a domain error."""
+    try:
+        return mask_of(map(inst.contract_id, labels))
+    except TypeError:  # not iterable: every label's lookup is a DomainError
+        raise DomainError(f"contract labels must be iterable, got {labels!r}") from None

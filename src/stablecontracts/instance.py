@@ -126,7 +126,7 @@ class Instance:
     def agent(self, agent_id: str) -> Agent:
         try:
             return self._by_id[agent_id]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise DomainError(f"unknown agent {agent_id!r}") from None
 
     def firms(self) -> tuple[str, ...]:
@@ -138,7 +138,7 @@ class Instance:
     def contract_id(self, label: str) -> int:
         try:
             return self._by_label[label]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise DomainError(f"unknown contract label {label!r}") from None
 
 

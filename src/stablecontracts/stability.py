@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .contractsets import Mask, as_mask, check_subset, ids_of
+from .contractsets import Mask, check_subset, ids_of
 from .desirability import desirable_set
 from .instance import Contract, Instance, TwoAgentProblem
 
@@ -69,7 +69,7 @@ def keeps_slices(inst: Instance, s: Mask) -> bool:
 def multi_blocking(inst: Instance, s: Mask) -> Iterator[Contract]:
     """Outside contracts that both endpoints would accept on top of their
     slices of S, lazily and by ascending id."""
-    s = as_mask(s)
+    s = check_subset(s, inst.ground)
     for x in ids_of(inst.ground & ~s):
         low = 1 << x
         contract = inst.contracts[x]

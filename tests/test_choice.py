@@ -62,27 +62,56 @@ class TestLinearOrder:
         with pytest.raises(DomainError):
             LinearOrder((0, 0))
 
-    def test_menu_outside_ground_rejected(self):
-        with pytest.raises(DomainError):
-            LinearOrder((0, 1)).evaluate(m(2))
 
-    def test_negative_menu_rejected(self):
-        with pytest.raises(DomainError):
-            LinearOrder((0, 1)).evaluate(-1)
+# One choice function of every family over the contracts 0 and 1: the three
+# document families, and a side answered one part at a time and one whose
+# ranked parts are answered in one numpy pass (``_VECTOR_PARTS`` of them,
+# padded with empty orders)
+_PARTS = (LinearOrder((0,)), Quota(1, (1,)))
+EVERY_FAMILY = pytest.mark.parametrize("cf", [
+    LinearOrder((0, 1)),
+    Quota(2, (1, 0)),
+    Table(m(0, 1), {0: 0, 1: 1, 2: 2, 3: 1}),
+    Aggregate(_PARTS),
+    Aggregate(_PARTS + (LinearOrder(()),) * (choice._VECTOR_PARTS - len(_PARTS))),
+], ids=["linear", "quota", "table", "aggregate-per-part", "aggregate-one-pass"])
 
-    @pytest.mark.parametrize("cf", [LinearOrder((0, 1)), Quota(2, (1, 0)),
-                                    Table(m(0, 1), {0: 0, 1: 1, 2: 2, 3: 1})],
-                             ids=["linear", "quota", "table"])
-    def test_numpy_menu_chooses_a_python_int(self, cf):
-        for menu in range(4):
-            out = cf.evaluate(np.int64(menu))
+
+@EVERY_FAMILY
+def test_menu_outside_ground_rejected(cf):
+    # every family refuses with check_subset's wording
+    for menu, ids in ((m(2), [2]), (m(0, 2), [0, 2]), (np.int64(m(0, 2)), [0, 2])):
+        with pytest.raises(DomainError) as err:
+            cf.evaluate(menu)
+        assert str(err.value) == f"contract set {ids} is not a subset of the ground set"
+
+
+@EVERY_FAMILY
+def test_negative_menu_rejected(cf):
+    for menu in (-1, np.int64(-1)):
+        with pytest.raises(DomainError, match=r"^contract sets are non-negative masks, got -1$"):
+            cf.evaluate(menu)
+
+
+@EVERY_FAMILY
+@pytest.mark.parametrize("bad", [1.0, True, "1", np.bool_(True)],
+                         ids=["float", "bool", "str", "numpy bool"])
+def test_non_integer_menu_rejected(cf, bad):
+    with pytest.raises(DomainError, match="contract sets are integer masks"):
+        cf.evaluate(bad)
+
+
+@EVERY_FAMILY
+def test_numpy_menu_chooses_a_python_int(cf):
+    for menu in range(4):
+        for numpy_menu in (np.int64(menu), np.uint8(menu)):
+            out = cf.evaluate(numpy_menu)
             assert type(out) is int and out == cf.evaluate(menu)
 
-    @pytest.mark.parametrize("bad", [1.0, True, "1", np.bool_(True)],
-                             ids=["float", "bool", "str", "numpy bool"])
-    def test_non_integer_menu_rejected(self, bad):
-        with pytest.raises(DomainError, match="contract sets are integer masks"):
-            LinearOrder((0, 1)).evaluate(bad)
+
+def test_every_family_covers_both_aggregate_paths():
+    sides = [cf for cf in EVERY_FAMILY.args[1] if type(cf) is Aggregate]
+    assert [side._passes[0] is not None for side in sides] == [False, True]
 
 
 class TestQuota:

@@ -145,6 +145,24 @@ def test_expand_and_compress_round_trip(bits, mask):
     assert compress(expand(local, bits), bits) == local
 
 
+def test_expand_and_compress_read_a_numpy_mask_as_a_python_int():
+    # a numpy shift past the width gives 0, so bit 100 would be lost
+    assert expand(np.int64(1), [100]) == 1 << 100
+    out = compress(np.int64(5), [0, 2, 100])
+    assert type(out) is int and out == 3
+
+
+@pytest.mark.parametrize("read", [expand, compress], ids=["expand", "compress"])
+@pytest.mark.parametrize("bad, match", [
+    (True, "contract sets are integer masks, got True"),
+    (np.bool_(True), "contract sets are integer masks"),
+    (-1, "contract sets are non-negative masks, got -1"),
+], ids=["bool", "numpy bool", "negative"])
+def test_expand_and_compress_refuse_what_as_mask_refuses(read, bad, match):
+    with pytest.raises(DomainError, match=match):
+        read(bad, [5])
+
+
 @given(
     st.integers(0, POWER_SET_CAP).flatmap(
         lambda k: st.tuples(

@@ -459,9 +459,14 @@ class TestSetText:
         assert parse_set(i3, ["e11", "e22"]) == m(0, 3)
         assert parse_set(i3, []) == 0
 
-    def test_unknown_label(self, i3):
-        with pytest.raises(Exception, match="unknown contract label"):
-            parse_set(i3, ["e99"])
+    @pytest.mark.parametrize("labels, match", [
+        (["e99"], r"^unknown contract label 'e99'$"),
+        ([["e11"]], r"^unknown contract label \['e11'\]$"),
+        (5, r"^contract labels must be iterable, got 5$"),
+    ], ids=["unknown", "unhashable", "not-iterable"])
+    def test_unknown_label(self, i3, labels, match):
+        with pytest.raises(DomainError, match=match):
+            parse_set(i3, labels)
 
 
 PARSE_CODES = {"io", "malformed", "unknown-family", "dangling-reference", "axiom-violation"}

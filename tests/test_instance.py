@@ -62,9 +62,16 @@ class TestAdjacency:
         inst = _with_isolated_worker()
         assert contracts_of(inst, "w2") == 0
 
-    def test_unknown_agent(self, i3):
-        with pytest.raises(DomainError, match="unknown agent"):
-            contracts_of(i3, "nobody")
+    @pytest.mark.parametrize("agent_id", ["nobody", ["f1"]], ids=["unknown", "unhashable"])
+    def test_unknown_agent(self, i3, agent_id):
+        for lookup in (i3.agent, lambda a: contracts_of(i3, a)):
+            with pytest.raises(DomainError, match=r"^unknown agent "):
+                lookup(agent_id)
+
+    @pytest.mark.parametrize("label", ["e99", ["e11"]], ids=["unknown", "unhashable"])
+    def test_unknown_contract_label(self, i3, label):
+        with pytest.raises(DomainError, match=r"^unknown contract label "):
+            i3.contract_id(label)
 
     def test_matches_the_definition(self, i1, i3, poset):
         # E(v) is the ids of the contracts that name v

@@ -59,9 +59,10 @@ class TestStable:
         problem = TwoAgentProblem(LinearOrder(()), LinearOrder(()))
         assert is_stable(problem, 0)
 
-    def test_set_outside_ground(self, p1):
-        with pytest.raises(DomainError):
-            is_stable(p1, m(5))
+    def test_set_outside_ground(self, i1, p1):
+        for check in (lambda s: is_stable(p1, s), lambda s: list(multi_blocking(i1, s))):
+            with pytest.raises(DomainError, match="not a subset of the ground set"):
+                check(m(5))
 
     def test_negative_set_rejected(self, p1):
         with pytest.raises(DomainError):
