@@ -12,12 +12,14 @@ C_f((held ∪ offers) ∩ E(f)).  The workers of the dropped contracts are
 free in the next round.  The rounds are batch operations, so the outcome
 cannot depend on the order workers are visited.
 
-``sotomayor_insert_solve`` builds a stable matching one worker at a time.
-The entering worker takes the first contract e in its order with
-e ∈ D_f(held ∩ E(f)), f the firm of e: its best contract among those the
-firm would accept.  If that displaces another worker, the displaced worker
-re-enters the same way, and the chain stops because the dismissing firm's
-position strictly improves at every link.
+``sotomayor_insert_solve`` builds a stable matching one worker at a time,
+in declaration order.  The entering worker takes the first contract e in
+its order with e ∈ D_f(held ∩ E(f)), f the firm of e: its best contract
+among those the firm would accept.  If that displaces another worker, the
+displaced worker re-enters the same way, and the chain stops because the
+dismissing firm's position strictly improves at every link.  Every order of
+entry gives the same worker-optimal matching (McVitie & Wilson 1971), so a
+caller who wants another order declares the workers in it.
 
 Both require every agent's choice function to be a strict linear order
 (the one-contract-per-agent marriage model); anything else is rejected.
@@ -32,9 +34,9 @@ from .instance import Instance
 from .stability import keeps_slices, multi_blocking
 
 
-def _workers(inst: Instance, order: tuple[str, ...] | None = None):
-    """The workers in ``order`` (declaration order when None), once every
-    agent is known to choose by a linear order."""
+def _workers(inst: Instance) -> tuple[str, ...]:
+    """The workers in declaration order, once every agent is known to choose
+    by a linear order."""
     for agent in inst.agents:
         cf = inst.choices[agent.id]
         if type(cf) is not LinearOrder:
@@ -42,16 +44,7 @@ def _workers(inst: Instance, order: tuple[str, ...] | None = None):
                 f"agent {agent.id!r} has a {type(cf).__name__} choice function; "
                 f"the classical solvers need linear orders throughout"
             )
-    workers = inst.workers()
-    if order is None:
-        return workers
-    try:
-        order = tuple(order)
-        if sorted(order) == sorted(workers):
-            return order
-    except TypeError:  # not iterable, or of values that do not sort together
-        pass
-    raise DomainError("insertion_order must be a permutation of the workers")
+    return inst.workers()
 
 
 def _desired(inst: Instance, held: Mask, e: int) -> bool:
@@ -100,10 +93,10 @@ def gale_shapley(inst: Instance) -> Mask:
     )
 
 
-def sotomayor_insert_solve(
-    inst: Instance, insertion_order: tuple[str, ...] | None = None
-) -> Mask:
-    """Build a stable matching by inserting workers one at a time.
+def sotomayor_insert_solve(inst: Instance) -> Mask:
+    """Build a stable matching by inserting workers one at a time, in
+    declaration order; returns the worker-optimal stable matching, which
+    every order of entry reaches.
 
     Each entering worker takes the first contract e in its order that the
     firm f of e desires, e ∈ D_f(held ∩ E(f)): the firm is free, or prefers
@@ -111,7 +104,7 @@ def sotomayor_insert_solve(
     depth-first; the repair chain is asserted to stop within |E| links.
     """
     held = 0
-    for entering in _workers(inst, insertion_order):
+    for entering in _workers(inst):
         current = entering
         for _ in range(inst.size + 1):
             chosen = next(

@@ -411,8 +411,10 @@ def format_set(inst: Instance, mask: Mask) -> str:
 
 
 def parse_set(inst: Instance, labels: list[str]) -> Mask:
-    """Contract labels to a mask; an unknown label, or labels that are not
-    iterable, are a domain error."""
+    """Contract labels to a mask; an unknown label, a bare string or labels
+    that are not iterable are a domain error."""
+    if isinstance(labels, str):
+        raise DomainError(f"contract labels must be a collection, got the string {labels!r}")
     try:
         return mask_of(map(inst.contract_id, labels))
     except TypeError:  # not iterable: every label's lookup is a DomainError

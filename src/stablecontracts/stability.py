@@ -52,12 +52,12 @@ def is_stable_prop1(problem: TwoAgentProblem, s: Mask) -> bool:
 def is_stable_multi(inst: Instance, s: Mask) -> bool:
     """Multi-agent definition: per-agent acceptability plus no blocking
     contract accepted by both of its endpoints."""
-    s = check_subset(s, inst.ground)
     return keeps_slices(inst, s) and next(multi_blocking(inst, s), None) is None
 
 
 def keeps_slices(inst: Instance, s: Mask) -> bool:
     """Every agent keeps its own slice S ∩ E(v) whole."""
+    s = check_subset(s, inst.ground)
     for agent in inst.agents:
         cf = inst.choices[agent.id]
         slice_ = s & cf.ground

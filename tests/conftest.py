@@ -11,7 +11,7 @@ from stablecontracts.fixtures import (
     poset_table_instance,
     two_parallel_contracts,
 )
-from stablecontracts.instance import TwoAgentProblem
+from stablecontracts.instance import Instance, Side, TwoAgentProblem
 from stablecontracts.oracle import random_instance
 
 
@@ -150,6 +150,16 @@ def classical_corpus(count: int, seed: int) -> list:
         density = master.choice((0.5, 0.75, 1.0))
         out.append(random_instance(master.randrange(2**32), firms, workers, density))
     return out
+
+
+def redeclared(inst: Instance, workers) -> Instance:
+    """``inst`` with its workers declared in the order ``workers``: each
+    worker's place among the agents goes to the next worker of ``workers``.
+    Firms, contracts (so every contract id) and choice functions stay as
+    they are."""
+    order = iter(workers)
+    agents = tuple(a if a.side is Side.FIRM else inst.agent(next(order)) for a in inst.agents)
+    return Instance(agents, inst.contracts, inst.choices)
 
 
 @pytest.fixture(scope="session")

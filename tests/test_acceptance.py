@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import bad_table_documents, classical_corpus, submasks
+from conftest import bad_table_documents, classical_corpus, redeclared, submasks
 from stablecontracts import cli
 from stablecontracts.ample import ag_solve, enumerate_stable_via_ample
 from stablecontracts.choice import validate_plott
@@ -147,7 +147,7 @@ def test_criterion_5_classical_agreement():
                 order_rng.shuffle(workers)
                 orders.append(tuple(workers))
         for order in orders:
-            if not is_stable_multi(inst, sotomayor_insert_solve(inst, order)):
+            if not is_stable_multi(inst, sotomayor_insert_solve(redeclared(inst, order))):
                 ok = False
 
     i3 = marriage_2x2()

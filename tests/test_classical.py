@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import classical_corpus, m, submasks
+from conftest import classical_corpus, m, redeclared, submasks
 from stablecontracts.ample import ag_solve
 from stablecontracts.classical import (
     gale_shapley,
@@ -105,33 +105,17 @@ class TestGaleShapley:
 
 class TestSotomayorInsertion:
     def test_marriage_2x2_declared_order(self, i3):
-        assert sotomayor_insert_solve(i3, ("w1", "w2")) == m(1, 2)
+        assert sotomayor_insert_solve(redeclared(i3, ("w1", "w2"))) == m(1, 2)
 
     def test_marriage_2x2_reversed_order(self, i3):
-        matching = sotomayor_insert_solve(i3, ("w2", "w1"))
+        matching = sotomayor_insert_solve(redeclared(i3, ("w2", "w1")))
         assert is_stable_multi(i3, matching)
 
     def test_single_insertion(self, i1):
-        assert sotomayor_insert_solve(i1, ("w1",)) == m(1)
+        assert sotomayor_insert_solve(redeclared(i1, ("w1",))) == m(1)
 
     def test_empty_market(self):
         assert sotomayor_insert_solve(_empty_instance()) == 0
-
-    def test_bad_insertion_order(self, i3):
-        with pytest.raises(DomainError, match="permutation"):
-            sotomayor_insert_solve(i3, ("w1", "w1"))
-
-    @pytest.mark.parametrize("order", [5, ("w1", 3), ("w1", ["x"])],
-                             ids=["not-iterable", "mixed-types", "holds-a-list"])
-    def test_insertion_order_that_does_not_sort(self, i3, order):
-        # refused as any other non-permutation, not as a bare TypeError
-        with pytest.raises(DomainError, match="permutation"):
-            sotomayor_insert_solve(i3, order)
-
-    def test_insertion_order_read_once(self, i3):
-        # a generator is consumed by the check and still gives the order
-        order = (w for w in ("w2", "w1"))
-        assert sotomayor_insert_solve(i3, order) == sotomayor_insert_solve(i3, ("w2", "w1"))
 
     def test_repair_chain_that_never_stops_is_internal(self):
         # the firm desires every contract whatever it holds, so it takes
@@ -150,7 +134,7 @@ class TestSotomayorInsertion:
                 continue
             optimal = gale_shapley(inst)
             for order in itertools.permutations(workers):
-                matching = sotomayor_insert_solve(inst, order)
+                matching = sotomayor_insert_solve(redeclared(inst, order))
                 assert is_stable_multi(inst, matching)
                 assert matching == optimal
                 checked += 1
@@ -165,7 +149,7 @@ class TestSotomayorInsertion:
             optimal = gale_shapley(inst)
             for _ in range(10):
                 rng.shuffle(workers)
-                matching = sotomayor_insert_solve(inst, tuple(workers))
+                matching = sotomayor_insert_solve(redeclared(inst, workers))
                 assert is_stable_multi(inst, matching)
                 assert matching == optimal
 
@@ -177,7 +161,7 @@ class TestSotomayorInsertion:
             inst = _multigraph_market(seed)
             optimal = ag_solve(reduce_to_two_agents(inst)).system
             matchings = [gale_shapley(inst)] + [
-                sotomayor_insert_solve(inst, order)
+                sotomayor_insert_solve(redeclared(inst, order))
                 for order in itertools.permutations(inst.workers())
             ]
             for matching in matchings:

@@ -463,7 +463,9 @@ class TestSetText:
         (["e99"], r"^unknown contract label 'e99'$"),
         ([["e11"]], r"^unknown contract label \['e11'\]$"),
         (5, r"^contract labels must be iterable, got 5$"),
-    ], ids=["unknown", "unhashable", "not-iterable"])
+        # a bare string is not read label by label, as 'e', '1', '1'
+        ("e11", r"^contract labels must be a collection, got the string 'e11'$"),
+    ], ids=["unknown", "unhashable", "not-iterable", "a-string"])
     def test_unknown_label(self, i3, labels, match):
         with pytest.raises(DomainError, match=match):
             parse_set(i3, labels)

@@ -8,7 +8,9 @@ on six fixed documents: ``solve`` (each algorithm the document admits),
 market and the two refused markets) and one ``<case>.out`` file per
 command below.  Every document has a ``validate`` report; the empty market
 has no ``solve`` or ``check`` case, and a refused market's ``validate``
-exits 1 with its stderr in ``<case>.err``.  A report may change only on
+exits 1 with its stderr in ``<case>.err``.  The ``gs`` and ``sotomayor``
+reports of ``i3`` and ``gen-linear`` are also replayed on the documents
+with their workers declared in reverse.  A report may change only on
 purpose; after such a change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -168,6 +170,21 @@ def test_inputs_are_current():
 def test_report_matches_golden(case):
     expected = (GOLDEN / f"{case}.out").read_bytes()
     assert _stdout(CASES[case]).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("algorithm", ("gs", "sotomayor"))
+@pytest.mark.parametrize("name", ("i3", "gen-linear"))
+def test_classical_reports_ignore_the_worker_declaration_order(name, algorithm, tmp_path):
+    # the same document with its workers declared in reverse, each firm
+    # keeping its place: the classical solvers reach the same matching
+    doc = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    workers = [a for a in doc["agents"] if a["side"] == "worker"][::-1]
+    assert len(workers) > 1
+    doc["agents"] = [a if a["side"] == "firm" else workers.pop(0) for a in doc["agents"]]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    expected = (GOLDEN / f"{name}.solve-{algorithm}.out").read_bytes()
+    assert _stdout(["solve", "--algorithm", algorithm, str(path)]).encode("utf-8") == expected
 
 
 @pytest.mark.parametrize("name", REFUSED)

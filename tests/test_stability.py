@@ -15,6 +15,7 @@ from stablecontracts.stability import (
     is_stable,
     is_stable_multi,
     is_stable_prop1,
+    keeps_slices,
     multi_blocking,
 )
 
@@ -151,6 +152,13 @@ class TestNumpyMasks:
         assert format_set(inst, np.int64(6)) == "{e12, e21}"
         assert list(multi_blocking(inst, np.int64(1))) == list(multi_blocking(inst, 1))
 
+    def test_keeps_slices_reads_and_checks_its_set(self):
+        inst = marriage_2x2()
+        for s in submasks(inst.ground):
+            assert keeps_slices(inst, np.int64(s)) is keeps_slices(inst, s)
+        with pytest.raises(DomainError, match="^contract set \\[9\\] is not a subset"):
+            keeps_slices(inst, 1 << 9)
+
     @pytest.mark.parametrize("bad", [True, 6.0, "6"], ids=["bool", "float", "str"])
     def test_non_integer_systems_rejected(self, bad):
         inst = marriage_2x2()
@@ -158,6 +166,7 @@ class TestNumpyMasks:
         for check in (lambda s: is_stable(problem, s),
                       lambda s: blocking_contracts(problem, s),
                       lambda s: is_stable_multi(inst, s),
+                      lambda s: keeps_slices(inst, s),
                       lambda s: format_set(inst, s)):
             with pytest.raises(DomainError, match="contract sets are integer masks"):
                 check(bad)
