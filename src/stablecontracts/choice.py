@@ -33,9 +33,10 @@ every one-contract step (A, A ∪ {x}) between them, and ``canonical_order``
 sorts menus by cardinality, then lexicographically by contract ids.  A map
 stored in that layout (``_PowerSetMap``: the ground's ids and one
 read-only array) is a ``Table`` here and a ``DesirabilityOperator`` in
-``desirability``; its ``tabulate`` returns the array as it is, and an
-``Aggregate`` gathers each part's array onto its own axes above one
-contiguous block of the lowest bits and broadcasts it over the rest.
+``desirability``, each read by one reader and checked by one fill; its
+``tabulate`` returns the array as it is, and an ``Aggregate`` gathers each
+part's array onto its own axes above one contiguous block of the lowest
+bits and broadcasts it over the rest.
 
 Each axiom is decided by a one-contract version of itself, which a chain
 of single additions or removals turns back into the global form (Plott
@@ -83,8 +84,8 @@ from .contractsets import (
     expand,
     expansion,
     ids_of,
+    local_masks,
     local_table,
-    mask_of,
     single_steps,
 )
 from .errors import (
@@ -104,9 +105,9 @@ EXHAUSTIVE_CAP = 12
 # and 0.8 at 28 and 32.
 _VECTOR_PARTS = 32
 
-# Table entries that are no choice: a menu no row lists, and a choice that
-# names a contract outside the table's ground (``Table.from_rows``); as an
-# index, OUTSIDE is the last entry of an array
+# Entries of a power-set map that are no mask: a key no row lists, and an
+# entry that names a contract outside the map's ground (``Table.from_rows``
+# and the mapping reader); as an index, OUTSIDE is the last entry of an array
 _MISSING = -2
 OUTSIDE = -1
 
@@ -272,16 +273,78 @@ class _PowerSetMap:
     out every power set.  ``tabulate`` returns the array as it is, and
     ``_lookup`` compresses a mask to its local bits and expands its entry
     back to contract ids.  Two maps are equal when they are of one type and
-    store the same ids and array.
+    store the same ids and array.  A ``Table`` and a ``DesirabilityOperator``
+    share one mapping reader, ``__init__``, and one fill of rows, ``_fill``,
+    and differ only in class data: ``_kind`` and ``_key`` name the map and
+    its keys in a refusal, ``_outside`` words an entry outside its bound,
+    and ``_bound_by_key`` bounds an entry by its own key, else the ground.
     """
 
     ground: Mask
     bits: tuple[int, ...]
     table: np.ndarray
 
-    def _store(self, bits, table: np.ndarray) -> None:
+    def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
+        """Tabulate ``mapping``, key to entry in contract ids, over
+        ``ground``.  A non-mapping and a ground over ``POWER_SET_CAP``
+        contracts are refused before any key is read; keys and entries are
+        read as ``as_mask`` reads them, and a key outside the ground is
+        refused last."""
+        bits = ids_of(ground)
+        if not isinstance(mapping, Mapping):
+            raise DomainError(f"{self._kind} must be a mapping of "
+                              f"{self._key}s, got {type(mapping).__name__}")
+        local = local_masks(bits)
+        rows = {}
+        for key, entry in mapping.items():
+            i, entry = local.get(as_mask(key)), as_mask(entry)
+            if i is not None:
+                rows[i] = local.get(entry, OUTSIDE)
+        self._fill(bits, list(rows), list(rows.values()))
+        if len(rows) != len(mapping):
+            raise DomainError(f"{self._kind} lists {self._key}s outside the ground set")
+
+    def _fill(self, ids, keys, entries) -> None:
+        # the one check of every map's rows: its ids and size, then that
+        # every row is a pair of local masks (an entry may be OUTSIDE), then
+        # the first key, in ascending mask order, that is missing or maps
+        # outside its bound; once every key is there, only a key listed
+        # twice leaves more rows than keys
+        ids, mask = contract_ids(ids)
+        k = len(ids)
+        if mask.bit_count() != k:
+            raise DomainError(f"{self._kind} ground repeats a contract id")
+        check_power_set(k)
+        n = 1 << k
+        keys = np.asarray(keys, dtype=np.int64)
+        entries = np.asarray(entries, dtype=np.int64)
+        if keys.shape != entries.shape:
+            raise DomainError(f"{self._kind} rows need one entry per {self._key}, got "
+                              f"{keys.size} {self._key}s and {entries.size} entries")
+        # local masks over k bits OR to one too; OUTSIDE sets every bit, so
+        # only rows whose OR does not fit are bounded one by one
+        for what, rows, low in ((self._key, keys, 0), ("entry", entries, OUTSIDE)):
+            if np.bitwise_or.reduce(rows) >> k and (rows.min() < low or rows.max() >= n):
+                stray = rows[(rows < low) | (rows >= n)][0]
+                raise DomainError(f"{self._kind} {what} {stray} is not a local mask "
+                                  f"over {k} contracts")
+        bits = sorted(ids)
+        # renumber every local mask to ascending ids in one gather; OUTSIDE
+        # indexes the one sentinel entry past the masks, which keeps it
+        renumber = np.concatenate((expansion([bits.index(i) for i in ids]), [OUTSIDE]))
+        table = np.full(n, _MISSING, dtype=np.int64)
+        table[renumber[keys]] = renumber[entries]
+        bad = (table & ~(np.arange(n) if self._bound_by_key else n - 1)) != 0
+        if bad.any():
+            first = int(bad.argmax())
+            key = [bits[i] for i in ids_of(first)]
+            if table[first] == _MISSING:
+                raise DomainError(f"{self._kind} is not total: {self._key} {key} is missing")
+            raise DomainError(self._outside.format(key))
+        if keys.size != n:
+            raise DomainError(f"{self._kind} lists a {self._key} more than once")
         table.flags.writeable = False
-        object.__setattr__(self, "ground", mask_of(bits))
+        object.__setattr__(self, "ground", mask)
         object.__setattr__(self, "bits", tuple(bits))
         object.__setattr__(self, "table", table)
 
@@ -318,52 +381,20 @@ class Table(_PowerSetMap, ChoiceFunction):
     tables may be built invalid on purpose to exercise the validator.
     """
 
-    def __init__(self, ground: Mask, mapping: Mapping[Mask, Mask]):
-        """Tabulate ``mapping``, menu to choice in contract ids, over
-        ``ground``; every mask is read as ``contractsets.as_mask`` reads
-        it."""
-        ground = as_mask(ground)
-        bits = ids_of(ground)
-        rows = {}
-        for a, c in mapping.items():
-            a, c = as_mask(a), as_mask(c)
-            if not a & ~ground:
-                rows[compress(a, bits)] = OUTSIDE if c & ~a else compress(c, bits)
-        self._fill(bits, list(rows), list(rows.values()))
-        if len(rows) != len(mapping):
-            raise DomainError("table lists menus outside the ground set")
+    _kind, _key, _bound_by_key = "table", "menu", True
+    _outside = "table entry for menu {} chooses outside it"
 
     @classmethod
     def from_rows(cls, ids, menus, choices) -> Table:
         """The table choosing ``choices[i]`` from the distinct ``menus[i]``,
-        masks over local bits that stand for ``ids`` in the order given (a
-        decoder numbers contracts as it meets them); a choice of
-        ``OUTSIDE`` names a contract outside the ground."""
+        masks over local bits that stand for the distinct ``ids`` in the
+        order given (a decoder numbers contracts as it meets them); a
+        choice of ``OUTSIDE`` names a contract outside the ground.  The ids
+        are read as ``contract_ids`` reads them, and rows that are no such
+        masks are refused."""
         table = object.__new__(cls)
         table._fill(ids, menus, choices)
         return table
-
-    def _fill(self, ids: list[int], menus, choices) -> None:
-        # the one check of every table: its size, then the first menu, in
-        # ascending mask order, that is missing or chooses outside itself
-        k = len(ids)
-        check_power_set(k)
-        bits = sorted(ids)
-        # renumber every local mask to ascending ids in one gather; OUTSIDE
-        # indexes the one sentinel entry past the masks, which keeps it
-        renumber = np.concatenate((expansion([bits.index(i) for i in ids]), [OUTSIDE]))
-        table = np.full(1 << k, _MISSING, dtype=np.int64)
-        table[renumber[np.asarray(menus, dtype=np.int64)]] = renumber[
-            np.asarray(choices, dtype=np.int64)
-        ]
-        bad = (table & ~np.arange(1 << k)) != 0
-        if bad.any():
-            first = int(bad.argmax())
-            menu = [bits[i] for i in ids_of(first)]
-            if table[first] == _MISSING:
-                raise DomainError(f"table is not total: menu {menu} is missing")
-            raise DomainError(f"table entry for menu {menu} chooses outside it")
-        self._store(bits, table)
 
     def _choose(self, menu: Mask) -> Mask:
         return self._lookup(menu)

@@ -14,10 +14,11 @@ scan.  A ground's contract ids ``bits`` (ascending) map onto local bits
 it back, each reading its mask as ``as_mask`` does.  An int64 array of local
 masks is re-indexed by one gather through ``expansion``, the expansion of
 every local mask, built by doubling in one numpy call per bit.
-``local_table`` tabulates a function over the 2^k local masks, for k up to
-``POWER_SET_CAP``; ``canonical_order`` lists those masks in the canonical
-scan order of ``canonical_key``, and ``single_steps`` lists every
-one-contract step (A, A ∪ {x}) between them.
+``local_masks`` keys the 2^k subsets of a ground to their local masks, for
+k up to ``POWER_SET_CAP``, and ``local_table`` tabulates a function over
+them; ``canonical_order`` lists those masks in the canonical scan order of
+``canonical_key``, and ``single_steps`` lists every one-contract step
+(A, A ∪ {x}) between them.
 """
 
 from __future__ import annotations
@@ -168,24 +169,30 @@ def check_power_set(k: int) -> None:
                                f"are capped at {POWER_SET_CAP}")
 
 
+def local_masks(bits: list[int]) -> dict[Mask, Mask]:
+    """Every subset of the contract ids ``bits``, built by doubling, keyed
+    to its local mask in ascending local order; a ground over
+    ``POWER_SET_CAP`` contracts is refused before anything is built."""
+    check_power_set(len(bits))
+    menus = [0]
+    for b in bits:
+        menus += [a | 1 << b for a in menus]
+    return {a: i for i, a in enumerate(menus)}
+
+
 def local_table(fn: Callable[[Mask], Mask], bits: list[int]) -> np.ndarray:
     """fn(A) for every subset A of ``bits``, re-indexed to dense local bits.
 
     Returns a read-only int64 array whose entry ``local`` is
     ``compress(fn(expand(local, bits)), bits)``, so a sparse ground
     tabulates like a dense one.  ``fn`` gets and returns ints: the menus
-    are built by doubling, ``menus[local]`` being ``expand(local, bits)``,
-    and each result is mapped back to its local mask through one dict.  A
-    ground over ``POWER_SET_CAP`` contracts is refused before anything is
-    built.
+    come from ``local_masks``, and each result is mapped back to its local
+    mask through that one dict.
     """
-    check_power_set(len(bits))
-    menus = [0]
-    for b in bits:
-        menus += [a | 1 << b for a in menus]
-    local = {a: i for i, a in enumerate(menus)}
+    local = local_masks(bits)
+    ground = next(reversed(local))  # the last subset is the whole ground
     # as compress does, a member outside the ground is dropped
-    table = np.array([local[fn(a) & menus[-1]] for a in menus], dtype=np.int64)
+    table = np.array([local[fn(a) & ground] for a in local], dtype=np.int64)
     table.flags.writeable = False
     return table
 

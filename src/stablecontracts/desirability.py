@@ -16,9 +16,11 @@ order.
 
 An operator is stored as a ``Table`` stores a choice function, one
 ``choice._PowerSetMap``: the ground's ids and one read-only array over its
-local masks, filled by one ``local_table`` pass.  Conversely, any total map
-with these two properties induces a choice function that passes the
-rationality axioms; ``induced_choice`` implements that reconstruction.
+local masks, read from a mapping by the table's own reader or tabulated
+by one ``local_table`` pass (``from_choice``), and checked by its fill.
+Conversely, any total map with these two properties induces a choice
+function that passes the rationality axioms; ``induced_choice``
+implements that reconstruction.
 
 ``desirable_set`` checks the state and hands it to the family's
 ``ChoiceFunction.desirable``, which every family must give.  The ranked
@@ -38,8 +40,6 @@ scans never use desirability.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .choice import (
@@ -51,7 +51,7 @@ from .choice import (
     first_pair,
     first_state,
 )
-from .contractsets import Mask, as_mask, check_power_set, check_subset, ids_of, local_table
+from .contractsets import Mask, check_subset, ids_of, local_table
 from .errors import DomainError
 
 ANTIMONOTONICITY = "antimonotonicity"
@@ -79,35 +79,14 @@ class DesirabilityOperator(_PowerSetMap):
     choice functions.
     """
 
-    def __init__(self, ground: Mask, table: Mapping[Mask, Mask]):
-        """Tabulate ``table``, state to desirable set in contract ids, over
-        ``ground``: the first state, in ascending order, that is missing or
-        maps outside the ground is named, then any state outside it.  Every
-        mask is read as ``contractsets.as_mask`` reads it."""
-        ground = as_mask(ground)
-        check_power_set(ground.bit_count())
-        table = {as_mask(state): as_mask(d) for state, d in table.items()}
-
-        def entry(state: Mask) -> Mask:
-            if state not in table:
-                raise DomainError(
-                    f"operator is not total: state {ids_of(state)} is missing"
-                )
-            if table[state] & ~ground:
-                raise DomainError(
-                    f"operator maps state {ids_of(state)} outside the ground set"
-                )
-            return table[state]
-
-        self._store(ids_of(ground), local_table(entry, ids_of(ground)))
-        if len(table) != len(self.table):
-            raise DomainError("operator lists states outside the ground set")
+    _kind, _key, _bound_by_key = "operator", "state", False
+    _outside = "operator maps state {} outside the ground set"
 
     @classmethod
     def from_choice(cls, cf: ChoiceFunction) -> "DesirabilityOperator":
         """Materialize the desirability operator of a choice function."""
-        op = object.__new__(cls)
-        op._store(ids_of(cf.ground), local_table(cf.desirable, ids_of(cf.ground)))
+        op, bits = object.__new__(cls), ids_of(cf.ground)
+        op._fill(bits, range(1 << len(bits)), local_table(cf.desirable, bits))
         return op
 
     def map(self, state: Mask) -> Mask:

@@ -370,6 +370,27 @@ class TestTableArray:
         with pytest.raises(ValueError):
             table.table[0] = 1
 
+    @pytest.mark.parametrize("rows, fault", [
+        (([0, 1], [0, 1, 2, -1], [0, 1, 2, 1]),
+         "table menu -1 is not a local mask over 2 contracts"),
+        (([0, 1], [0, 1, 2, 3], [0, 1, 2, -2]),
+         "table entry -2 is not a local mask over 2 contracts"),
+        (([0, 1], [0, 1, 2, 3, 7], [0, 1, 2, 3, 0]),
+         "table menu 7 is not a local mask over 2 contracts"),
+        (([0, 1], [0, 1, 2, 3], [0, 1, 2, 4]),
+         "table entry 4 is not a local mask over 2 contracts"),
+        (([0, 1], [0, 1, 2, 3], [0, 1, 2]),
+         "table rows need one entry per menu, got 4 menus and 3 entries"),
+        (([0, 0], [0, 1, 2, 3], [0, 1, 2, 3]), "table ground repeats a contract id"),
+        (([0, 1], [0, 1, 2, 3, 3], [0, 1, 2, 3, 1]), "table lists a menu more than once"),
+        (([0, -1], [0, 1, 2, 3], [0, 1, 2, 3]), "contract ids must be non-negative, got -1"),
+    ], ids=["negative menu", "entry below OUTSIDE", "menu past 2^k", "entry past 2^k",
+            "lengths differ", "repeated id", "repeated menu", "negative id"])
+    def test_rows_that_are_no_local_masks_are_refused(self, rows, fault):
+        with pytest.raises(DomainError) as exc:
+            Table.from_rows(*rows)
+        assert str(exc.value) == fault
+
     def test_over_20_contracts_is_refused_before_any_array(self):
         # choices that no array can hold: the cap must refuse first
         with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
@@ -697,25 +718,6 @@ def table_up_to_six(draw):
         a = draw(st.sampled_from(sorted(entries)))
         entries[a] = any_subset(a)
     return Table(ground, entries)
-
-
-@st.composite
-def random_table(draw):
-    # dense or sparse grounds, so witnesses are also checked after expansion
-    ids = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1,
-                        max_size=4, unique=True))
-    ground = mask_of(ids)
-    entries = {}
-    for menu in submasks(ground):
-        # pick an arbitrary subset of the menu
-        entries[menu] = menu & draw(st.integers(min_value=0, max_value=ground))
-    return Table(ground, entries)
-
-
-@settings(max_examples=200, deadline=None)
-@given(random_table())
-def test_validator_agrees_with_naive_oracle(cf):
-    _assert_rules_agree_with_the_global_scan(cf)
 
 
 @settings(max_examples=200, deadline=None)

@@ -162,18 +162,6 @@ class TestOperatorValidation:
         with pytest.raises(DomainError):
             DesirabilityOperator(m(0), {0: m(1), m(0): m(0)})
 
-    @pytest.mark.parametrize("table, fault", [
-        # the first bad state in ascending order decides, then stray states
-        ({0: 0, m(3): m(0)}, r"not total: state \[1\] is missing"),
-        ({0: 0, m(1): m(0)}, r"maps state \[1\] outside the ground set"),
-        ({0: m(0), m(3): 0, m(5): 0}, r"maps state \[\] outside the ground set"),
-        ({0: 0, m(1): 0, m(3): 0, m(1, 3): 0, m(0): 0},
-         "lists states outside the ground set"),
-    ])
-    def test_first_fault_in_ascending_state_order(self, table, fault):
-        with pytest.raises(DomainError, match=fault):
-            DesirabilityOperator(m(1, 3), table)
-
     @pytest.mark.parametrize("ground, table", [
         (3, {0: 3, 1: 2, 2: 1, 3: "x"}),
         (3, {0: 3, 1: 2, 2: 1, 3: 1.0}),
@@ -212,17 +200,19 @@ class TestOperatorValidation:
 
     def test_over_21_contracts_is_refused_before_any_state(self, monkeypatch):
         class Unread(dict):
-            def __contains__(self, state):
+            def items(self, *args):
                 raise AssertionError("a state was read before the size check")
 
-            __getitem__ = __contains__
+            __contains__ = __getitem__ = items
 
         def unasked(self, state):
             raise AssertionError("a state was asked before the size check")
 
         ground = (1 << 21) - 1
-        with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
-            DesirabilityOperator(ground, Unread())
+        # a table, too, is refused before its keys are read
+        for kind in (Table, DesirabilityOperator):
+            with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
+                kind(ground, Unread())
         monkeypatch.setattr(LinearOrder, "desirable", unasked)
         with pytest.raises(CapExceededError, match="21 contracts.*capped at 20"):
             DesirabilityOperator.from_choice(LinearOrder(tuple(range(21))))
@@ -261,6 +251,41 @@ class TestSharedStore:
         assert np.array_equal(table.table, op.table)
         assert table != op and op != table
         assert not table == op
+
+    @pytest.mark.parametrize("mapping, faults", [
+        # the first bad key in ascending order decides, then stray keys
+        ({0: 0, m(3): m(0)},
+         ("table is not total: menu [1] is missing",
+          "operator is not total: state [1] is missing")),
+        ({0: 0, m(1): m(0)},
+         ("table entry for menu [1] chooses outside it",
+          "operator maps state [1] outside the ground set")),
+        ({0: m(0), m(3): 0, m(5): 0},
+         ("table entry for menu [] chooses outside it",
+          "operator maps state [] outside the ground set")),
+        ({0: 0, m(1): 0, m(3): 0, m(1, 3): 0, m(0): 0},
+         ("table lists menus outside the ground set",
+          "operator lists states outside the ground set")),
+        # an entry is bound by its own key in a table, by the ground in an
+        # operator
+        ({a: m(1, 3) for a in submasks(m(1, 3))},
+         ("table entry for menu [] chooses outside it", None)),
+    ])
+    def test_first_fault_in_ascending_state_order(self, mapping, faults):
+        for kind, fault in zip((Table, DesirabilityOperator), faults):
+            if fault is None:
+                assert kind(m(1, 3), mapping).tabulate().tolist() == [3, 3, 3, 3]
+                continue
+            with pytest.raises(DomainError) as exc:
+                kind(m(1, 3), mapping)
+            assert str(exc.value) == fault
+
+    @pytest.mark.parametrize("kind", [Table, DesirabilityOperator])
+    @pytest.mark.parametrize("mapping", [None, [(0, 0)], 0],
+                             ids=["none", "pairs", "int"])
+    def test_non_mapping_is_refused(self, kind, mapping):
+        with pytest.raises(DomainError, match="must be a mapping"):
+            kind(3, mapping)
 
     @pytest.mark.parametrize("stored", [
         lambda: Table(m(0, 1), {0: 0, m(0): m(0), m(1): 0, m(0, 1): m(0)}),
@@ -325,36 +350,6 @@ def operator_up_to_six(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         table[draw(st.sampled_from(sorted(table)))] = any_state()
     return DesirabilityOperator(ground, table)
-
-
-@st.composite
-def random_operator(draw):
-    """An arbitrary map, or a choice function's operator with at most one
-    state remapped, over a dense or sparse ground of at most 4 contracts."""
-    ids = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=4,
-                        unique=True))
-    ground = mask_of(ids)
-    if draw(st.booleans()):
-        table = {
-            a: draw(st.integers(min_value=0, max_value=ground)) & ground
-            for a in submasks(ground)
-        }
-        return DesirabilityOperator(ground, table)
-    order = tuple(draw(st.permutations(ids)))
-    cf = LinearOrder(order) if not ids or draw(st.booleans()) else Quota(
-        draw(st.integers(min_value=1, max_value=len(ids))), order
-    )
-    table = {a: desirable_set(cf, a) for a in submasks(ground)}
-    if draw(st.booleans()):
-        state = draw(st.sampled_from(sorted(table)))
-        table[state] = draw(st.integers(min_value=0, max_value=ground)) & ground
-    return DesirabilityOperator(ground, table)
-
-
-@settings(max_examples=200, deadline=None)
-@given(random_operator())
-def test_operator_validator_agrees_with_naive_oracle(op):
-    _assert_rules_agree_with_the_global_scan(op)
 
 
 @settings(max_examples=200, deadline=None)
